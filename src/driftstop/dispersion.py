@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import write_table_csv
 from .prior import QuadratureTable, posterior_mean_var
 
 __all__ = [
@@ -79,70 +80,11 @@ def clamp_to_interior(table: QuadratureTable, x: float) -> tuple[float, bool]:
 
 
 def invert_G(table: QuadratureTable, t: float, x: float, tol: float = 1e-10) -> float:
-    """Observation level y with |G(t, y) - x| <= tol.
-
-    Brackets the root by doubling expansion from |y| = 1, then refines with a
-    bisection/secant hybrid (Illinois rule).  Deterministic for fixed inputs.
-    """
+    """Observation level y with |G(t, y) - x| <= tol: ``_invert_array`` at one point."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x, _ = clamp_to_interior(table, x)
-
-    def g(yy: float) -> float:
-        gv, _ = posterior_mean_var(table, t, yy)
-        return float(gv[0]) - x
-
-    lo, hi = -1.0, 1.0
-    flo, fhi = g(lo), g(hi)
-    for _ in range(120):
-        if flo <= 0.0:
-            break
-        lo *= 2.0
-        flo = g(lo)
-    else:
-        raise InversionError(f"could not bracket x={x!r} from below (t={t!r})")
-    for _ in range(120):
-        if fhi >= 0.0:
-            break
-        hi *= 2.0
-        fhi = g(hi)
-    else:
-        raise InversionError(f"could not bracket x={x!r} from above (t={t!r})")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-
-    # Illinois-damped regula falsi with a bisection safeguard
-    side = 0
-    y = 0.5 * (lo + hi)
-    for _ in range(200):
-        denom = fhi - flo
-        if denom != 0.0:
-            y = hi - fhi * (hi - lo) / denom
-        if not (lo < y < hi):
-            y = 0.5 * (lo + hi)
-        fy = g(y)
-        if abs(fy) <= tol:
-            return y
-        if fy > 0.0:
-            hi, fhi = y, fy
-            if side == +1:
-                flo *= 0.5
-            side = +1
-        else:
-            lo, flo = y, fy
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-            y = 0.5 * (lo + hi)
-            if abs(g(y)) <= tol:
-                return y
-            raise InversionError(
-                f"bracket collapsed at y={y!r} without meeting tol={tol!r} (t={t!r}, x={x!r})"
-            )
-    raise InversionError(f"inversion did not converge for t={t!r}, x={x!r}")
+    return float(_invert_array(table, t, np.array([x]), tol)[0])
 
 
 def _invert_array(
@@ -258,12 +200,7 @@ class PsiGrid:
         return float(np.max(np.diff(self.values, axis=0)))
 
     def to_csv(self, path) -> None:
-        from .cli import format_float  # local import: formatting lives with the CLI
-
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(format_float(x) for x in self.x_nodes) + "\n")
-            for ti, row in zip(self.t_nodes, self.values):
-                fh.write(format_float(ti) + "," + ",".join(format_float(v) for v in row) + "\n")
+        write_table_csv(path, self.t_nodes, self.x_nodes, self.values)
 
 
 def psi_grid(
@@ -348,11 +285,12 @@ def pde_residuals(table: QuadratureTable, t: float, point: float, h: float) -> P
     lo, hi = invertible_interval(table)
     if not (lo < x - h and x + h < hi):
         raise ValueError(f"x stencil [{x - h!r}, {x + h!r}] leaves the invertible interval")
-    p_c = psi(table, t, x)
-    p_xm = psi(table, t, x - h)
-    p_xp = psi(table, t, x + h)
-    p_tm = psi(table, t - h, x)
-    p_tp = psi(table, t + h, x)
+    # the second difference divides the inversion error by h^2: invert tightly
+    p_c = psi(table, t, x, tol=1e-12)
+    p_xm = psi(table, t, x - h, tol=1e-12)
+    p_xp = psi(table, t, x + h, tol=1e-12)
+    p_tm = psi(table, t - h, x, tol=1e-12)
+    p_tp = psi(table, t + h, x, tol=1e-12)
     dPsi = (p_tp - p_tm) / (2.0 * h)
     D2Psi = (p_xp - 2.0 * p_c + p_xm) / (h * h)
     psi_res = dPsi + p_c**2 * (0.5 * D2Psi + 1.0)

@@ -21,6 +21,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .csvio import format_row
 from .prior import QuadratureTable, posterior_mean_var
 from .stopping_solver import BoundaryCurve
 
@@ -97,25 +98,12 @@ class PathBatch:
     psi: np.ndarray
 
     def to_csv(self, path) -> None:
-        from .cli import format_float
-
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("path,t,y,x_hat,psi,x_true\n")
             for p in range(self.x_true.size):
                 for k, tk in enumerate(self.t):
-                    fh.write(
-                        ",".join(
-                            (
-                                str(p),
-                                format_float(tk),
-                                format_float(self.y[p, k]),
-                                format_float(self.x_hat[p, k]),
-                                format_float(self.psi[p, k]),
-                                format_float(self.x_true[p]),
-                            )
-                        )
-                        + "\n"
-                    )
+                    row = (tk, self.y[p, k], self.x_hat[p, k], self.psi[p, k], self.x_true[p])
+                    fh.write(f"{p}," + format_row(row) + "\n")
 
 
 def _chunk_draws(

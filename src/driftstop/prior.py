@@ -462,12 +462,15 @@ def _logit_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> np.ndarray
 
 def _weight_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> np.ndarray:
     logits = _logit_matrix(table, t, y)
-    logits -= logits.max(axis=0)  # max shift: largest exponent becomes 0
+    top = logits.max(axis=0)
+    bad = ~np.isfinite(top)
+    if bad.any():
+        raise ValueError(
+            f"observation level y={y[np.argmax(bad)]!r} gives non-finite posterior weights"
+        )
+    logits -= top  # max shift: the largest exponent becomes 0, so every column sums to >= 1
     w = np.exp(logits)
-    total = w.sum(axis=0)
-    # the shifted maximum always contributes exp(0) = 1
-    assert np.all(total >= 1.0), "posterior weights cannot underflow after max shift"
-    return w / total
+    return w / w.sum(axis=0)
 
 
 def posterior_weights(table: QuadratureTable, t: float, y: float) -> np.ndarray:

@@ -7,9 +7,9 @@ the parabolic variational inequality
     min( dv/dt + (1/2) Psi^2 d2v/dx2 + c - Psi^2,  -v ) = 0
 
 backward from a horizon where stopping is known to be optimal.  Each implicit
-Euler step is a tridiagonal linear complementarity problem solved either by
-projected SOR (red-black sweeps) or by policy iteration with direct banded
-solves.  Stopping regions are read off the solved grid and classified.
+Euler step is a tridiagonal linear complementarity problem solved exactly by
+policy iteration with direct banded solves; both lateral boundaries reflect.
+Stopping regions are read off the solved grid and classified.
 
 For priors whose dispersion never falls below sqrt(c) (time-homogeneous cases
 such as two-point priors), the zero terminal condition is inexact at any
@@ -29,6 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .closed_form import bernoulli_solve
+from .csvio import format_float, write_table_csv
 from .dispersion import PsiGrid, invertible_interval, psi_grid as build_psi_grid
 from .prior import QuadratureTable
 
@@ -52,9 +53,6 @@ __all__ = [
     "locally_good_check",
 ]
 
-_SCHEMES = ("implicit_psor", "policy_iteration")
-_BCS = ("neumann_zero", "dirichlet_zero")
-
 
 class SolverError(RuntimeError):
     """Numerical failure inside the obstacle solver."""
@@ -66,11 +64,8 @@ class SolverConfig:
 
     ``x_lo``/``x_hi`` truncate the state space strictly inside the support
     interval; ``T_max`` is the reported horizon while ``t_burnin`` adds hidden
-    backward time before it.  ``bc`` selects the lateral boundary condition:
-    ``neumann_zero`` (reflecting, exact whenever the dispersion is flat in x
-    near the truncation or the truncation lies in the stopping region) or
-    ``dirichlet_zero`` (hard zero, flagged if the boundary rows are not in the
-    stopping region).
+    backward time before it.  The truncation reflects, which is exact whenever
+    the dispersion is flat in x near it or it lies in the stopping region.
     """
 
     n_t: int
@@ -79,11 +74,7 @@ class SolverConfig:
     x_lo: float
     x_hi: float
     obstacle_tol: float = 1e-10
-    scheme: str = "implicit_psor"
-    bc: str = "neumann_zero"
     t_burnin: float = 0.0
-    psor_omega: float = 1.5
-    psor_max_sweeps: int = 10_000
 
     def __post_init__(self) -> None:
         if self.n_t < 8 or self.n_x < 8:
@@ -94,10 +85,6 @@ class SolverConfig:
             raise ValueError("x_lo must be below x_hi")
         if self.obstacle_tol <= 0.0:
             raise ValueError("obstacle_tol must be positive")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.bc not in _BCS:
-            raise ValueError(f"bc must be one of {_BCS}")
         if self.t_burnin < 0.0:
             raise ValueError("t_burnin must be >= 0")
 
@@ -128,11 +115,7 @@ class SolverConfig:
             "x_lo": self.x_lo,
             "x_hi": self.x_hi,
             "obstacle_tol": self.obstacle_tol,
-            "scheme": self.scheme,
-            "bc": self.bc,
             "t_burnin": self.t_burnin,
-            "psor_omega": self.psor_omega,
-            "psor_max_sweeps": self.psor_max_sweeps,
         }
 
     def digest(self) -> str:
@@ -191,32 +174,19 @@ class ValueGrid:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        from .cli import format_float
-
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(format_float(x) for x in self.x_nodes) + "\n")
-            for ti, row in zip(self.t_nodes, self.values):
-                fh.write(format_float(ti) + "," + ",".join(format_float(v) for v in row) + "\n")
+        write_table_csv(path, self.t_nodes, self.x_nodes, self.values)
 
 
-def _step_operator(psi_row: np.ndarray, dt: float, dx: float, bc: str):
+def _step_operator(psi_row: np.ndarray, dt: float, dx: float):
     """Tridiagonal coefficients of the implicit step A v = rhs."""
     mu = 0.5 * dt * psi_row**2 / (dx * dx)
-    n = psi_row.size
     diag = 1.0 + 2.0 * mu
     lower = -mu.copy()  # coefficient of v[j-1] in row j
     upper = -mu.copy()  # coefficient of v[j+1] in row j
-    if bc == "dirichlet_zero":
-        diag[0] = diag[-1] = 1.0
-        lower[0] = lower[-1] = 0.0
-        upper[0] = upper[-1] = 0.0
-    else:  # reflecting ghost node: second difference uses the inner neighbor twice
-        diag[0] = 1.0 + 2.0 * mu[0]
-        upper[0] = -2.0 * mu[0]
-        lower[0] = 0.0
-        diag[-1] = 1.0 + 2.0 * mu[-1]
-        lower[-1] = -2.0 * mu[-1]
-        upper[-1] = 0.0
+    # reflecting ghost node: second difference uses the inner neighbor twice
+    # (lower[0] and upper[-1] fall outside the matrix and are never read)
+    upper[0] = -2.0 * mu[0]
+    lower[-1] = -2.0 * mu[-1]
     return lower, diag, upper
 
 
@@ -227,47 +197,16 @@ def _neighbor_terms(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.n
     return out
 
 
-def _psor_step(
-    v0: np.ndarray,
-    rhs: np.ndarray,
-    lower: np.ndarray,
-    diag: np.ndarray,
-    upper: np.ndarray,
-    omega: float,
-    tol: float,
-    max_sweeps: int,
-) -> tuple[np.ndarray, int]:
-    """Projected SOR (obstacle v <= 0) with red-black ordering."""
-    v = np.minimum(v0, 0.0)
-    n = v.size
-    red = np.arange(0, n, 2)
-    black = np.arange(1, n, 2)
-    for sweep in range(1, max_sweeps + 1):
-        v_prev = v.copy()
-        for idx in (red, black):
-            nb = _neighbor_terms(v, lower, upper)
-            gs = (rhs[idx] - nb[idx]) / diag[idx]
-            v[idx] = np.minimum(0.0, v[idx] + omega * (gs - v[idx]))
-        delta = float(np.max(np.abs(v - v_prev)))
-        if delta <= tol:
-            return v, sweep
-    raise SolverError(
-        f"projected SOR did not converge in {max_sweeps} sweeps (last delta {delta:.3e})"
-    )
-
-
 def _policy_step(
     rhs: np.ndarray,
     lower: np.ndarray,
     diag: np.ndarray,
     upper: np.ndarray,
-    stopped0: np.ndarray,
-    forced_stop: np.ndarray,
+    stopped: np.ndarray,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact LCP solve by policy iteration over the stopped set."""
     n = rhs.size
-    stopped = stopped0 | forced_stop
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
     for it in range(1, max_iter + 1):
         ab = np.zeros((3, n))
@@ -281,7 +220,7 @@ def _policy_step(
         v = solve_banded((1, 1), ab, b)
         # residual of the *original* rows decides admissibility of stopping
         resid = rhs - (diag * v + _neighbor_terms(v, lower, upper))
-        new_stopped = np.where(stopped, resid >= -slack, v > slack) | forced_stop
+        new_stopped = np.where(stopped, resid >= -slack, v > slack)
         if np.array_equal(new_stopped, stopped):
             return np.minimum(v, 0.0), stopped, it
         stopped = new_stopped
@@ -294,9 +233,8 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     Parameters
     ----------
     grid : PsiGrid
-        Dispersion surface covering [0, T_max + t_burnin] x [x_lo, x_hi].
-        When its lattice matches the solver lattice the values are used
-        directly, otherwise they are interpolated bilinearly (flagged).
+        Dispersion surface on the solver lattice, burn-in included
+        (``solver_psi_grid``); any other lattice is rejected.
     c : float
         Observation cost per unit time.
     config : SolverConfig
@@ -314,16 +252,10 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     dt = config.dt
     flags: list[str] = []
 
-    psi_mat, interpolated = _align_psi(grid, t_solve, x)
-    if interpolated:
-        flags.append("psi_interpolated")
-
+    psi_mat = _align_psi(grid, t_solve, x)
     n_total = t_solve.size
     n_report = config.n_t + 1
     psi2 = psi_mat**2
-
-    if config.bc == "dirichlet_zero" and np.any(psi2[:, [0, -1]] > c):
-        flags.append("dirichlet_boundary_inconsistent")
 
     values = np.zeros((n_total, x.size))
     iterations = np.zeros(n_total - 1, dtype=int)
@@ -331,35 +263,14 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     if float(np.max(psi2[0])) <= c:
         flags.append("short_circuit_immediate_stop")
     else:
-        forced = np.zeros(x.size, dtype=bool)
-        if config.bc == "dirichlet_zero":
-            forced[0] = forced[-1] = True
         stopped = None
         for k in range(n_total - 2, -1, -1):
-            lower, diag, upper = _step_operator(psi_mat[k], dt, dx, config.bc)
+            lower, diag, upper = _step_operator(psi_mat[k], dt, dx)
             rhs = values[k + 1] + dt * (c - psi2[k])
-            if config.bc == "dirichlet_zero":
-                rhs[0] = rhs[-1] = 0.0
-            if config.scheme == "implicit_psor":
-                values[k], sweeps = _psor_step(
-                    values[k + 1],
-                    rhs,
-                    lower,
-                    diag,
-                    upper,
-                    config.psor_omega,
-                    config.obstacle_tol,
-                    config.psor_max_sweeps,
-                )
-                iterations[k] = sweeps
-            else:
-                init = stopped if stopped is not None else (rhs >= 0.0)
-                values[k], stopped, iters = _policy_step(rhs, lower, diag, upper, init, forced)
-                iterations[k] = iters
+            init = stopped if stopped is not None else (rhs >= 0.0)
+            values[k], stopped, iterations[k] = _policy_step(rhs, lower, diag, upper, init)
 
     meta = {
-        "scheme": config.scheme,
-        "bc": config.bc,
         "flags": flags,
         "n_burn": config.n_burn,
         "config_hash": config.digest(),
@@ -377,32 +288,19 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     )
 
 
-def _align_psi(grid: PsiGrid, t_solve: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _align_psi(grid: PsiGrid, t_solve: np.ndarray, x: np.ndarray) -> np.ndarray:
     same_t = grid.t_nodes.size == t_solve.size and np.allclose(
         grid.t_nodes, t_solve, rtol=0.0, atol=1e-12 * max(1.0, float(t_solve[-1]))
     )
     same_x = grid.x_nodes.size == x.size and np.allclose(
         grid.x_nodes, x, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(x))))
     )
-    if same_t and same_x:
-        return grid.values.copy(), False
-    t_tol = 1e-9 * max(1.0, float(t_solve[-1]))
-    x_tol = 1e-9 * max(1.0, float(np.max(np.abs(x))))
-    if grid.t_nodes[0] > t_solve[0] + t_tol or grid.t_nodes[-1] < t_solve[-1] - t_tol:
+    if not (same_t and same_x):
         raise ValueError(
-            f"psi grid time range [{grid.t_nodes[0]!r}, {grid.t_nodes[-1]!r}] does not cover "
-            f"the solve range [0, {t_solve[-1]!r}]"
+            f"psi grid lattice ({grid.t_nodes.size} x {grid.x_nodes.size}) is not the solver "
+            f"lattice ({t_solve.size} x {x.size}); build it with solver_psi_grid"
         )
-    if grid.x_nodes[0] > x[0] + x_tol or grid.x_nodes[-1] < x[-1] - x_tol:
-        raise ValueError("psi grid spatial range does not cover the solver domain")
-    # linear in t, then linear in x
-    tmp = np.empty((t_solve.size, grid.x_nodes.size))
-    for j in range(grid.x_nodes.size):
-        tmp[:, j] = np.interp(t_solve, grid.t_nodes, grid.values[:, j])
-    out = np.empty((t_solve.size, x.size))
-    for i in range(t_solve.size):
-        out[i] = np.interp(x, grid.x_nodes, tmp[i])
-    return out, True
+    return grid.values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +402,6 @@ class BoundaryCurve:
         raise ValueError(f"shift not supported for shape {self.shape!r}")
 
     def to_csv(self, path) -> None:
-        from .cli import format_float
-
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,shape,b,intervals\n")
             for i, ti in enumerate(self.t_nodes):
@@ -776,7 +672,6 @@ def bernoulli_comparison_check(
 
 def locally_good_check(
     grid: ValueGrid,
-    psi_grid: PsiGrid | None = None,
     c: float | None = None,
     zero_tol: float | None = None,
 ) -> RegionCheck:
@@ -787,11 +682,7 @@ def locally_good_check(
     """
     ztol = grid.config.zero_tol if zero_tol is None else float(zero_tol)
     cc = grid.c if c is None else float(c)
-    if psi_grid is not None:
-        psi2, _ = _align_psi(psi_grid, grid.t_nodes, grid.x_nodes)
-        psi2 = psi2**2
-    else:
-        psi2 = grid.psi_values**2
+    psi2 = grid.psi_values**2
     margin = np.zeros_like(psi2)
     margin[:, 1:] = np.abs(psi2[:, 1:] - psi2[:, :-1])
     margin[:, :-1] = np.maximum(margin[:, :-1], np.abs(psi2[:, 1:] - psi2[:, :-1]))

@@ -61,9 +61,7 @@ def _pipeline(table, c, **kw):
 
 @pytest.fixture(scope="module")
 def gaussian_solution(gaussian_table):
-    return _pipeline(
-        gaussian_table, 0.25, n_t=400, n_x=401, T_max=1.1, scheme="policy_iteration"
-    )
+    return _pipeline(gaussian_table, 0.25, n_t=400, n_x=401, T_max=1.1)
 
 
 @pytest.fixture(scope="module")
@@ -75,23 +73,18 @@ def bernoulli_solution(bernoulli_table):
         n_x=801,
         T_max=3.0,
         t_burnin=24.0,
-        scheme="policy_iteration",
     )
 
 
 @pytest.fixture(scope="module")
 def halfnormal_solution(halfnormal_table):
-    return _pipeline(
-        halfnormal_table, 0.25, n_t=400, n_x=401, T_max=1.1, scheme="policy_iteration"
-    )
+    return _pipeline(halfnormal_table, 0.25, n_t=400, n_x=401, T_max=1.1)
 
 
 @pytest.fixture(scope="module")
 def mixture_solution(mixture_table):
     _, t_zero = mixture_boundary_thresholds(1.0, 1.0, 0.04)
-    return _pipeline(
-        mixture_table, 0.04, n_t=500, n_x=401, T_max=1.1 * t_zero, scheme="implicit_psor"
-    )
+    return _pipeline(mixture_table, 0.04, n_t=500, n_x=401, T_max=1.1 * t_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +250,7 @@ def test_criterion_5_structural_theorems(
     details.append(f"ordering bernoulli beta 1.2>=1.0 ({'ok' if rep.passed else 'BAD'})")
 
     lo, hi = default_domain(mixture_table)
-    cfg_m = SolverConfig(n_t=80, n_x=81, T_max=5.0, x_lo=lo, x_hi=hi, scheme="policy_iteration")
+    cfg_m = SolverConfig(n_t=80, n_x=81, T_max=5.0, x_lo=lo, x_hi=hi)
     times, xs = cfg_m.solve_times(), cfg_m.x_nodes()
     g_early = solve_value(psi_grid(mixture_table, times, xs, t_offset=0.0), 0.04, cfg_m)
     g_late = solve_value(psi_grid(mixture_table, times, xs, t_offset=1.0), 0.04, cfg_m)
@@ -267,7 +260,7 @@ def test_criterion_5_structural_theorems(
 
     tg2 = build_quadrature(PriorSpec.gaussian(0.0, 2.0), n=64)
     tg1 = build_quadrature(PriorSpec.gaussian(0.0, 1.0), n=64)
-    cfg_g = SolverConfig(n_t=80, n_x=81, T_max=1.8, x_lo=-6.0, x_hi=6.0, scheme="policy_iteration")
+    cfg_g = SolverConfig(n_t=80, n_x=81, T_max=1.8, x_lo=-6.0, x_hi=6.0)
     gv2 = solve_value(solver_psi_grid(tg2, cfg_g), c, cfg_g)
     gv1 = solve_value(solver_psi_grid(tg1, cfg_g), c, cfg_g)
     rep = compare_value_ordering(gv2, gv1, tol=1e-10)
@@ -285,7 +278,6 @@ def _ordering_solve(table, c, *, x_lo, x_hi, n_x, t_burnin):
         x_lo=x_lo,
         x_hi=x_hi,
         t_burnin=t_burnin,
-        scheme="policy_iteration",
     )
     return solve_value(solver_psi_grid(table, cfg), c, cfg), cfg
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from driftstop.cli import _boundary_from_csv, format_float, main
+from driftstop.cli import _boundary_from_csv, main
+from driftstop.csvio import format_float
 
 
 @pytest.fixture()
@@ -17,7 +18,6 @@ def bern_config(tmp_path):
             "n_x": 81,
             "T_max": 1.0,
             "t_burnin": 10.0,
-            "scheme": "policy_iteration",
         },
         "sim": {"n_paths": 2000, "dt": 0.02, "horizon": 20.0, "seed": 7},
         "output_dir": str(tmp_path / "out"),
@@ -159,23 +159,27 @@ def test_closed_form_missing_param_exit_2(capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
-def test_psor_nonconvergence_exits_3(tmp_path, capsys):
-    cfg = {
-        "prior": {"kind": "discrete_atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
-        "cost_c": 0.01,
-        "solver": {
-            "n_t": 10,
-            "n_x": 201,
-            "T_max": 0.1,
-            "scheme": "implicit_psor",
-            "psor_max_sweeps": 2,
-        },
-        "output_dir": str(tmp_path / "out"),
-    }
-    cfg_path = tmp_path / "c.json"
+def test_verify_failed_gap_exits_3(bern_config, capsys):
+    # a threshold far inside the optimal boundary a = 0.917: widening it by
+    # 0.1 lowers the cost significantly, which is evidence against the policy
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "symmetric_threshold", "a": 0.3}
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["solve", "--config", str(cfg_path)]) == 3
-    assert "sweeps" in capsys.readouterr().err
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "gaps=FAIL" in capsys.readouterr().out
+    report = json.loads((out / "verify.json").read_text())
+    assert report["passed"] is False
+    widened = next(r for r in report["optimality_gap"] if r["shift"] == 0.1)
+    assert widened["gap"] + 2.0 * widened["gap_se"] < 0.0
+
+
+@pytest.mark.parametrize("key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero")])
+def test_unknown_solver_key_exits_2(bern_config, capsys, key, value):
+    cfg_path, _, cfg = bern_config
+    cfg["solver"][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_value_grid_is_deterministic(bern_config, tmp_path):

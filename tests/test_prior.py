@@ -12,6 +12,7 @@ from driftstop import (
     heat_residual_F,
     posterior_expectation,
     posterior_mean_G,
+    posterior_mean_var,
     posterior_measure,
     posterior_var_H,
     posterior_weights,
@@ -201,6 +202,12 @@ def test_posterior_expectation_identity_matches_mean_exactly(all_tables):
 def test_posterior_expectation_rejects_nonfinite_q(bernoulli_table):
     with pytest.raises(ValueError, match="non-finite"):
         posterior_expectation(bernoulli_table, lambda u: math.inf if u > 0 else u, 0.5, 0.0)
+
+
+def test_posterior_rejects_nonfinite_observation_level(bernoulli_table):
+    # a ValueError, not an assert, so the guard survives python -O
+    with pytest.raises(ValueError, match="non-finite"):
+        posterior_mean_var(bernoulli_table, 1.0, [0.0, math.nan])
 
 
 # ---------------------------------------------------------------------------

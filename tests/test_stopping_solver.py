@@ -7,7 +7,6 @@ from driftstop import (
     BoundaryCurve,
     PriorSpec,
     SolverConfig,
-    SolverError,
     bernoulli_comparison_check,
     bernoulli_solve,
     build_quadrature,
@@ -24,7 +23,7 @@ from driftstop import (
 )
 
 
-def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, t_burnin=0.0, scheme="policy_iteration", bc="neumann_zero", x_lo=None, x_hi=None):
+def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, t_burnin=0.0, x_lo=None, x_hi=None):
     lo, hi = default_domain(table)
     cfg = SolverConfig(
         n_t=n_t,
@@ -32,8 +31,6 @@ def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, t_burnin=0.0, scheme="policy_
         T_max=T_max,
         x_lo=lo if x_lo is None else x_lo,
         x_hi=hi if x_hi is None else x_hi,
-        scheme=scheme,
-        bc=bc,
         t_burnin=t_burnin,
     )
     return solve_value(solver_psi_grid(table, cfg), c, cfg), cfg
@@ -51,8 +48,6 @@ def test_config_validation():
         SolverConfig(n_t=80, n_x=81, T_max=0.0, x_lo=-1.0, x_hi=1.0)
     with pytest.raises(ValueError):
         SolverConfig(n_t=80, n_x=81, T_max=1.0, x_lo=1.0, x_hi=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(n_t=80, n_x=81, T_max=1.0, x_lo=-1.0, x_hi=1.0, scheme="explicit")
 
 
 def test_choose_horizon_gaussian(gaussian_table):
@@ -97,17 +92,12 @@ def test_gaussian_value_close_to_closed_form(gaussian_table):
     assert np.max(grid.values.max(axis=1) - grid.values.min(axis=1)) <= 1e-12
 
 
-def test_psor_matches_policy_iteration(mixture_table):
-    g1, _ = _solve(mixture_table, 0.04, n_t=60, n_x=61, T_max=5.4, scheme="policy_iteration")
-    g2, _ = _solve(mixture_table, 0.04, n_t=60, n_x=61, T_max=5.4, scheme="implicit_psor")
-    assert np.max(np.abs(g1.values - g2.values)) <= 5e-9
-
-
-def test_dirichlet_matches_neumann_when_boundary_stops(bernoulli_table):
-    # the truncation sits inside the stopping region, so both conditions are exact
-    g1, _ = _solve(bernoulli_table, 0.25, T_max=1.0, t_burnin=14.0, bc="neumann_zero")
-    g2, _ = _solve(bernoulli_table, 0.25, T_max=1.0, t_burnin=14.0, bc="dirichlet_zero")
-    assert np.max(np.abs(g1.values - g2.values)) <= 1e-10
+def test_solve_rejects_psi_off_the_solver_lattice(gaussian_table):
+    lo, hi = default_domain(gaussian_table)
+    cfg = SolverConfig(n_t=20, n_x=21, T_max=1.1, x_lo=lo, x_hi=hi)
+    coarse = psi_grid(gaussian_table, cfg.solve_times(), np.linspace(lo, hi, 11))
+    with pytest.raises(ValueError, match="solver lattice"):
+        solve_value(coarse, 0.25, cfg)
 
 
 def test_value_bounds(all_tables):
@@ -163,15 +153,6 @@ def test_grid_convergence_gaussian_temporal(gaussian_table):
         errs.append(abs(grid.values[0, 20] - expect))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 0.9
-
-
-def test_psor_failure_reports(bernoulli_table):
-    lo, hi = default_domain(bernoulli_table)
-    cfg = SolverConfig(
-        n_t=20, n_x=201, T_max=0.1, x_lo=lo, x_hi=hi, scheme="implicit_psor", psor_max_sweeps=2
-    )
-    with pytest.raises(SolverError, match="sweeps"):
-        solve_value(solver_psi_grid(bernoulli_table, cfg), 0.01, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +245,7 @@ def test_value_ordering_bernoulli_pair():
 def test_value_ordering_time_shift(mixture_table):
     c = 0.04
     lo, hi = default_domain(mixture_table)
-    cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi, scheme="policy_iteration")
+    cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi)
     times, x = cfg.solve_times(), cfg.x_nodes()
     g_early = solve_value(psi_grid(mixture_table, times, x, t_offset=0.0), c, cfg)
     g_late = solve_value(psi_grid(mixture_table, times, x, t_offset=1.0), c, cfg)
@@ -276,7 +257,7 @@ def test_value_ordering_gaussian_variances():
     c = 0.25
     t1 = build_quadrature(PriorSpec.gaussian(0.0, 2.0), n=64)
     t2 = build_quadrature(PriorSpec.gaussian(0.0, 1.0), n=64)
-    cfg = SolverConfig(n_t=60, n_x=61, T_max=1.8, x_lo=-6.0, x_hi=6.0, scheme="policy_iteration")
+    cfg = SolverConfig(n_t=60, n_x=61, T_max=1.8, x_lo=-6.0, x_hi=6.0)
     g1 = solve_value(solver_psi_grid(t1, cfg), c, cfg)
     g2 = solve_value(solver_psi_grid(t2, cfg), c, cfg)
     rep = compare_value_ordering(g1, g2, tol=1e-10)
@@ -286,7 +267,7 @@ def test_value_ordering_gaussian_variances():
 def test_value_ordering_rejects_wrong_premise(mixture_table):
     c = 0.04
     lo, hi = default_domain(mixture_table)
-    cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi, scheme="policy_iteration")
+    cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi)
     times, x = cfg.solve_times(), cfg.x_nodes()
     g_early = solve_value(psi_grid(mixture_table, times, x, t_offset=0.0), c, cfg)
     g_late = solve_value(psi_grid(mixture_table, times, x, t_offset=1.0), c, cfg)
