@@ -41,10 +41,8 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 # the keys a config's "solver" block may hold; any other key is refused
-SOLVER_KEYS = (
-    "n_t", "n_x", "T_max", "x_lo", "x_hi", "obstacle_tol",
-    "t_burnin", "horizon_scan_limit", "T_max_when_capped",
-)
+SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi", "obstacle_tol")
+REMOVED_SOLVER_KEYS = ("t_burnin", "T_max_when_capped", "horizon_scan_limit")
 
 
 class ConfigError(ValueError):
@@ -79,6 +77,12 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     c = float(doc["cost_c"])
 
     solver_doc = dict(doc.get("solver", {}))
+    removed = sorted(set(solver_doc) & set(REMOVED_SOLVER_KEYS))
+    if removed:
+        raise ConfigError(
+            f"'solver' key {removed[0]!r} was removed: the solve starts from the stationary "
+            "value, and 'T_max' sets the window"
+        )
     unknown = sorted(set(solver_doc) - set(SOLVER_KEYS))
     if unknown:
         raise ConfigError(
@@ -94,10 +98,9 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     if "T_max" in solver_doc:
         t_max = float(solver_doc["T_max"])
     else:
-        scan_limit = float(solver_doc.get("horizon_scan_limit", 50.0))
         scan = psi_grid(
             table,
-            np.linspace(0.0, scan_limit, 201),
+            np.linspace(0.0, 50.0, 201),
             np.linspace(x_lo, x_hi, 41),
             tol=1e-8,
         )
@@ -105,8 +108,7 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         capped = hz.capped
         t_max = hz.horizon if hz.horizon > 0.0 else 1.0
         if capped:
-            t_max = float(solver_doc.get("T_max_when_capped", 8.0))
-    t_burnin = float(solver_doc.get("t_burnin", 12.0 if capped else 0.0))
+            t_max = 8.0
 
     config = SolverConfig(
         n_t=n_t,
@@ -115,7 +117,6 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         x_lo=x_lo,
         x_hi=x_hi,
         obstacle_tol=float(solver_doc.get("obstacle_tol", 1e-10)),
-        t_burnin=t_burnin,
     )
 
     sim_doc = dict(doc.get("sim", {}))
@@ -163,8 +164,7 @@ def cmd_psi(args) -> int:
     prior, table, c, config, _, out, resolved = _resolve(doc, args.out, None)
     _prepare_out(out, resolved)
 
-    t_nodes = np.linspace(0.0, config.T_max, config.n_t + 1)
-    grid = psi_grid(table, t_nodes, config.x_nodes())
+    grid = solver_psi_grid(table, config)
     grid.to_csv(out / "psi_grid.csv")
 
     # residual stencil points: interior in both time and state

@@ -33,6 +33,7 @@ __all__ = [
     "invert_G",
     "psi",
     "psi_grid",
+    "stationary_psi",
     "pde_residuals",
 ]
 
@@ -169,18 +170,29 @@ def psi(table: QuadratureTable, t: float, x: float, tol: float = 1e-10) -> float
     return float(h[0])
 
 
+def stationary_psi(table: QuadratureTable, x) -> np.ndarray:
+    """Limit of Psi(t, x) as t -> infinity: (x - u_i)(u_{i+1} - x) between the
+    neighbouring nodes u_i <= x <= u_{i+1}, where the posterior ends up split."""
+    u = table.nodes
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(u, x) - 1, 0, u.size - 2)
+    return np.maximum((x - u[i]) * (u[i + 1] - x), 0.0)
+
+
 @dataclass
 class PsiGrid:
     """Tabulated dispersion surface with the inverted observation levels.
 
     ``values[i, j] = Psi(t_nodes[i], x_nodes[j])`` and ``y_nodes[i, j]`` is the
-    observation level mapped to x_nodes[j] at time t_nodes[i].
+    observation level mapped to x_nodes[j] at time t_nodes[i];
+    ``stationary[j]`` is the t -> infinity limit at x_nodes[j].
     """
 
     t_nodes: np.ndarray
     x_nodes: np.ndarray
     values: np.ndarray
     y_nodes: np.ndarray
+    stationary: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -188,10 +200,13 @@ class PsiGrid:
         self.x_nodes = np.asarray(self.x_nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.y_nodes = np.asarray(self.y_nodes, dtype=float)
+        self.stationary = np.asarray(self.stationary, dtype=float)
         if self.values.shape != (self.t_nodes.size, self.x_nodes.size):
             raise ValueError("values shape must be (len(t_nodes), len(x_nodes))")
         if self.y_nodes.shape != self.values.shape:
             raise ValueError("y_nodes shape must match values")
+        if self.stationary.shape != self.x_nodes.shape:
+            raise ValueError("stationary shape must match x_nodes")
 
     def worst_time_monotonicity_violation(self) -> float:
         """Largest increase of Psi along the time axis (theory says none)."""
@@ -242,6 +257,7 @@ def psi_grid(
         x_nodes=x_arr,
         values=values,
         y_nodes=y_nodes,
+        stationary=stationary_psi(table, x_eval),
         meta={"tol": tol, "t_offset": t_offset, "clamped_points": clamped},
     )
 

@@ -6,15 +6,14 @@ the parabolic variational inequality
 
     min( dv/dt + (1/2) Psi^2 d2v/dx2 + c - Psi^2,  -v ) = 0
 
-backward from a horizon where stopping is known to be optimal.  Each implicit
-Euler step is a tridiagonal linear complementarity problem solved exactly by
-policy iteration with direct banded solves; both lateral boundaries reflect.
-Stopping regions are read off the solved grid and classified.
-
-For priors whose dispersion never falls below sqrt(c) (time-homogeneous cases
-such as two-point priors), the zero terminal condition is inexact at any
-horizon; ``t_burnin`` extends the solve backward beyond the reported window so
-the reported values have converged to the stationary solution.
+backward from the horizon T_max.  The terminal slice is the stationary value
+v_inf, the solution of the same obstacle problem with Psi frozen at its
+t -> infinity limit; since Psi only decreases in t, v(T, .) <= v_inf <= 0, and
+v_inf is exact for two-point priors and zero once sup_x Psi(T)^2 <= c.  The
+stationary problem and each implicit Euler step are tridiagonal linear
+complementarity problems solved exactly by policy iteration with direct
+banded solves; both lateral boundaries reflect.  Stopping regions are read
+off the solved grid and classified.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ class SolverConfig:
     """Discretization and per-step solve parameters.
 
     ``x_lo``/``x_hi`` truncate the state space strictly inside the support
-    interval; ``T_max`` is the reported horizon while ``t_burnin`` adds hidden
-    backward time before it.  The truncation reflects, which is exact whenever
-    the dispersion is flat in x near it or it lies in the stopping region.
+    interval; ``T_max`` is the horizon, where the solve starts from the
+    stationary value.  The truncation reflects, which is exact whenever the
+    dispersion is flat in x near it or it lies in the stopping region.
     """
 
     n_t: int
@@ -74,7 +73,6 @@ class SolverConfig:
     x_lo: float
     x_hi: float
     obstacle_tol: float = 1e-10
-    t_burnin: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_t < 8 or self.n_x < 8:
@@ -85,16 +83,10 @@ class SolverConfig:
             raise ValueError("x_lo must be below x_hi")
         if self.obstacle_tol <= 0.0:
             raise ValueError("obstacle_tol must be positive")
-        if self.t_burnin < 0.0:
-            raise ValueError("t_burnin must be >= 0")
 
     @property
     def dt(self) -> float:
         return self.T_max / self.n_t
-
-    @property
-    def n_burn(self) -> int:
-        return int(round(self.t_burnin / self.dt)) if self.t_burnin > 0.0 else 0
 
     @property
     def zero_tol(self) -> float:
@@ -102,7 +94,7 @@ class SolverConfig:
         return 10.0 * self.obstacle_tol
 
     def solve_times(self) -> np.ndarray:
-        return np.arange(self.n_t + self.n_burn + 1) * self.dt
+        return np.arange(self.n_t + 1) * self.dt
 
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_x)
@@ -115,7 +107,6 @@ class SolverConfig:
             "x_lo": self.x_lo,
             "x_hi": self.x_hi,
             "obstacle_tol": self.obstacle_tol,
-            "t_burnin": self.t_burnin,
         }
 
     def digest(self) -> str:
@@ -134,7 +125,7 @@ def default_domain(table: QuadratureTable, n_sigmas: float = 6.0) -> tuple[float
 
 
 def solver_psi_grid(table: QuadratureTable, config: SolverConfig, tol: float = 1e-10) -> PsiGrid:
-    """Dispersion surface evaluated exactly on the solver's lattice (burn-in included)."""
+    """Dispersion surface evaluated exactly on the solver's lattice."""
     return build_psi_grid(table, config.solve_times(), config.x_nodes(), tol=tol)
 
 
@@ -233,16 +224,20 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     Parameters
     ----------
     grid : PsiGrid
-        Dispersion surface on the solver lattice, burn-in included
-        (``solver_psi_grid``); any other lattice is rejected.
+        Dispersion surface on the solver lattice (``solver_psi_grid``); any
+        other lattice is rejected.
     c : float
         Observation cost per unit time.
     config : SolverConfig
 
-    The terminal slice is zero (exact once the horizon passes the time where
-    sup_x Psi^2 <= c; approximate-but-converged beyond a burn-in window
-    otherwise).  If c already dominates Psi^2 everywhere on the first slice,
-    immediate stopping is optimal and the solve short-circuits to v = 0.
+    The terminal slice is the stationary value v_inf, which solves the LCP
+    A v <= c - Psi_inf^2, v <= 0 with complementarity, A the implicit step
+    operator at Psi_inf without the identity.  It is a fixed point of the step
+    when Psi = Psi_inf, and zero when Psi_inf^2 <= c everywhere.  If
+    Psi_inf^2 > c at every node the truncation misses the stopping region and
+    ``SolverError`` is raised.  If c already dominates Psi^2 everywhere on the
+    first slice, immediate stopping is optimal and the solve short-circuits
+    to v = 0.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
@@ -253,35 +248,38 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     flags: list[str] = []
 
     psi_mat = _align_psi(grid, t_solve, x)
-    n_total = t_solve.size
-    n_report = config.n_t + 1
     psi2 = psi_mat**2
 
-    values = np.zeros((n_total, x.size))
-    iterations = np.zeros(n_total - 1, dtype=int)
+    values = np.zeros((t_solve.size, x.size))
+    iterations = np.zeros(t_solve.size, dtype=int)
 
     if float(np.max(psi2[0])) <= c:
         flags.append("short_circuit_immediate_stop")
     else:
-        stopped = None
-        for k in range(n_total - 2, -1, -1):
+        rhs = c - grid.stationary**2
+        if np.all(rhs < 0.0):
+            raise SolverError(
+                f"Psi_inf^2 > c at every node of [x_lo, x_hi] = [{config.x_lo!r}, "
+                f"{config.x_hi!r}]: the truncation misses the stopping region; widen it"
+            )
+        lower, diag, upper = _step_operator(grid.stationary, 1.0, dx)
+        values[-1], stopped, iterations[-1] = _policy_step(rhs, lower, diag - 1.0, upper, rhs >= 0.0)
+        for k in range(t_solve.size - 2, -1, -1):
             lower, diag, upper = _step_operator(psi_mat[k], dt, dx)
             rhs = values[k + 1] + dt * (c - psi2[k])
-            init = stopped if stopped is not None else (rhs >= 0.0)
-            values[k], stopped, iterations[k] = _policy_step(rhs, lower, diag, upper, init)
+            values[k], stopped, iterations[k] = _policy_step(rhs, lower, diag, upper, stopped)
 
     meta = {
         "flags": flags,
-        "n_burn": config.n_burn,
         "config_hash": config.digest(),
-        "max_step_iterations": int(iterations.max()) if iterations.size else 0,
+        "max_step_iterations": int(iterations.max()),
         "total_step_iterations": int(iterations.sum()),
     }
     return ValueGrid(
-        t_nodes=t_solve[:n_report].copy(),
+        t_nodes=t_solve,
         x_nodes=x,
-        values=values[:n_report],
-        psi_values=psi_mat[:n_report],
+        values=values,
+        psi_values=psi_mat,
         c=float(c),
         config=config,
         meta=meta,

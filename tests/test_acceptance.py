@@ -72,7 +72,6 @@ def bernoulli_solution(bernoulli_table):
         n_t=800,
         n_x=801,
         T_max=3.0,
-        t_burnin=24.0,
     )
 
 
@@ -243,8 +242,8 @@ def test_criterion_5_structural_theorems(
     c = 0.25
     tb1 = build_quadrature(PriorSpec.bernoulli(1.0, 0.5))
     tb2 = build_quadrature(PriorSpec.bernoulli(1.2, 0.5))
-    g_small, _ = _ordering_solve(tb1, c, x_lo=-0.9975, x_hi=0.9975, n_x=400, t_burnin=10.0)
-    g_big, _ = _ordering_solve(tb2, c, x_lo=-1.1975, x_hi=1.1975, n_x=480, t_burnin=10.0)
+    g_small, _ = _ordering_solve(tb1, c, x_lo=-0.9975, x_hi=0.9975, n_x=400)
+    g_big, _ = _ordering_solve(tb2, c, x_lo=-1.1975, x_hi=1.1975, n_x=480)
     rep = compare_value_ordering(g_big, g_small, tol=1e-6)
     ok = ok and rep.passed
     details.append(f"ordering bernoulli beta 1.2>=1.0 ({'ok' if rep.passed else 'BAD'})")
@@ -270,14 +269,13 @@ def test_criterion_5_structural_theorems(
     _report("5", ok, "; ".join(details))
 
 
-def _ordering_solve(table, c, *, x_lo, x_hi, n_x, t_burnin):
+def _ordering_solve(table, c, *, x_lo, x_hi, n_x):
     cfg = SolverConfig(
         n_t=60,
         n_x=n_x,
         T_max=0.6,
         x_lo=x_lo,
         x_hi=x_hi,
-        t_burnin=t_burnin,
     )
     return solve_value(solver_psi_grid(table, cfg), c, cfg), cfg
 

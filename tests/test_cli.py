@@ -17,7 +17,6 @@ def bern_config(tmp_path):
             "n_t": 60,
             "n_x": 81,
             "T_max": 1.0,
-            "t_burnin": 10.0,
         },
         "sim": {"n_paths": 2000, "dt": 0.02, "horizon": 20.0, "seed": 7},
         "output_dir": str(tmp_path / "out"),
@@ -180,6 +179,41 @@ def test_unknown_solver_key_exits_2(bern_config, capsys, key, value):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["t_burnin", "T_max_when_capped", "horizon_scan_limit"])
+def test_removed_solver_key_names_replacement(bern_config, capsys, key):
+    cfg_path, _, cfg = bern_config
+    cfg["solver"][key] = 12.0
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "stationary" in err and "T_max" in err
+
+
+def test_truncation_missing_stopping_region_exits_3(bern_config, capsys):
+    # on (-0.5, 0.5) Psi_inf^2 = (1 - x^2)^2 >= 0.5625 > c: nowhere to stop
+    cfg_path, _, cfg = bern_config
+    cfg["solver"] = {"n_t": 40, "n_x": 41, "x_lo": -0.5, "x_hi": 0.5}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "x_lo" in err and "x_hi" in err
+
+
+def test_three_atom_solve_is_locally_good(tmp_path, capsys):
+    # Psi^2 > c persists at T = 8 between the atoms; a zero terminal slice
+    # would stop there and fail the locally-good check
+    cfg = {
+        "prior": {"kind": "discrete_atoms", "atoms": [[-1.0, 0.3], [0.0, 0.4], [1.0, 0.3]]},
+        "cost_c": 0.01,
+        "solver": {"n_t": 200, "n_x": 201, "T_max": 8.0},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "three.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    assert "locally_good=pass" in capsys.readouterr().out
 
 
 def test_value_grid_is_deterministic(bern_config, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from driftstop import (
     PriorSpec,
+    bernoulli_psi,
     build_quadrature,
     clamp_to_interior,
     invert_G,
@@ -157,6 +158,18 @@ def test_psi_grid_bounded_for_compact_support(bernoulli_table):
     g = psi_grid(bernoulli_table, np.linspace(0.0, 3.0, 7), np.linspace(-0.99, 0.99, 41))
     lo, hi = bernoulli_table.support_bounds
     assert np.max(g.values) <= (hi - lo) ** 2 / 4.0 + 1e-12
+
+
+def test_stationary_psi_is_the_long_time_limit():
+    table = build_quadrature(PriorSpec.discrete_atoms([(-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)]))
+    g = psi_grid(table, [50.0], np.linspace(-0.99, 0.99, 41))
+    assert np.max(np.abs(g.values[0] - g.stationary)) <= 1e-9
+
+
+def test_stationary_psi_two_point_is_time_independent(bernoulli_table):
+    g = psi_grid(bernoulli_table, [0.0], np.linspace(-0.95, 0.95, 39))
+    expect = np.array([bernoulli_psi(1.0, x) for x in g.x_nodes])
+    assert np.max(np.abs(g.stationary - expect)) <= 1e-15
 
 
 def test_psi_grid_time_offset(mixture_table):

@@ -23,7 +23,7 @@ from driftstop import (
 )
 
 
-def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, t_burnin=0.0, x_lo=None, x_hi=None):
+def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, x_lo=None, x_hi=None):
     lo, hi = default_domain(table)
     cfg = SolverConfig(
         n_t=n_t,
@@ -31,7 +31,6 @@ def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, t_burnin=0.0, x_lo=None, x_hi
         T_max=T_max,
         x_lo=lo if x_lo is None else x_lo,
         x_hi=hi if x_hi is None else x_hi,
-        t_burnin=t_burnin,
     )
     return solve_value(solver_psi_grid(table, cfg), c, cfg), cfg
 
@@ -103,13 +102,13 @@ def test_solve_rejects_psi_off_the_solver_lattice(gaussian_table):
 def test_value_bounds(all_tables):
     cases = {"bernoulli": 0.25, "gaussian": 0.25, "half_normal": 0.25, "mixture": 0.04}
     for name, table in all_tables.items():
-        grid, _ = _solve(table, cases[name], n_t=40, n_x=41, T_max=1.0, t_burnin=4.0)
+        grid, _ = _solve(table, cases[name], n_t=40, n_x=41, T_max=1.0)
         assert np.all(grid.values <= 0.0)
         assert np.min(grid.values) >= -table.variance() - 1e-9
 
 
 def test_obstacle_complementarity(bernoulli_table):
-    grid, cfg = _solve(bernoulli_table, 0.25, n_t=80, n_x=81, T_max=1.0, t_burnin=10.0)
+    grid, cfg = _solve(bernoulli_table, 0.25, n_t=80, n_x=81, T_max=1.0)
     dt = cfg.dt
     dx = grid.x_nodes[1] - grid.x_nodes[0]
     ztol = cfg.zero_tol
@@ -137,7 +136,7 @@ def test_grid_convergence_bernoulli_spatial(bernoulli_table):
     u0 = bernoulli_solve(1.0, 0.25).u(0.0)
     errs = []
     for n in (80, 160, 320):
-        grid, _ = _solve(bernoulli_table, 0.25, n_t=n, n_x=n + 1, T_max=1.0, t_burnin=12.0)
+        grid, _ = _solve(bernoulli_table, 0.25, n_t=n, n_x=n + 1, T_max=1.0)
         j_mid = grid.x_nodes.size // 2
         errs.append(abs(grid.values[0, j_mid] - u0))
     avg_order = math.log2(errs[0] / errs[-1]) / 2.0
@@ -162,7 +161,7 @@ def test_grid_convergence_gaussian_temporal(gaussian_table):
 
 @pytest.fixture(scope="module")
 def bern_grid(bernoulli_table):
-    grid, _ = _solve(bernoulli_table, 0.25, n_t=120, n_x=241, T_max=1.2, t_burnin=14.0)
+    grid, _ = _solve(bernoulli_table, 0.25, n_t=120, n_x=241, T_max=1.2)
     return grid
 
 
@@ -214,9 +213,8 @@ def test_monotonicity_report_passes(bern_grid):
 
 
 def test_bernoulli_value_is_time_independent(bern_grid):
-    # the dispersion has no time dependence, so neither is the value; the
-    # residual is the burn-in contamination ~ Var * exp(-lambda*t_burnin) with
-    # lambda ~ 1 on (-a, a), about 4e-7 for the fixture's 14-unit burn-in
+    # the dispersion has no time dependence, so neither is the value: the
+    # stationary terminal slice is a fixed point of every step, up to round-off
     dev = np.max(bern_grid.values.max(axis=0) - bern_grid.values.min(axis=0))
     assert dev <= 1e-6
 
@@ -231,12 +229,8 @@ def test_value_ordering_bernoulli_pair():
     dx = 0.005
     tb1 = build_quadrature(PriorSpec.bernoulli(1.0, 0.5))
     tb2 = build_quadrature(PriorSpec.bernoulli(1.2, 0.5))
-    g_small, _ = _solve(
-        tb1, c, n_t=60, n_x=400, T_max=0.6, t_burnin=10.0, x_lo=-0.9975, x_hi=0.9975
-    )
-    g_big, _ = _solve(
-        tb2, c, n_t=60, n_x=480, T_max=0.6, t_burnin=10.0, x_lo=-1.1975, x_hi=1.1975
-    )
+    g_small, _ = _solve(tb1, c, n_t=60, n_x=400, T_max=0.6, x_lo=-0.9975, x_hi=0.9975)
+    g_big, _ = _solve(tb2, c, n_t=60, n_x=480, T_max=0.6, x_lo=-1.1975, x_hi=1.1975)
     rep = compare_value_ordering(g_big, g_small, tol=1e-6)
     assert rep.passed
     assert rep.n_common_x >= 300
@@ -287,7 +281,7 @@ def test_bernoulli_comparison_case_i_self(bern_grid, bernoulli_table):
 
 def test_bernoulli_comparison_case_i_contained():
     inner = build_quadrature(PriorSpec.bernoulli(0.6, 0.5))
-    grid, _ = _solve(inner, 0.25, n_t=40, n_x=81, T_max=0.5, t_burnin=8.0)
+    grid, _ = _solve(inner, 0.25, n_t=40, n_x=81, T_max=0.5)
     rep = bernoulli_comparison_check(grid, 1.0, inner)
     assert rep.passed and "case (i)" in rep.detail
 
@@ -298,14 +292,14 @@ def test_bernoulli_comparison_case_i_tabulated():
     dens = np.sqrt(np.maximum(0.9 - grid_pts, 0.0))
     prior = PriorSpec.tabulated_density(grid_pts, dens)
     table = build_quadrature(prior, n=128)
-    grid, _ = _solve(table, 0.25, n_t=40, n_x=81, T_max=0.5, t_burnin=8.0)
+    grid, _ = _solve(table, 0.25, n_t=40, n_x=81, T_max=0.5)
     rep = bernoulli_comparison_check(grid, 1.0, table)
     assert rep.passed and "case (i)" in rep.detail
 
 
 def test_bernoulli_comparison_case_ii():
     outer = build_quadrature(PriorSpec.bernoulli(2.0, 0.5))
-    grid, _ = _solve(outer, 0.25, n_t=40, n_x=161, T_max=0.5, t_burnin=8.0)
+    grid, _ = _solve(outer, 0.25, n_t=40, n_x=161, T_max=0.5)
     rep = bernoulli_comparison_check(grid, 1.0, outer)
     assert rep.passed and "case (ii)" in rep.detail
 
