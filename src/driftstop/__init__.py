@@ -34,7 +34,6 @@ from .dispersion import (
     pde_residuals,
     psi,
     psi_grid,
-    stationary_psi,
 )
 from .closed_form import (
     BernoulliSolution,

@@ -42,7 +42,6 @@ EXIT_NUMERICAL = 3
 
 # the keys a config's "solver" block may hold; any other key is refused
 SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi", "obstacle_tol")
-REMOVED_SOLVER_KEYS = ("t_burnin", "T_max_when_capped", "horizon_scan_limit")
 
 
 class ConfigError(ValueError):
@@ -77,16 +76,11 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     c = float(doc["cost_c"])
 
     solver_doc = dict(doc.get("solver", {}))
-    removed = sorted(set(solver_doc) & set(REMOVED_SOLVER_KEYS))
-    if removed:
-        raise ConfigError(
-            f"'solver' key {removed[0]!r} was removed: the solve starts from the stationary "
-            "value, and 'T_max' sets the window"
-        )
     unknown = sorted(set(solver_doc) - set(SOLVER_KEYS))
     if unknown:
         raise ConfigError(
-            f"unknown key {unknown[0]!r} in 'solver'; allowed keys: {', '.join(SOLVER_KEYS)}"
+            f"unknown key {unknown[0]!r} in 'solver'; allowed keys: {', '.join(SOLVER_KEYS)} "
+            "(the solve starts from the stationary value; 'T_max' sets the window)"
         )
     x_lo_d, x_hi_d = default_domain(table)
     x_lo = float(solver_doc.get("x_lo", x_lo_d))

@@ -33,7 +33,6 @@ __all__ = [
     "invert_G",
     "psi",
     "psi_grid",
-    "stationary_psi",
     "pde_residuals",
 ]
 

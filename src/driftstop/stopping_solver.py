@@ -233,8 +233,9 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     The terminal slice is the stationary value v_inf, which solves the LCP
     A v <= c - Psi_inf^2, v <= 0 with complementarity, A the implicit step
     operator at Psi_inf without the identity.  It is a fixed point of the step
-    when Psi = Psi_inf, and zero when Psi_inf^2 <= c everywhere.  If
-    Psi_inf^2 > c at every node the truncation misses the stopping region and
+    when Psi = Psi_inf, and zero when Psi_inf^2 <= c everywhere.  It exists
+    only if the trapezoid integral of (c - Psi_inf^2) / Psi_inf^2 over the
+    truncation is >= 0; otherwise the truncation misses the stopping region and
     ``SolverError`` is raised.  If c already dominates Psi^2 everywhere on the
     first slice, immediate stopping is optimal and the solve short-circuits
     to v = 0.
@@ -256,14 +257,24 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     if float(np.max(psi2[0])) <= c:
         flags.append("short_circuit_immediate_stop")
     else:
-        rhs = c - grid.stationary**2
-        if np.all(rhs < 0.0):
-            raise SolverError(
-                f"Psi_inf^2 > c at every node of [x_lo, x_hi] = [{config.x_lo!r}, "
-                f"{config.x_hi!r}]: the truncation misses the stopping region; widen it"
-            )
+        psi_inf2 = grid.stationary**2
+        rhs = c - psi_inf2
+        # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
+        # A v <= rhs needs w.rhs >= 0; a node with Psi_inf = 0 decouples (+inf)
+        trap = np.ones_like(rhs)
+        trap[[0, -1]] = 0.5
+        with np.errstate(divide="ignore"):
+            if float(np.dot(trap, c / psi_inf2 - 1.0)) < 0.0:
+                raise SolverError(
+                    f"(c - Psi_inf^2) / Psi_inf^2 integrates below 0 over [x_lo, x_hi] = "
+                    f"[{config.x_lo!r}, {config.x_hi!r}]: the truncation misses the stopping "
+                    "region; widen it"
+                )
         lower, diag, upper = _step_operator(grid.stationary, 1.0, dx)
-        values[-1], stopped, iterations[-1] = _policy_step(rhs, lower, diag - 1.0, upper, rhs >= 0.0)
+        # policy iteration only grows the continuation set here: <= n + 1 passes
+        values[-1], stopped, iterations[-1] = _policy_step(
+            rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1
+        )
         for k in range(t_solve.size - 2, -1, -1):
             lower, diag, upper = _step_operator(psi_mat[k], dt, dx)
             rhs = values[k + 1] + dt * (c - psi2[k])

@@ -191,10 +191,13 @@ def test_removed_solver_key_names_replacement(bern_config, capsys, key):
     assert repr(key) in err and "stationary" in err and "T_max" in err
 
 
-def test_truncation_missing_stopping_region_exits_3(bern_config, capsys):
-    # on (-0.5, 0.5) Psi_inf^2 = (1 - x^2)^2 >= 0.5625 > c: nowhere to stop
+@pytest.mark.parametrize("half_width", [0.5, 0.8])
+def test_truncation_missing_stopping_region_exits_3(bern_config, capsys, half_width):
+    # Psi_inf^2 = (1 - x^2)^2: above c = 0.25 everywhere on (-0.5, 0.5); on
+    # (-0.8, 0.8) the edges may stop, but the integral of c / Psi_inf^2 - 1 is
+    # 0.83 - 1.6 < 0, so the reflecting stationary problem has no solution
     cfg_path, _, cfg = bern_config
-    cfg["solver"] = {"n_t": 40, "n_x": 41, "x_lo": -0.5, "x_hi": 0.5}
+    cfg["solver"] = {"n_t": 40, "n_x": 41, "x_lo": -half_width, "x_hi": half_width}
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err

@@ -219,6 +219,15 @@ def test_bernoulli_value_is_time_independent(bern_grid):
     assert dev <= 1e-6
 
 
+def test_stationary_solve_settles_on_a_fine_grid(bernoulli_table):
+    # the stationary free boundary moves one node per policy iteration, from
+    # |x| = 0.707 to 0.917: about 0.21 / dx iterations, ~126 at 1201 nodes
+    g, _ = _solve(bernoulli_table, 0.25, n_t=8, n_x=1201)
+    assert g.meta["max_step_iterations"] > 100
+    j_mid = g.x_nodes.size // 2
+    assert abs(g.values[0, j_mid] - bernoulli_solve(1.0, 0.25).u(0.0)) <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # value-ordering comparisons
 # ---------------------------------------------------------------------------
