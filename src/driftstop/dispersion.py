@@ -11,6 +11,10 @@ it is simultaneously the local variance of the estimate process and the rate
 at which estimation error is ground down.  This module inverts the bijection,
 tabulates Psi on grids, and provides finite-difference residual diagnostics
 for the three parabolic identities satisfied by G, H and Psi.
+
+Since dG/dy = H, one kernel call gives the residual G - x, Newton's derivative
+and, at the accepted y, Psi itself.  Brackets are built lazily and grid rows
+start from the two rows before them, so a row costs one or two kernel calls.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
 
 # clamp clearance, relative to the width of the invertible node interval
 _ENDPOINT_CLEARANCE = 1e-9
+# the inversion never evaluates beyond |y| = _Y_LIMIT (140 doublings of a unit step)
+_Y_LIMIT = 2.0**140
 
 
 class InversionError(RuntimeError):
@@ -81,10 +87,20 @@ def clamp_to_interior(table: QuadratureTable, x: float) -> tuple[float, bool]:
 
 def invert_G(table: QuadratureTable, t: float, x: float, tol: float = 1e-10) -> float:
     """Observation level y with |G(t, y) - x| <= tol: ``_invert_array`` at one point."""
+    return _invert_point(table, t, x, tol)[0]
+
+
+def psi(table: QuadratureTable, t: float, x: float, tol: float = 1e-10) -> float:
+    """Dispersion Psi(t, x): posterior variance at the inverted observation level."""
+    return _invert_point(table, t, x, tol)[1]
+
+
+def _invert_point(table: QuadratureTable, t: float, x: float, tol: float) -> tuple[float, float]:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x, _ = clamp_to_interior(table, x)
-    return float(_invert_array(table, t, np.array([x]), tol)[0])
+    y, h = _invert_array(table, t, np.array([x]), tol)
+    return float(y[0]), float(h[0])
 
 
 def _invert_array(
@@ -93,80 +109,53 @@ def _invert_array(
     x: np.ndarray,
     tol: float,
     y0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorized inversion of G(t, .) at many x, Newton steps inside brackets.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized inversion of G(t, .) at many x; returns y and H(t, y).
 
-    Warm starts from ``y0`` when given (previous grid row).  Falls back to
-    bisection whenever a Newton step leaves the bracket, so termination only
-    needs the bracket; the posterior variance is the exact spatial derivative
-    of G, which makes the Newton updates quadratically convergent in practice.
+    The first kernel call is at ``y0`` (zeros when not given).  Every call
+    narrows a per-point bracket, begun at (-inf, +inf), by the sign of G - x.
+    A Newton step (dG/dy = H) is taken when it lands inside the bracket and
+    within +-_Y_LIMIT; otherwise a finite bracket is bisected and an open one
+    expanded from the current point by a step that doubles each time.  An x
+    that cannot be bracketed (at or beyond an extreme node) expands past
+    _Y_LIMIT and raises ``InversionError``; the kernel never sees a non-finite y.
     """
-
-    def g_of(yy: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gv, hv = posterior_mean_var(table, t, yy)
-        return gv - xs, hv
-
-    k = x.size
-    y = np.zeros(k) if y0 is None else np.array(y0, dtype=float)
-    lo = y - 1.0
-    hi = y + 1.0
-    flo, _ = g_of(lo, x)
-    fhi, _ = g_of(hi, x)
-    step = 2.0
-    for _ in range(140):
-        need = flo > 0.0
-        if not need.any():
-            break
-        lo = np.where(need, lo - step, lo)
-        step *= 2.0
-        flo, _ = g_of(lo, x)
-    else:
-        raise InversionError("could not bracket all grid points from below")
-    step = 2.0
-    for _ in range(140):
-        need = fhi < 0.0
-        if not need.any():
-            break
-        hi = np.where(need, hi + step, hi)
-        step *= 2.0
-        fhi, _ = g_of(hi, x)
-    else:
-        raise InversionError("could not bracket all grid points from above")
-
-    y = 0.5 * (lo + hi)
-    fy, dy = g_of(y, x)
-    eps = np.finfo(float).eps
-    for _ in range(200):
-        done = np.abs(fy) <= tol
-        if done.all():
-            return y
-        act = np.nonzero(~done)[0]
+    y = np.zeros(x.size) if y0 is None else np.array(y0, dtype=float)
+    h = np.empty(x.size)
+    lo = np.full(x.size, -np.inf)
+    hi = np.full(x.size, np.inf)
+    reach = np.ones(x.size)
+    act = np.arange(x.size)
+    for _ in range(400):
+        ya = y[act]
+        g, ha = posterior_mean_var(table, t, ya)
+        h[act] = ha
+        f = g - x[act]
+        live = np.abs(f) > tol
+        if not live.any():
+            return y, h
+        act, ya, f, ha = act[live], ya[live], f[live], ha[live]
+        above = f > 0.0
+        hi[act] = np.where(above, ya, hi[act])
+        lo[act] = np.where(above, lo[act], ya)
+        la, ua = lo[act], hi[act]
+        collapsed = ua - la <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ya))
+        if collapsed.any():
+            j = int(act[np.argmax(collapsed)])
+            raise InversionError(f"bracket collapsed at x={x[j]!r} (t={t!r}) without meeting tol={tol!r}")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = y[act] - fy[act] / dy[act]
-        inside = np.isfinite(newton) & (newton > lo[act]) & (newton < hi[act])
-        cand = np.where(inside, newton, 0.5 * (lo[act] + hi[act]))
-        fc, dc = g_of(cand, x[act])
-        pos = fc > 0.0
-        hi[act] = np.where(pos, cand, hi[act])
-        lo[act] = np.where(pos, lo[act], cand)
-        y[act], fy[act], dy[act] = cand, fc, dc
-        collapsed = (hi[act] - lo[act]) <= 4.0 * eps * np.maximum(1.0, np.abs(y[act]))
-        if collapsed.all():
-            still_bad = np.abs(fc) > tol
-            if still_bad.any():
-                j = int(act[np.nonzero(still_bad)[0][0]])
-                raise InversionError(
-                    f"bracket collapsed at x={x[j]!r} (t={t!r}) without meeting tol={tol!r}"
-                )
-            return y
+            newton = ya - f / ha
+        inside = (newton > la) & (newton < ua) & (np.abs(newton) <= _Y_LIMIT)
+        bounded = np.isfinite(la) & np.isfinite(ua)
+        grow = ~inside & ~bounded
+        step = np.where(above, -reach[act], reach[act])
+        y[act] = np.where(inside, newton, np.where(bounded, 0.5 * (la + ua), ya + step))
+        lost = grow & (np.abs(y[act]) > _Y_LIMIT)
+        if lost.any():
+            j = int(act[np.argmax(lost)])
+            raise InversionError(f"could not bracket x={x[j]!r} at t={t!r}: G(t, y) - x keeps one sign")
+        reach[act] = np.where(grow, 2.0 * reach[act], reach[act])
     raise InversionError(f"vectorized inversion did not converge at t={t!r}")
-
-
-def psi(table: QuadratureTable, t: float, x: float, tol: float = 1e-10) -> float:
-    """Dispersion Psi(t, x): posterior variance at the inverted observation level."""
-    y = invert_G(table, t, x, tol=tol)
-    _, h = posterior_mean_var(table, t, y)
-    return float(h[0])
 
 
 def stationary_psi(table: QuadratureTable, x) -> np.ndarray:
@@ -226,6 +215,9 @@ def psi_grid(
 ) -> PsiGrid:
     """Tabulate Psi over a (t, x) lattice, warm-starting inversions row by row.
 
+    Row i starts from 2 y_{i-1} - y_{i-2} (row 1 from y_0, row 0 from 0): exact
+    for Gaussian priors, whose inverse is linear in t, and O(dt^2) off otherwise
+    on uniform rows.  The values are the H that ``_invert_array`` returns.
     ``t_offset`` shifts the evaluation times (Psi is computed at t + offset but
     the grid keeps the unshifted labels); used for time-shift comparisons.
     """
@@ -244,13 +236,10 @@ def psi_grid(
 
     values = np.empty((t_arr.size, x_arr.size))
     y_nodes = np.empty_like(values)
-    y_prev: np.ndarray | None = None
+    y_start: np.ndarray | None = None
     for i, ti in enumerate(t_arr):
-        y_row = _invert_array(table, float(ti + t_offset), x_eval, tol, y0=y_prev)
-        _, h_row = posterior_mean_var(table, float(ti + t_offset), y_row)
-        values[i] = h_row
-        y_nodes[i] = y_row
-        y_prev = y_row
+        y_nodes[i], values[i] = _invert_array(table, float(ti + t_offset), x_eval, tol, y0=y_start)
+        y_start = y_nodes[i] if i == 0 else 2.0 * y_nodes[i] - y_nodes[i - 1]
     return PsiGrid(
         t_nodes=t_arr,
         x_nodes=x_arr,

@@ -456,21 +456,25 @@ def _check_time(t: float) -> float:
 
 def _logit_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> np.ndarray:
     """Unnormalized log posterior weights, one column per observation level y."""
-    u = table.nodes[:, None]
-    return table.log_weights[:, None] + u * y[None, :] - 0.5 * t * u * u
+    u = table.nodes
+    logits = np.multiply.outer(u, y)
+    logits += (table.log_weights - 0.5 * t * u * u)[:, None]
+    return logits
 
 
 def _weight_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> np.ndarray:
-    logits = _logit_matrix(table, t, y)
-    top = logits.max(axis=0)
+    """Normalized posterior weights, one column per y, built in place over the logits."""
+    w = _logit_matrix(table, t, y)
+    top = w.max(axis=0)
     bad = ~np.isfinite(top)
     if bad.any():
         raise ValueError(
             f"observation level y={y[np.argmax(bad)]!r} gives non-finite posterior weights"
         )
-    logits -= top  # max shift: the largest exponent becomes 0, so every column sums to >= 1
-    w = np.exp(logits)
-    return w / w.sum(axis=0)
+    w -= top  # max shift: the largest exponent becomes 0, so every column sums to >= 1
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    return w
 
 
 def posterior_weights(table: QuadratureTable, t: float, y: float) -> np.ndarray:
@@ -484,10 +488,13 @@ def posterior_mean_var(table: QuadratureTable, t: float, y) -> tuple[np.ndarray,
     t = _check_time(t)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     w = _weight_matrix(table, t, y_arr)
-    u = table.nodes[:, None]
-    g = (w * u).sum(axis=0)
-    h = (w * (u - g[None, :]) ** 2).sum(axis=0)
-    return g, h
+    u = table.nodes
+    g = u @ w
+    # centred two-pass variance: raw moments about a fixed centre cancel badly
+    # when the posterior sits on an edge node
+    d = u[:, None] - g
+    d *= d
+    return g, np.einsum("ij,ij->j", w, d)
 
 
 def posterior_mean_G(table: QuadratureTable, t: float, y: float) -> float:

@@ -208,7 +208,10 @@ def _policy_step(
         ab[0, 1:] = up[:-1]
         ab[1, :] = d
         ab[2, :-1] = lo[1:]
-        v = solve_banded((1, 1), ab, b)
+        try:
+            v = solve_banded((1, 1), ab, b)
+        except np.linalg.LinAlgError as exc:  # a ValueError, which the CLI reads as bad input
+            raise SolverError(f"singular step operator in policy iteration: {exc}") from exc
         # residual of the *original* rows decides admissibility of stopping
         resid = rhs - (diag * v + _neighbor_terms(v, lower, upper))
         new_stopped = np.where(stopped, resid >= -slack, v > slack)

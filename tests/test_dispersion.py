@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import driftstop.dispersion as dispersion
 from driftstop import (
+    InversionError,
     PriorSpec,
     bernoulli_psi,
     build_quadrature,
@@ -16,6 +18,9 @@ from driftstop import (
     psi,
     psi_grid,
 )
+from driftstop.cli import _resolve
+from driftstop.dispersion import _invert_array
+from driftstop.stopping_solver import solver_psi_grid
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,53 @@ def test_invert_rejects_bad_x(bernoulli_table):
         invert_G(bernoulli_table, 1.0, 1.5)
     with pytest.raises(ValueError):
         invert_G(bernoulli_table, 1.0, 1.0)  # finite endpoint
+
+
+@pytest.mark.parametrize("y0", [None, -50.0, 50.0], ids=["cold", "warm-50", "warm+50"])
+@pytest.mark.parametrize("name", ["gaussian", "bernoulli"])
+def test_invert_array_unbracketable_point_raises(all_tables, monkeypatch, name, y0):
+    # x beyond the extreme node: G - x keeps one sign, so the expansion must
+    # give up loudly, after a bounded number of kernel calls at finite y only
+    table = all_tables[name]
+    seen = []
+
+    def finite_kernel(tab, t, y):
+        assert np.all(np.isfinite(y))
+        seen.append(1)
+        return posterior_mean_var(tab, t, y)
+
+    monkeypatch.setattr(dispersion, "posterior_mean_var", finite_kernel)
+    for x in (table.nodes[-1] + 0.5, table.nodes[0] - 0.5):
+        seen.clear()
+        start = None if y0 is None else np.array([y0])
+        with pytest.raises(InversionError, match="could not bracket"):
+            _invert_array(table, 0.5, np.array([x]), 1e-10, y0=start)
+        assert 0 < len(seen) <= 200
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"kind": "gaussian", "m": 0.0, "sigma2": 1.0},
+        {"kind": "half_normal", "sigma2": 1.0},
+        {"kind": "symmetric_gaussian_mixture", "m": 1.0, "sigma": 1.0},
+        {"kind": "discrete_atoms", "atoms": [[-1.0, 0.3], [0.0, 0.4], [1.0, 0.3]]},
+    ],
+    ids=["gaussian", "half_normal", "mixture", "three_atoms"],
+)
+def test_psi_grid_kernel_call_budget(monkeypatch, prior):
+    # Newton from the extrapolated warm start, with the returned H: at most
+    # 2.5 kernel calls per row on the CLI default lattice
+    _, table, _, config, *_ = _resolve({"prior": prior, "cost_c": 0.25}, None, None)
+    calls = []
+
+    def counting_kernel(tab, t, y):
+        calls.append(1)
+        return posterior_mean_var(tab, t, y)
+
+    monkeypatch.setattr(dispersion, "posterior_mean_var", counting_kernel)
+    grid = solver_psi_grid(table, config)
+    assert len(calls) <= 2.5 * grid.t_nodes.size
 
 
 def test_clamp_near_endpoint(bernoulli_table):

@@ -210,6 +210,36 @@ def test_posterior_rejects_nonfinite_observation_level(bernoulli_table):
         posterior_mean_var(bernoulli_table, 1.0, [0.0, math.nan])
 
 
+def _centred_var_longdouble(table, t, y):
+    u = table.nodes.astype(np.longdouble)[:, None]
+    logits = table.log_weights.astype(np.longdouble)[:, None] + u * y - np.longdouble(t) / 2 * u * u
+    w = np.exp(logits - logits.max(axis=0))
+    w /= w.sum(axis=0)
+    g = (w * u).sum(axis=0)
+    return (w * (u - g) ** 2).sum(axis=0)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        PriorSpec.gaussian(0.0, 1.0),
+        PriorSpec.half_normal(1.0),
+        PriorSpec.symmetric_gaussian_mixture(1.0, 1.0),
+    ],
+    ids=["gaussian", "half_normal", "mixture"],
+)
+def test_posterior_var_matches_extended_precision(prior):
+    # the centred two-pass variance keeps absolute accuracy far into the
+    # tails, where the posterior sits on an edge node and h is tiny
+    table = build_quadrature(prior, n=128)
+    y = np.linspace(-400.0, 400.0, 1601)
+    for t in (0.0, 1.0, 8.0):
+        _, h = posterior_mean_var(table, t, y)
+        ref = _centred_var_longdouble(table, t, y.astype(np.longdouble))
+        assert np.min(h) >= 0.0
+        assert float(np.max(np.abs(h - ref))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # posterior measure
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from driftstop import (
     solve_value,
     solver_psi_grid,
 )
+from driftstop.stopping_solver import SolverError, _policy_step
 
 
 def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, x_lo=None, x_hi=None):
@@ -336,3 +337,12 @@ def test_locally_good(bern_grid, gaussian_table):
     grid, _ = _solve(gaussian_table, 1.0, n_t=40, n_x=41, T_max=1.0)
     rep = locally_good_check(grid)  # vacuous: psi^2 <= c everywhere
     assert rep.passed and rep.n_checked == 0
+
+
+def test_singular_step_operator_is_a_solver_error():
+    # numpy's LinAlgError is a ValueError, which the CLI reports as bad input
+    # (exit 2); a singular operator is a numerical failure (exit 3)
+    n = 5
+    zeros = np.zeros(n)
+    with pytest.raises(SolverError, match="singular"):
+        _policy_step(np.ones(n), zeros, zeros, zeros, np.zeros(n, dtype=bool))
