@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -143,6 +144,12 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _problem_hash(resolved: dict) -> str:
+    """SHA-256 of the resolved blocks that fix the stopping problem a boundary solves."""
+    doc = {k: resolved[k] for k in ("prior", "cost_c", "quadrature_n", "solver")}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _prepare_out(out: Path, resolved: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved_config.json", resolved)
@@ -194,6 +201,7 @@ def cmd_solve(args) -> int:
         out / "solver_meta.json",
         {
             "meta": grid.meta,
+            "problem_hash": _problem_hash(resolved),
             "shape": boundary.shape,
             "locally_good_passed": good.passed,
             "locally_good_violations": good.n_violations,
@@ -238,30 +246,46 @@ def _boundary_from_csv(path: Path) -> BoundaryCurve:
     )
 
 
+def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
+    """The boundary ``solve`` wrote to ``out``, refused unless it solves this config's problem."""
+    policy = _boundary_from_csv(out / "boundary.csv")
+    meta_path = out / "solver_meta.json"
+    have = json.loads(meta_path.read_text()).get("problem_hash") if meta_path.exists() else None
+    want = _problem_hash(resolved)
+    if have != want:
+        raise ConfigError(
+            f"{out / 'boundary.csv'} was solved for problem_hash "
+            f"{have or f'unknown (no problem_hash in {meta_path})'}, not for this config's {want}; "
+            "run the solve command with this config first"
+        )
+    return policy
+
+
 def cmd_verify(args) -> int:
     doc = _load_config(args.config)
     prior, table, c, config, sim, out, resolved = _resolve(doc, args.out, args.seed)
-    _prepare_out(out, resolved)
 
     policy_doc = resolved["policy"]
     kind = policy_doc.get("kind", "solver_boundary")
     if kind == "solver_boundary":
-        policy = _boundary_from_csv(out / "boundary.csv")
+        policy = _solver_boundary(out, resolved)
     elif kind == "stop_at":
         policy = float(policy_doc["time"])
     elif kind == "symmetric_threshold":
         policy = BoundaryCurve.symmetric_threshold(float(policy_doc["a"]))
     else:
         raise ConfigError(f"unknown policy kind {kind!r}")
+    _prepare_out(out, resolved)
 
-    cost = evaluate_policy(table, c, policy, sim)
-    identity = verify_variance_identity(table, policy, sim)
+    with_gaps = isinstance(policy, BoundaryCurve) and policy.shape in ("two_sided_symmetric", "one_sided_lower")
+    shifts = resolved["perturbations"] if with_gaps else ()
+    cost = evaluate_policy(table, c, policy, sim, shifts)
+    identity = verify_variance_identity(table, cost)
 
     gap_results = None
     gaps_ok = True
-    if isinstance(policy, BoundaryCurve) and policy.shape in ("two_sided_symmetric", "one_sided_lower"):
-        shifts = [float(s) for s in resolved["perturbations"]]
-        gap_results = policy_optimality_gap(table, c, policy, shifts, sim)
+    if with_gaps:
+        gap_results = policy_optimality_gap(cost)
         # fail only on evidence against optimality: a perturbation whose
         # cost is significantly below the solver boundary's
         gaps_ok = all(r.gap + 2.0 * r.gap_se >= 0.0 for r in gap_results if r.shift != 0.0)

@@ -6,6 +6,8 @@ float64, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["format_float", "format_row", "write_table_csv"]
 
 
@@ -15,8 +17,8 @@ def format_float(x: float) -> str:
 
 
 def format_row(values) -> str:
-    """Comma-joined ``format_float`` of each value."""
-    return ",".join(format_float(v) for v in values)
+    """Comma-joined ``format_float`` of each value, converted in one pass."""
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def write_table_csv(path, t_nodes, x_nodes, values) -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "SimConfig",
     "CostEstimate",
     "PathBatch",
+    "PathStats",
     "VarianceIdentityReport",
     "PerturbationResult",
     "simulate_paths",
@@ -44,10 +45,9 @@ _CHUNK = 4096
 
 def _worker_cap() -> int:
     raw = os.environ.get("DRIFTSTOP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"DRIFTSTOP_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,6 @@ class SimConfig:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    mean: float
-    std_error: float
-    n_paths: int
-    components: tuple[float, float]  # (estimation error term, c*tau term)
-    cap_fraction: float = 0.0
-    warning: str | None = None
 
 
 @dataclass
@@ -130,9 +120,9 @@ def _stops_now(policy: Policy, t_k: float, x_hat_col: np.ndarray) -> np.ndarray:
     return np.full(x_hat_col.shape, t_k >= float(policy) - 1e-12, dtype=bool)
 
 
-@dataclass
-class _PathStats:
-    """Per-path results of walking one policy over a chunk."""
+@dataclass(frozen=True)
+class PathStats:
+    """Per-path results of walking one policy: one entry per simulated path."""
 
     tau: np.ndarray
     sq_err: np.ndarray
@@ -142,30 +132,33 @@ class _PathStats:
     second_diff_sum: np.ndarray
 
 
+@dataclass(frozen=True)
+class CostEstimate:
+    """One Monte Carlo pass: the base rule's cost and the per-path results of every rule.
+
+    ``paths[0]`` belongs to the base rule and ``paths[i]`` to ``shifts[i - 1]``;
+    ``verify_variance_identity`` and ``policy_optimality_gap`` reduce this record.
+    """
+
+    mean: float
+    std_error: float
+    n_paths: int
+    components: tuple[float, float]  # (estimation error term, c*tau term)
+    cap_fraction: float
+    warning: str | None
+    c: float
+    dt: float
+    shifts: tuple[float, ...]
+    paths: tuple[PathStats, ...]
+
+
 def _walk_chunk(
-    table: QuadratureTable,
-    sim: SimConfig,
-    start: int,
-    count: int,
-    policies: list[Policy],
-) -> list[_PathStats]:
-    """Simulate one chunk and evaluate every policy on the same trajectories."""
+    table: QuadratureTable, sim: SimConfig, sl: slice, policies: list[Policy], out: list[PathStats]
+) -> None:
+    """Simulate the paths of one chunk and walk every policy on them, writing ``out[p][sl]``."""
     n_steps = sim.n_steps
-    x_true, w_paths = _chunk_draws(table, sim.seed, start, count, n_steps, sim.dt)
-    out = [
-        _PathStats(
-            tau=np.full(count, math.nan),
-            sq_err=np.full(count, math.nan),
-            psi_at_stop=np.full(count, math.nan),
-            integral_psi2=np.zeros(count),
-            capped=np.zeros(count, dtype=bool),
-            second_diff_sum=np.zeros(count),
-        )
-        for _ in policies
-    ]
-    alive = [np.ones(count, dtype=bool) for _ in policies]
-    integral = [np.zeros(count) for _ in policies]
-    sd_sum = [np.zeros(count) for _ in policies]
+    x_true, w_paths = _chunk_draws(table, sim.seed, sl.start, sl.stop - sl.start, n_steps, sim.dt)
+    alive = [np.ones(x_true.size, dtype=bool) for _ in policies]
 
     psi2_prev: np.ndarray | None = None
     psi2_prev2: np.ndarray | None = None
@@ -174,72 +167,57 @@ def _walk_chunk(
         y_k = x_true * t_k + (w_paths[:, k - 1] if k > 0 else 0.0)
         g_k, h_k = posterior_mean_var(table, t_k, y_k)
         psi2_k = h_k * h_k
-        for p_idx, policy in enumerate(policies):
-            live = alive[p_idx]
+        for policy, live, stats in zip(policies, alive, out):
             if not live.any():
                 continue
             if k >= 1:
-                integral[p_idx][live] += 0.5 * sim.dt * (psi2_prev[live] + psi2_k[live])
+                stats.integral_psi2[sl][live] += 0.5 * sim.dt * (psi2_prev[live] + psi2_k[live])
                 if k >= 2:
-                    sd_sum[p_idx][live] += np.abs(
+                    stats.second_diff_sum[sl][live] += np.abs(
                         psi2_k[live] - 2.0 * psi2_prev[live] + psi2_prev2[live]
                     )
             stop = _stops_now(policy, t_k, g_k) & live
             if k == n_steps:
-                cap = live & ~stop
-                out[p_idx].capped[cap] = True
+                stats.capped[sl] = live & ~stop
                 stop = live  # force-stop whatever is left at the horizon
             if stop.any():
-                stats = out[p_idx]
-                stats.tau[stop] = t_k
-                stats.sq_err[stop] = (x_true[stop] - g_k[stop]) ** 2
-                stats.psi_at_stop[stop] = h_k[stop]
-                stats.integral_psi2[stop] = integral[p_idx][stop]
-                stats.second_diff_sum[stop] = sd_sum[p_idx][stop]
-                alive[p_idx][stop] = False
+                stats.tau[sl][stop] = t_k
+                stats.sq_err[sl][stop] = (x_true[stop] - g_k[stop]) ** 2
+                stats.psi_at_stop[sl][stop] = h_k[stop]
+                live[stop] = False
         if not any(a.any() for a in alive):
             break
         psi2_prev2 = psi2_prev
         psi2_prev = psi2_k
-    return out
 
 
-def _run_paths(table: QuadratureTable, sim: SimConfig, policies: list[Policy]) -> list[_PathStats]:
-    chunks = [
-        (start, min(_CHUNK, sim.n_paths - start)) for start in range(0, sim.n_paths, _CHUNK)
-    ]
-    merged = [
-        _PathStats(
-            tau=np.empty(sim.n_paths),
-            sq_err=np.empty(sim.n_paths),
-            psi_at_stop=np.empty(sim.n_paths),
-            integral_psi2=np.empty(sim.n_paths),
-            capped=np.empty(sim.n_paths, dtype=bool),
-            second_diff_sum=np.empty(sim.n_paths),
+def _run_paths(table: QuadratureTable, sim: SimConfig, policies: list[Policy]) -> list[PathStats]:
+    """Walk every policy over the same paths; chunks write disjoint slices of shared arrays."""
+    n = sim.n_paths
+    out = [
+        PathStats(
+            tau=np.full(n, math.nan),
+            sq_err=np.full(n, math.nan),
+            psi_at_stop=np.full(n, math.nan),
+            integral_psi2=np.zeros(n),
+            capped=np.zeros(n, dtype=bool),
+            second_diff_sum=np.zeros(n),
         )
         for _ in policies
     ]
+    chunks = [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
-    def work(args):
-        start, count = args
-        return start, count, _walk_chunk(table, sim, start, count, policies)
+    def work(sl: slice) -> None:
+        _walk_chunk(table, sim, sl, policies, out)
 
     workers = min(_worker_cap(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
+            list(pool.map(work, chunks))
     else:
-        results = [work(ch) for ch in chunks]
-    for start, count, stats_list in results:
-        sl = slice(start, start + count)
-        for dst, src in zip(merged, stats_list):
-            dst.tau[sl] = src.tau
-            dst.sq_err[sl] = src.sq_err
-            dst.psi_at_stop[sl] = src.psi_at_stop
-            dst.integral_psi2[sl] = src.integral_psi2
-            dst.capped[sl] = src.capped
-            dst.second_diff_sum[sl] = src.second_diff_sum
-    return merged
+        for sl in chunks:
+            work(sl)
+    return out
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -271,19 +249,27 @@ def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
     return PathBatch(t=t, x_true=x_true, y=y, x_hat=x_hat, psi=psi)
 
 
-def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimConfig) -> CostEstimate:
-    """Expected cost of a stopping rule: squared estimation error plus c * tau.
+def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimConfig, shifts=()) -> CostEstimate:
+    """Expected cost of a stopping rule (squared estimation error plus c * tau),
+    from one pass that also walks its shifted versions on the same paths.
 
     The rule stops at the first monitored time its condition holds (a
     BoundaryCurve containment or a deterministic time), capped at the horizon
     with a cap-fraction diagnostic; a warning is attached above 1% capping.
+    Each shift moves a BoundaryCurve outward by ``shift`` (negative pulls it
+    inward); for a deterministic-time rule the stopping time itself is shifted.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
-    stats = _run_paths(table, sim, [policy])[0]
-    costs = stats.sq_err + c * stats.tau
-    mean, se = _mean_se(costs)
-    cap_fraction = float(np.mean(stats.capped))
+    shifts = tuple(float(s) for s in shifts)
+    if isinstance(policy, BoundaryCurve):
+        shifted: list[Policy] = [policy.shifted(s) for s in shifts]
+    else:
+        shifted = [max(float(policy) + s, 0.0) for s in shifts]
+    paths = _run_paths(table, sim, [policy, *shifted])
+    base = paths[0]
+    mean, se = _mean_se(base.sq_err + c * base.tau)
+    cap_fraction = float(np.mean(base.capped))
     warning = None
     if cap_fraction > 0.01:
         warning = f"{cap_fraction:.2%} of paths hit the horizon cap; expected cost is biased"
@@ -291,9 +277,13 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
         mean=mean,
         std_error=se,
         n_paths=sim.n_paths,
-        components=(float(np.mean(stats.sq_err)), float(np.mean(c * stats.tau))),
+        components=(float(np.mean(base.sq_err)), float(np.mean(c * base.tau))),
         cap_fraction=cap_fraction,
         warning=warning,
+        c=c,
+        dt=sim.dt,
+        shifts=shifts,
+        paths=tuple(paths),
     )
 
 
@@ -332,11 +322,9 @@ class VarianceIdentityReport:
         }
 
 
-def verify_variance_identity(
-    table: QuadratureTable, policy: Policy, sim: SimConfig
-) -> VarianceIdentityReport:
-    """Monte Carlo check that E[Psi(tau)] = Var(X) - E[int_0^tau Psi^2 ds]."""
-    stats = _run_paths(table, sim, [policy])[0]
+def verify_variance_identity(table: QuadratureTable, estimate: CostEstimate) -> VarianceIdentityReport:
+    """Check E[Psi(tau)] = Var(X) - E[int_0^tau Psi^2 ds] on the base rule's paths."""
+    stats = estimate.paths[0]
     var_x = table.variance()
     lhs, lhs_se = _mean_se(stats.psi_at_stop)
     rhs_samples = var_x - stats.integral_psi2
@@ -344,7 +332,7 @@ def verify_variance_identity(
     diff, diff_se = _mean_se(stats.psi_at_stop - rhs_samples)
     # leading-order trapezoid error estimate, doubled to cover the next order
     # and the uncentred end intervals
-    bias = float(2.0 * sim.dt / 12.0 * np.mean(stats.second_diff_sum))
+    bias = float(2.0 * estimate.dt / 12.0 * np.mean(stats.second_diff_sum))
     passed = abs(lhs - rhs) <= 3.0 * (lhs_se + rhs_se) + bias + 1e-12
     return VarianceIdentityReport(
         passed=passed,
@@ -355,7 +343,7 @@ def verify_variance_identity(
         paired_diff=diff,
         paired_se=diff_se,
         bias_allowance=bias,
-        cap_fraction=float(np.mean(stats.capped)),
+        cap_fraction=estimate.cap_fraction,
     )
 
 
@@ -367,35 +355,17 @@ class PerturbationResult(NamedTuple):
     gap_se: float
 
 
-def policy_optimality_gap(
-    table: QuadratureTable,
-    c: float,
-    solver_boundary: Policy,
-    perturbations,
-    sim: SimConfig,
-) -> list[PerturbationResult]:
-    """Cost of a stopping rule against shifted versions, common random numbers.
+def policy_optimality_gap(estimate: CostEstimate) -> list[PerturbationResult]:
+    """Cost of the base rule against each shifted rule of ``estimate``, base entry first.
 
-    For a BoundaryCurve each perturbation moves the boundary outward by
-    ``shift`` (negative pulls it inward); for a deterministic-time rule the
-    stopping time itself is shifted.  Gaps are paired per path, so their
-    standard errors reflect only the cost *differences*; a true local
-    minimizer shows positive gaps.
+    Gaps are paired per path, so their standard errors reflect only the cost
+    *differences*; a true local minimizer shows positive gaps.
     """
-    if c <= 0.0:
-        raise ValueError("cost rate c must be positive")
-    shifts = [float(s) for s in perturbations]
-    if isinstance(solver_boundary, BoundaryCurve):
-        policies: list[Policy] = [solver_boundary] + [solver_boundary.shifted(s) for s in shifts]
-    else:
-        base_t = float(solver_boundary)
-        policies = [base_t] + [max(base_t + s, 0.0) for s in shifts]
-    all_stats = _run_paths(table, sim, policies)
-    base_cost = all_stats[0].sq_err + c * all_stats[0].tau
-    results = [PerturbationResult(0.0, *_mean_se(base_cost), 0.0, 0.0)]
-    for s, stats in zip(shifts, all_stats[1:]):
-        cost = stats.sq_err + c * stats.tau
-        mean, se = _mean_se(cost)
+    base = estimate.paths[0]
+    base_cost = base.sq_err + estimate.c * base.tau
+    results = [PerturbationResult(0.0, estimate.mean, estimate.std_error, 0.0, 0.0)]
+    for s, stats in zip(estimate.shifts, estimate.paths[1:]):
+        cost = stats.sq_err + estimate.c * stats.tau
         gap, gap_se = _mean_se(cost - base_cost)
-        results.append(PerturbationResult(s, mean, se, gap, gap_se))
+        results.append(PerturbationResult(s, *_mean_se(cost), gap, gap_se))
     return results

@@ -149,7 +149,7 @@ def test_criterion_3_variance_identity(bernoulli_table, bernoulli_solution):
     _, boundary, _, _ = bernoulli_solution
     sim = SimConfig(n_paths=100_000, dt=0.01, horizon=30.0, seed=2026)
     start = time.perf_counter()
-    rep = verify_variance_identity(bernoulli_table, boundary, sim)
+    rep = verify_variance_identity(bernoulli_table, evaluate_policy(bernoulli_table, 0.25, boundary, sim))
     elapsed = time.perf_counter() - start
     ok = rep.passed and elapsed < 60.0
     _report(

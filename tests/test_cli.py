@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from driftstop import montecarlo
 from driftstop.cli import _boundary_from_csv, main
-from driftstop.csvio import format_float
+from driftstop.csvio import format_float, format_row
 
 
 @pytest.fixture()
@@ -29,6 +31,11 @@ def bern_config(tmp_path):
 def test_format_float_round_trips():
     for x in [0.25, 1e-9, math.pi, -3.125, 4.854101966249684]:
         assert float(format_float(x)) == x
+
+
+def test_format_row_matches_per_float_join():
+    row = np.array([-0.0, 5e-324, 1e16, np.inf, np.nan, -np.inf, 0.1, 4.854101966249684])
+    assert format_row(row) == ",".join(format_float(v) for v in row)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -94,6 +101,61 @@ def test_full_pipeline_solve_then_verify(bern_config):
     assert main(["verify", "--config", str(cfg_path)]) == 0
     report = json.loads((out / "verify.json").read_text())
     assert abs(report["cost"]["mean"] - 1.0) <= 3.0 * report["cost"]["std_error"] + 1e-12
+
+
+def test_verify_walks_the_paths_once(bern_config, monkeypatch):
+    # the cost, the identity and the gaps share one pass, so the kernel sees
+    # at most every path at every monitored step once
+    cfg_path, _, cfg = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    columns = []
+    kernel = montecarlo.posterior_mean_var
+
+    def counted(table, t, y):
+        columns.append(np.size(y))
+        return kernel(table, t, y)
+
+    monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    sim = cfg["sim"]
+    n_steps = round(sim["horizon"] / sim["dt"])
+    assert 0 < sum(columns) <= sim["n_paths"] * (n_steps + 1)
+
+
+def test_verify_refuses_boundary_of_another_problem(bern_config, capsys):
+    cfg_path, out, cfg = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    cfg["cost_c"] = 0.3
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    named = set(re.findall(r"\b[0-9a-f]{64}\b", capsys.readouterr().err))
+    solved = json.loads((out / "solver_meta.json").read_text())["problem_hash"]
+    assert solved in named and len(named) == 2
+    # refused before anything was written
+    assert json.loads((out / "resolved_config.json").read_text())["cost_c"] == 0.25
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_refuses_boundary_without_solver_meta(bern_config, capsys):
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    (out / "solver_meta.json").unlink()
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert "problem_hash" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_thread_cap_exits_2(bern_config, capsys, monkeypatch, raw):
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.0}
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("DRIFTSTOP_THREADS", raw)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "DRIFTSTOP_THREADS" in err and repr(raw) in err
+    assert not (out / "verify.json").exists()
 
 
 def test_psi_outputs_are_deterministic(bern_config, tmp_path):

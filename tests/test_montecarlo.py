@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ def test_cap_warning_when_policy_never_stops(bernoulli_table):
 
 
 def test_variance_identity_stop_at_zero(mixture_table):
-    rep = verify_variance_identity(mixture_table, 0.0, SimConfig(n_paths=2000, dt=0.05, horizon=1.0, seed=19))
+    est = evaluate_policy(mixture_table, 0.25, 0.0, SimConfig(n_paths=2000, dt=0.05, horizon=1.0, seed=19))
+    rep = verify_variance_identity(mixture_table, est)
     assert rep.passed
     assert rep.lhs == pytest.approx(mixture_table.variance(), abs=1e-10)
     assert rep.rhs == pytest.approx(mixture_table.variance(), abs=1e-12)
@@ -114,7 +116,8 @@ def test_variance_identity_stop_at_zero(mixture_table):
 def test_variance_identity_gaussian_deterministic(gaussian_table):
     # both sides are deterministic; the trapezoid allowance must absorb the
     # integration bias
-    rep = verify_variance_identity(gaussian_table, 1.0, SimConfig(n_paths=2000, dt=0.01, horizon=1.5, seed=23))
+    est = evaluate_policy(gaussian_table, 0.25, 1.0, SimConfig(n_paths=2000, dt=0.01, horizon=1.5, seed=23))
+    rep = verify_variance_identity(gaussian_table, est)
     assert rep.passed
     assert rep.lhs == pytest.approx(0.5, abs=1e-10)
 
@@ -122,7 +125,8 @@ def test_variance_identity_gaussian_deterministic(gaussian_table):
 def test_variance_identity_bernoulli_boundary(bernoulli_table):
     a = bernoulli_solve(1.0, 0.25).boundary_a
     policy = BoundaryCurve.symmetric_threshold(a)
-    rep = verify_variance_identity(bernoulli_table, policy, SimConfig(n_paths=20_000, dt=0.01, horizon=30.0, seed=29))
+    est = evaluate_policy(bernoulli_table, 0.25, policy, SimConfig(n_paths=20_000, dt=0.01, horizon=30.0, seed=29))
+    rep = verify_variance_identity(bernoulli_table, est)
     assert rep.passed
     assert abs(rep.paired_diff) <= 3.0 * rep.paired_se + rep.bias_allowance
 
@@ -141,7 +145,7 @@ def test_policy_gap_zero_shift_is_exactly_zero(bernoulli_table):
     a = bernoulli_solve(1.0, 0.25).boundary_a
     policy = BoundaryCurve.symmetric_threshold(a)
     res = policy_optimality_gap(
-        bernoulli_table, 0.25, policy, [0.0], SimConfig(n_paths=2000, dt=0.02, horizon=20.0, seed=37)
+        evaluate_policy(bernoulli_table, 0.25, policy, SimConfig(n_paths=2000, dt=0.02, horizon=20.0, seed=37), [0.0])
     )
     assert res[1].gap == 0.0 and res[1].gap_se == 0.0
 
@@ -150,11 +154,13 @@ def test_policy_gap_perturbations_increase_cost(bernoulli_table):
     a = bernoulli_solve(1.0, 0.25).boundary_a
     policy = BoundaryCurve.symmetric_threshold(a)
     res = policy_optimality_gap(
-        bernoulli_table,
-        0.25,
-        policy,
-        [-0.05, 0.05],
-        SimConfig(n_paths=30_000, dt=0.01, horizon=30.0, seed=41),
+        evaluate_policy(
+            bernoulli_table,
+            0.25,
+            policy,
+            SimConfig(n_paths=30_000, dt=0.01, horizon=30.0, seed=41),
+            [-0.05, 0.05],
+        )
     )
     for r in res:
         if r.shift != 0.0:
@@ -165,11 +171,13 @@ def test_policy_gap_time_shifts_for_gaussian(gaussian_table):
     # the deterministic rule tau* is a local minimizer in the stopping time
     tau = gaussian_tau_star(1.0, 0.25)
     res = policy_optimality_gap(
-        gaussian_table,
-        0.25,
-        tau,
-        [-0.25, 0.25],
-        SimConfig(n_paths=20_000, dt=0.01, horizon=2.0, seed=43),
+        evaluate_policy(
+            gaussian_table,
+            0.25,
+            tau,
+            SimConfig(n_paths=20_000, dt=0.01, horizon=2.0, seed=43),
+            [-0.25, 0.25],
+        )
     )
     for r in res:
         if r.shift != 0.0:
@@ -179,8 +187,30 @@ def test_policy_gap_time_shifts_for_gaussian(gaussian_table):
 def test_thread_cap_does_not_change_results(bernoulli_table, monkeypatch):
     sim = SimConfig(n_paths=9000, dt=0.05, horizon=5.0, seed=53)
     policy = BoundaryCurve.symmetric_threshold(0.9)
-    base = evaluate_policy(bernoulli_table, 0.25, policy, sim)
+    base = evaluate_policy(bernoulli_table, 0.25, policy, sim, [-0.05, 0.05])
     monkeypatch.setenv("DRIFTSTOP_THREADS", "4")
-    threaded = evaluate_policy(bernoulli_table, 0.25, policy, sim)
+    # three chunks on three threads write disjoint slices of shared arrays;
+    # frequent thread switches would expose a lost or misplaced write
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = evaluate_policy(bernoulli_table, 0.25, policy, sim, [-0.05, 0.05])
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded.mean == base.mean
     assert threaded.std_error == base.std_error
+    assert verify_variance_identity(bernoulli_table, threaded) == verify_variance_identity(bernoulli_table, base)
+    assert policy_optimality_gap(threaded) == policy_optimality_gap(base)
+
+
+def test_shifts_leave_base_cost_and_identity_unchanged(bernoulli_table):
+    # the shifted rules ride on the same paths; the base rule's results must
+    # not depend on them, bit for bit
+    policy = BoundaryCurve.symmetric_threshold(bernoulli_solve(1.0, 0.25).boundary_a)
+    sim = SimConfig(n_paths=2000, dt=0.02, horizon=20.0, seed=61)
+    alone = evaluate_policy(bernoulli_table, 0.25, policy, sim)
+    shifted = evaluate_policy(bernoulli_table, 0.25, policy, sim, [-0.05, 0.05])
+    for field in ("mean", "std_error", "n_paths", "components", "cap_fraction", "warning"):
+        assert getattr(shifted, field) == getattr(alone, field)
+    assert verify_variance_identity(bernoulli_table, shifted) == verify_variance_identity(bernoulli_table, alone)
+    assert len(shifted.paths) == 3 and shifted.shifts == (-0.05, 0.05)
