@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,12 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
             f"unknown key {unknown[0]!r} in 'solver'; allowed keys: {', '.join(SOLVER_KEYS)} "
             "(the solve starts from the stationary value; 'T_max' sets the window)"
         )
+    perturbations = doc.get("perturbations", [-0.1, 0.1])
+    if not (
+        isinstance(perturbations, list)
+        and all(isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s) for s in perturbations)
+    ):
+        raise ConfigError(f"config key 'perturbations' must be a list of finite numbers, got {perturbations!r}")
     x_lo_d, x_hi_d = default_domain(table)
     x_lo = float(solver_doc.get("x_lo", x_lo_d))
     x_hi = float(solver_doc.get("x_hi", x_hi_d))
@@ -131,7 +138,7 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         "solver": config.to_dict(),
         "sim": {"n_paths": sim.n_paths, "dt": sim.dt, "horizon": sim.horizon, "seed": sim.seed},
         "policy": doc.get("policy", {"kind": "solver_boundary"}),
-        "perturbations": doc.get("perturbations", [-0.1, 0.1]),
+        "perturbations": perturbations,
         "horizon_scan_capped": capped,
         "output_dir": str(out),
     }

@@ -7,8 +7,13 @@ is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
 Randomness is counter-based: each path owns a Philox stream keyed by
-(seed, path index), so results are independent of chunking and thread
-scheduling, and reruns with the same SimConfig are bit-identical.
+(seed, path index), drawn lazily in blocks of Wiener steps.  Paths are walked
+in fixed chunks of consecutive indices, and within a chunk the kernel runs only
+on the paths that some rule still needs, so reruns with the same SimConfig are
+bit-identical and so are results at any ``DRIFTSTOP_THREADS``.  The kernel's
+per-column round-off can depend on which columns share a call (BLAS at large
+node counts), so per-path values are not guaranteed to be independent of which
+paths are walked together.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
 Policy = Union[float, BoundaryCurve]
 
 _CHUNK = 4096
+_BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
 
 
 def _worker_cap() -> int:
@@ -96,22 +102,51 @@ class PathBatch:
                     fh.write(f"{p}," + format_row(row) + "\n")
 
 
-def _chunk_draws(
-    table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift draws and Wiener paths for paths [start, start+count)."""
+def _path_streams(
+    table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float, keep: bool
+) -> tuple[np.ndarray, np.ndarray, list[np.random.Generator]]:
+    """Drift draws for paths [start, start+count), their W over the first ``n_steps`` steps
+    and, when ``keep``, each path's stream, left where its next block of W begins.
+
+    Streams are kept only when more blocks follow: a chunk's 4,096 streams hold
+    about 3 MB, which would raise the peak memory of a one-block walk.
+    """
     x_true = np.empty(count)
-    w = np.empty((count, n_steps))
+    z = np.empty((count, n_steps))
+    streams = []
     cum_w = np.cumsum(table.weights)
-    root_dt = math.sqrt(dt)
     for i in range(count):
         gen = np.random.Generator(
             np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
         )
         u = gen.random()
         x_true[i] = table.nodes[min(int(np.searchsorted(cum_w, u, side="right")), table.n - 1)]
-        w[i] = gen.standard_normal(n_steps) * root_dt
-    return x_true, np.cumsum(w, axis=1)
+        z[i] = gen.standard_normal(n_steps)
+        if keep:
+            streams.append(gen)
+    return x_true, _cumulate(z, 0.0, dt), streams
+
+
+def _wiener_block(
+    streams: list[np.random.Generator], paths: np.ndarray, w_last: np.ndarray, n_steps: int, dt: float
+) -> np.ndarray:
+    """The next ``n_steps`` values of W for ``streams[paths]``, which stand at ``w_last``."""
+    z = np.empty((paths.size, n_steps))
+    for row, i in enumerate(paths):
+        z[row] = streams[i].standard_normal(n_steps)
+    return _cumulate(z, w_last, dt)
+
+
+def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarray:
+    """W from standard normal increments ``z`` (one row per path) continuing from ``w_last``, in place.
+
+    A stream drawn in blocks gives the same normals as in one call, and the sum
+    runs left to right from ``w_last``, so every W(t) has the bits of one
+    cumulative sum over all steps.
+    """
+    z *= math.sqrt(dt)
+    z[:, 0] += w_last
+    return np.cumsum(z, axis=1, out=z)
 
 
 def _stops_now(policy: Policy, t_k: float, x_hat_col: np.ndarray) -> np.ndarray:
@@ -155,38 +190,58 @@ class CostEstimate:
 def _walk_chunk(
     table: QuadratureTable, sim: SimConfig, sl: slice, policies: list[Policy], out: list[PathStats]
 ) -> None:
-    """Simulate the paths of one chunk and walk every policy on them, writing ``out[p][sl]``."""
-    n_steps = sim.n_steps
-    x_true, w_paths = _chunk_draws(table, sim.seed, sl.start, sl.stop - sl.start, n_steps, sim.dt)
-    alive = [np.ones(x_true.size, dtype=bool) for _ in policies]
+    """Simulate the paths of one chunk and walk every policy on them, writing ``out[p][sl]``.
 
-    psi2_prev: np.ndarray | None = None
-    psi2_prev2: np.ndarray | None = None
+    Only the working set, the paths still live in some policy, is filtered and
+    drawn: it shrinks as paths stop, and the walk ends when it is empty.  The
+    path integrals are shared by every policy and read off at each path's stop.
+    """
+    n_steps = sim.n_steps
+    n_first = min(_BLOCK, n_steps)
+    x, w_block, streams = _path_streams(
+        table, sim.seed, sl.start, sl.stop - sl.start, n_first, sim.dt, keep=n_steps > n_first
+    )
+    k0 = 1  # w_block[:, k - k0] holds W at step k
+    rows = np.arange(x.size)  # row of w_block for each working path
+    paths = np.arange(x.size)  # chunk index of each working path
+    live = np.ones((len(policies), x.size), dtype=bool)
+    integral_psi2 = np.zeros(x.size)
+    second_diff_sum = np.zeros(x.size)
+    psi2_prev = np.zeros(x.size)  # read from step 1 on
     for k in range(n_steps + 1):
+        if k - k0 == w_block.shape[1]:
+            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), sim.dt)
+            k0, rows = k, np.arange(paths.size)
         t_k = k * sim.dt
-        y_k = x_true * t_k + (w_paths[:, k - 1] if k > 0 else 0.0)
+        y_k = x * t_k + (w_block[rows, k - k0] if k > 0 else 0.0)
         g_k, h_k = posterior_mean_var(table, t_k, y_k)
         psi2_k = h_k * h_k
-        for policy, live, stats in zip(policies, alive, out):
-            if not live.any():
+        if k >= 1:
+            integral_psi2 += 0.5 * sim.dt * (psi2_prev + psi2_k)
+            if k >= 2:
+                second_diff_sum += np.abs(psi2_k - 2.0 * psi2_prev + psi2_prev2)
+        for policy, lv, stats in zip(policies, live, out):
+            if not lv.any():
                 continue
-            if k >= 1:
-                stats.integral_psi2[sl][live] += 0.5 * sim.dt * (psi2_prev[live] + psi2_k[live])
-                if k >= 2:
-                    stats.second_diff_sum[sl][live] += np.abs(
-                        psi2_k[live] - 2.0 * psi2_prev[live] + psi2_prev2[live]
-                    )
-            stop = _stops_now(policy, t_k, g_k) & live
+            stop = _stops_now(policy, t_k, g_k) & lv
             if k == n_steps:
-                stats.capped[sl] = live & ~stop
-                stop = live  # force-stop whatever is left at the horizon
+                stats.capped[sl.start + paths[lv & ~stop]] = True
+                stop = lv.copy()  # force-stop whatever is left at the horizon
             if stop.any():
-                stats.tau[sl][stop] = t_k
-                stats.sq_err[sl][stop] = (x_true[stop] - g_k[stop]) ** 2
-                stats.psi_at_stop[sl][stop] = h_k[stop]
-                live[stop] = False
-        if not any(a.any() for a in alive):
-            break
+                at = sl.start + paths[stop]
+                stats.tau[at] = t_k
+                stats.sq_err[at] = (x[stop] - g_k[stop]) ** 2
+                stats.psi_at_stop[at] = h_k[stop]
+                stats.integral_psi2[at] = integral_psi2[stop]
+                stats.second_diff_sum[at] = second_diff_sum[stop]
+                lv[stop] = False
+        needed = live.any(axis=0)
+        if not needed.all():
+            if not needed.any():
+                break
+            paths, x, rows, live = paths[needed], x[needed], rows[needed], live[:, needed]
+            integral_psi2, second_diff_sum = integral_psi2[needed], second_diff_sum[needed]
+            psi2_k, psi2_prev = psi2_k[needed], psi2_prev[needed]
         psi2_prev2 = psi2_prev
         psi2_prev = psi2_k
 
@@ -236,7 +291,7 @@ def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
     y = np.empty((sim.n_paths, n_steps + 1))
     for start in range(0, sim.n_paths, _CHUNK):
         count = min(_CHUNK, sim.n_paths - start)
-        xt, w_paths = _chunk_draws(table, sim.seed, start, count, n_steps, sim.dt)
+        xt, w_paths, _ = _path_streams(table, sim.seed, start, count, n_steps, sim.dt, keep=False)
         x_true[start : start + count] = xt
         y[start : start + count, 0] = 0.0
         y[start : start + count, 1:] = xt[:, None] * t[1:][None, :] + w_paths

@@ -234,6 +234,17 @@ def test_verify_failed_gap_exits_3(bern_config, capsys):
     assert widened["gap"] + 2.0 * widened["gap_se"] < 0.0
 
 
+@pytest.mark.parametrize("value", [0.1, ["a"], [math.nan]])
+def test_malformed_perturbations_exit_2(bern_config, capsys, value):
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "symmetric_threshold", "a": 0.9}
+    cfg["perturbations"] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert "'perturbations'" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero")])
 def test_unknown_solver_key_exits_2(bern_config, capsys, key, value):
     cfg_path, _, cfg = bern_config

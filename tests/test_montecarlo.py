@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from driftstop import (
     simulate_paths,
     verify_variance_identity,
 )
+from driftstop import montecarlo
 
 
 def test_sim_config_validation():
@@ -214,3 +216,78 @@ def test_shifts_leave_base_cost_and_identity_unchanged(bernoulli_table):
         assert getattr(shifted, field) == getattr(alone, field)
     assert verify_variance_identity(bernoulli_table, shifted) == verify_variance_identity(bernoulli_table, alone)
     assert len(shifted.paths) == 3 and shifted.shifts == (-0.05, 0.05)
+
+
+def _bernoulli_rule_and_shifts():
+    return BoundaryCurve.symmetric_threshold(bernoulli_solve(1.0, 0.25).boundary_a), [-0.05, 0.05]
+
+
+def test_walk_filters_only_paths_some_rule_still_needs(bernoulli_table, monkeypatch):
+    # a path is needed at step k while k <= its latest stop over the rules, so
+    # the kernel sees exactly sum over paths of (latest stop step + 1) columns
+    policy, shifts = _bernoulli_rule_and_shifts()
+    sim = SimConfig(n_paths=5000, dt=0.02, horizon=20.0, seed=67)
+    columns = []
+    kernel = montecarlo.posterior_mean_var
+
+    def counted(table, t, y):
+        columns.append(np.size(y))
+        return kernel(table, t, y)
+
+    monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
+    est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
+    last_step = np.max([np.rint(stats.tau / sim.dt) for stats in est.paths], axis=0)
+    assert sum(columns) == int(np.sum(last_step + 1))
+
+
+def test_walk_memory_does_not_grow_with_the_horizon(bernoulli_table):
+    # the horizon allows 3,000 steps; every path stops by about step 1,100, and
+    # the Wiener values are drawn a block at a time for the paths still walking
+    policy, shifts = _bernoulli_rule_and_shifts()
+    sim = SimConfig(n_paths=4096, dt=0.01, horizon=30.0, seed=71)
+    tracemalloc.start()
+    try:
+        evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _reference_walk(table, policy, sim):
+    """Every path walked to its stop over full simulate_paths trajectories."""
+    batch = simulate_paths(table, sim)
+    psi2 = batch.psi * batch.psi
+    n, n_steps = sim.n_paths, sim.n_steps
+    ref = {name: np.full(n, math.nan) for name in ("tau", "sq_err", "psi_at_stop")}
+    ref.update(integral_psi2=np.zeros(n), second_diff_sum=np.zeros(n), capped=np.zeros(n, dtype=bool))
+    live = np.ones(n, dtype=bool)
+    for k in range(n_steps + 1):
+        t_k = k * sim.dt
+        if k >= 1:
+            ref["integral_psi2"][live] += 0.5 * sim.dt * (psi2[live, k - 1] + psi2[live, k])
+        if k >= 2:
+            ref["second_diff_sum"][live] += np.abs(psi2[live, k] - 2.0 * psi2[live, k - 1] + psi2[live, k - 2])
+        stop = live & policy.contains(t_k, batch.x_hat[:, k])
+        if k == n_steps:
+            ref["capped"] = live & ~stop
+            stop = live.copy()
+        ref["tau"][stop] = t_k
+        ref["sq_err"][stop] = (batch.x_true[stop] - batch.x_hat[stop, k]) ** 2
+        ref["psi_at_stop"][stop] = batch.psi[stop, k]
+        live &= ~stop
+    return ref
+
+
+def test_walk_matches_reference_walk_bit_for_bit(bernoulli_table):
+    # at q = 2 the kernel's columns do not interact, so dropping stopped paths
+    # from the walk must leave every per-path result unchanged to the last bit;
+    # the short horizon caps some paths of every rule
+    policy, shifts = _bernoulli_rule_and_shifts()
+    sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=73)
+    est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
+    for rule, stats in zip([policy] + [policy.shifted(s) for s in shifts], est.paths):
+        ref = _reference_walk(bernoulli_table, rule, sim)
+        assert 0 < ref["capped"].sum() < sim.n_paths
+        for name, want in ref.items():
+            assert np.array_equal(getattr(stats, name), want), name
