@@ -65,8 +65,11 @@ def _load_config(path: str) -> dict:
     if "cost_c" not in doc:
         raise ConfigError("config is missing required key 'cost_c'")
     c = doc["cost_c"]
-    if not isinstance(c, (int, float)) or not c > 0:
+    if isinstance(c, bool) or not isinstance(c, (int, float)) or not c > 0:
         raise ConfigError(f"config key 'cost_c' must be a positive number, got {c!r}")
+    for key in ("solver", "sim", "policy"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
     return doc
 
 
@@ -249,7 +252,6 @@ def _boundary_from_csv(path: Path) -> BoundaryCurve:
         intervals=intervals,
         shape=shape,
         b=np.array(b_vals),
-        zero_tol=0.0,
     )
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr
 
 __all__ = [
@@ -128,60 +127,54 @@ class BernoulliSolution:
     c: float
     gamma: float | None
     boundary_a: float | None
-    value_fn: Callable[[float], float]
-
-    def u(self, x: float) -> float:
-        return self.value_fn(x)
 
     def Q(self, x: float) -> float:
-        """Running integral of (c - psi^2)/psi^2 from 0 to x, x in [0, beta)."""
-        return _bernoulli_Q(self.beta, self.c, x)
+        """Running integral of (c - psi^2)/psi^2 from 0 to x, x in [0, beta).
 
+        With psi = beta^2 - xi^2 the integrand is c/psi^2 - 1, whose
+        antiderivative is elementary.
+        """
+        beta, c = self.beta, self.c
+        if not (0.0 <= x < beta):
+            raise ValueError(f"Q is defined on [0, beta), got x={x!r}")
+        b2 = beta * beta
+        return c * (x / (2.0 * b2 * (b2 - x * x)) + math.atanh(x / beta) / (2.0 * b2 * beta)) - x
 
-def _bernoulli_Q(beta: float, c: float, x: float) -> float:
-    if not (0.0 <= x < beta):
-        raise ValueError(f"Q is defined on [0, beta), got x={x!r}")
-    if x == 0.0:
-        return 0.0
-    val, _ = quad(
-        lambda xi: (c - bernoulli_psi(beta, xi) ** 2) / bernoulli_psi(beta, xi) ** 2,
-        0.0,
-        x,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=500,
-    )
-    return float(val)
+    def _P(self, y: float) -> float:
+        """Antiderivative of Q with P(0) = 0."""
+        return self.c * y * math.atanh(y / self.beta) / (2.0 * self.beta**3) - 0.5 * y * y
+
+    def u(self, x: float) -> float:
+        """Value 2 int_|x|^a int_y^a (psi^2 - c)/psi^2 dxi dy, zero from the boundary on."""
+        a = self.boundary_a
+        if a is None:
+            return 0.0
+        ax = abs(float(x))
+        if ax >= a:
+            if ax >= self.beta:
+                raise ValueError(f"value function is defined on (-beta, beta), got {x!r}")
+            return 0.0
+        return 2.0 * (self._P(a) - self._P(ax) - self.Q(a) * (a - ax))
 
 
 def bernoulli_solve(beta: float, c: float, root_tol: float = 1e-12) -> BernoulliSolution:
     """Solve the two-point free-boundary problem by bisection on Q.
 
-    The boundary is bracketed by marching geometrically from gamma toward
-    beta (Q blows up to +infinity at beta, so a sign change always appears
-    strictly inside), then bisected until |Q| <= root_tol.  The value function
-    evaluates the double integral of the smooth-fit construction on demand by
-    nested adaptive quadrature.
+    Q(gamma) < 0 and Q rises to +infinity on (gamma, beta), so bisection on
+    [gamma, beta] brackets the boundary from the start and never evaluates Q
+    at beta; it stops once |Q| <= root_tol.
     """
     if beta <= 0.0 or c <= 0.0 or root_tol <= 0.0:
         raise ValueError("need beta > 0, c > 0, root_tol > 0")
     if beta**4 <= c:
-        return BernoulliSolution(beta=beta, c=c, gamma=None, boundary_a=None, value_fn=lambda x: 0.0)
+        return BernoulliSolution(beta=beta, c=c, gamma=None, boundary_a=None)
 
     gamma = math.sqrt(beta * beta - math.sqrt(c))
-    hi = None
-    for k in range(1, 60):
-        cand = beta - (beta - gamma) * 0.5**k
-        if _bernoulli_Q(beta, c, cand) > 0.0:
-            hi = cand
-            break
-    if hi is None:
-        raise RuntimeError("could not bracket the stopping boundary below beta")
-    lo = gamma
-    a = 0.5 * (lo + hi)
+    sol = BernoulliSolution(beta=beta, c=c, gamma=gamma, boundary_a=None)
+    lo, hi = gamma, beta
     for _ in range(200):
         a = 0.5 * (lo + hi)
-        qa = _bernoulli_Q(beta, c, a)
+        qa = sol.Q(a)
         if abs(qa) <= root_tol:
             break
         if qa > 0.0:
@@ -192,29 +185,7 @@ def bernoulli_solve(beta: float, c: float, root_tol: float = 1e-12) -> Bernoulli
             break
     else:
         raise RuntimeError(f"boundary bisection did not reach |Q| <= {root_tol!r}")
-
-    def u(x: float, _a: float = a) -> float:
-        ax = abs(float(x))
-        if ax >= _a:
-            if ax >= beta:
-                raise ValueError(f"value function is defined on (-beta, beta), got {x!r}")
-            return 0.0
-
-        def inner(yv: float) -> float:
-            val, _ = quad(
-                lambda xi: (bernoulli_psi(beta, xi) ** 2 - c) / bernoulli_psi(beta, xi) ** 2,
-                yv,
-                _a,
-                epsabs=1e-13,
-                epsrel=1e-13,
-                limit=500,
-            )
-            return val
-
-        outer, _ = quad(inner, ax, _a, epsabs=1e-12, epsrel=1e-12, limit=500)
-        return 2.0 * float(outer)
-
-    return BernoulliSolution(beta=beta, c=c, gamma=gamma, boundary_a=float(a), value_fn=u)
+    return BernoulliSolution(beta=beta, c=c, gamma=gamma, boundary_a=float(a))
 
 
 # ---------------------------------------------------------------------------

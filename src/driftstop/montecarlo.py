@@ -26,7 +26,6 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .csvio import format_row
 from .prior import QuadratureTable, posterior_mean_var
 from .stopping_solver import BoundaryCurve
 
@@ -94,12 +93,15 @@ class PathBatch:
     psi: np.ndarray
 
     def to_csv(self, path) -> None:
+        """One row per path and time; each array is converted to Python floats once."""
+        t = list(map(repr, np.asarray(self.t, dtype=float).tolist()))
+        cols = [np.asarray(a, dtype=float).tolist() for a in (self.y, self.x_hat, self.psi, self.x_true)]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("path,t,y,x_hat,psi,x_true\n")
-            for p in range(self.x_true.size):
-                for k, tk in enumerate(self.t):
-                    row = (tk, self.y[p, k], self.x_hat[p, k], self.psi[p, k], self.x_true[p])
-                    fh.write(f"{p}," + format_row(row) + "\n")
+            for p, (y, x_hat, psi, x_true) in enumerate(zip(*cols)):
+                tail = f",{x_true!r}\n"
+                rows = zip(t, y, x_hat, psi)
+                fh.write("".join([f"{p},{tk},{yk!r},{xk!r},{sk!r}{tail}" for tk, yk, xk, sk in rows]))
 
 
 def _path_streams(

@@ -58,6 +58,10 @@ _FAMILIES = (
 # far deeper than the target quadrature accuracy.
 _TAIL_MASS = 1e-26
 
+# a parametric family's table must match its analytic mean and variance to
+# this relative tolerance
+_MOMENT_RTOL = 1e-8
+
 
 class PriorError(ValueError):
     """Raised for invalid prior specifications or quadrature inputs."""
@@ -348,7 +352,7 @@ class QuadratureTable:
         return float(self.weights @ (self.nodes - m) ** 2)
 
 
-def build_quadrature(prior: PriorSpec, n: int = 128, moment_rtol: float = 1e-8) -> QuadratureTable:
+def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
     """Discretize a prior into a quadrature table.
 
     Parameters
@@ -358,9 +362,6 @@ def build_quadrature(prior: PriorSpec, n: int = 128, moment_rtol: float = 1e-8) 
     n : int
         Target node count for continuous families (>= 2).  Discrete priors
         pass through exactly regardless of ``n``.
-    moment_rtol : float
-        For parametric families, the table's mean and variance must match the
-        analytic moments to this relative tolerance.
 
     Node placement: Gauss-Hermite transformed to the family's location/scale
     for gaussian and mixture priors (moment-exact); Gauss-Legendre weighted by
@@ -415,15 +416,15 @@ def build_quadrature(prior: PriorSpec, n: int = 128, moment_rtol: float = 1e-8) 
 
     if prior.kind != "tabulated_density":
         scale = max(abs(prior.mean()), math.sqrt(prior.variance()))
-        if abs(table.mean() - prior.mean()) > moment_rtol * scale:
+        if abs(table.mean() - prior.mean()) > _MOMENT_RTOL * scale:
             raise PriorError(
                 f"table mean {table.mean()!r} misses analytic mean {prior.mean()!r} "
-                f"beyond relative tolerance {moment_rtol}"
+                f"beyond relative tolerance {_MOMENT_RTOL}"
             )
-        if abs(table.variance() - prior.variance()) > moment_rtol * max(prior.variance(), scale**2):
+        if abs(table.variance() - prior.variance()) > _MOMENT_RTOL * max(prior.variance(), scale**2):
             raise PriorError(
                 f"table variance {table.variance()!r} misses analytic variance "
-                f"{prior.variance()!r} beyond relative tolerance {moment_rtol}"
+                f"{prior.variance()!r} beyond relative tolerance {_MOMENT_RTOL}"
             )
     return table
 

@@ -113,20 +113,20 @@ class SolverConfig:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def default_domain(table: QuadratureTable, n_sigmas: float = 6.0) -> tuple[float, float]:
-    """Spatial truncation: prior mean +/- n_sigmas std, clipped inside the invertible range."""
+def default_domain(table: QuadratureTable) -> tuple[float, float]:
+    """Spatial truncation: prior mean +/- 6 std, clipped inside the invertible range."""
     mean, var = table.mean(), table.variance()
     std = math.sqrt(var)
     lo_n, hi_n = invertible_interval(table)
     eps = 1e-6 * (hi_n - lo_n)
-    x_lo = max(mean - n_sigmas * std, lo_n + eps)
-    x_hi = min(mean + n_sigmas * std, hi_n - eps)
+    x_lo = max(mean - 6.0 * std, lo_n + eps)
+    x_hi = min(mean + 6.0 * std, hi_n - eps)
     return float(x_lo), float(x_hi)
 
 
-def solver_psi_grid(table: QuadratureTable, config: SolverConfig, tol: float = 1e-10) -> PsiGrid:
+def solver_psi_grid(table: QuadratureTable, config: SolverConfig) -> PsiGrid:
     """Dispersion surface evaluated exactly on the solver's lattice."""
-    return build_psi_grid(table, config.solve_times(), config.x_nodes(), tol=tol)
+    return build_psi_grid(table, config.solve_times(), config.x_nodes(), tol=1e-10)
 
 
 class HorizonResult(NamedTuple):
@@ -335,9 +335,6 @@ class BoundaryCurve:
     intervals: list[list[tuple[float, float]]]
     shape: str
     b: np.ndarray
-    zero_tol: float
-    stop_mask: np.ndarray | None = None
-    x_nodes: np.ndarray | None = None
 
     @classmethod
     def symmetric_threshold(cls, a: float) -> "BoundaryCurve":
@@ -348,7 +345,6 @@ class BoundaryCurve:
             intervals=[[(-math.inf, -a), (a, math.inf)]],
             shape="two_sided_symmetric",
             b=np.array([a]),
-            zero_tol=0.0,
         )
 
     @classmethod
@@ -360,7 +356,6 @@ class BoundaryCurve:
             intervals=[[(-math.inf, b)]],
             shape="one_sided_lower",
             b=np.array([b]),
-            zero_tol=0.0,
         )
 
     def slice_index(self, t: float) -> int:
@@ -392,7 +387,6 @@ class BoundaryCurve:
                 intervals=ivals,
                 shape=self.shape,
                 b=new_b,
-                zero_tol=self.zero_tol,
             )
         if self.shape == "one_sided_lower":
             new_b = self.b - delta
@@ -409,7 +403,6 @@ class BoundaryCurve:
                 intervals=ivals,
                 shape=self.shape,
                 b=new_b,
-                zero_tol=self.zero_tol,
             )
         raise ValueError(f"shift not supported for shape {self.shape!r}")
 
@@ -432,9 +425,9 @@ def _crossing(x_stop: float, v_stop: float, x_cont: float, v_cont: float, ztol: 
     return float(x_stop + (x_cont - x_stop) * min(max(frac, 0.0), 1.0))
 
 
-def extract_regions(grid: ValueGrid, zero_tol: float | None = None) -> BoundaryCurve:
+def extract_regions(grid: ValueGrid) -> BoundaryCurve:
     """Stopping set per time slice, merged into maximal intervals and classified."""
-    ztol = grid.config.zero_tol if zero_tol is None else float(zero_tol)
+    ztol = grid.config.zero_tol
     x = grid.x_nodes
     n_x = x.size
     mask = grid.values >= -ztol
@@ -528,9 +521,6 @@ def extract_regions(grid: ValueGrid, zero_tol: float | None = None) -> BoundaryC
         intervals=all_intervals,
         shape=shape,
         b=b,
-        zero_tol=ztol,
-        stop_mask=mask,
-        x_nodes=x.copy(),
     )
 
 
@@ -552,12 +542,10 @@ class MonotonicityReport:
         }
 
 
-def monotonicity_report(
-    grid: ValueGrid, zero_tol: float | None = None, value_tol: float | None = None
-) -> MonotonicityReport:
+def monotonicity_report(grid: ValueGrid) -> MonotonicityReport:
     """Check that v is non-decreasing in t pointwise and stopping slices are nested."""
-    ztol = grid.config.zero_tol if zero_tol is None else float(zero_tol)
-    vtol = 10.0 * grid.config.obstacle_tol if value_tol is None else float(value_tol)
+    ztol = grid.config.zero_tol
+    vtol = 10.0 * grid.config.obstacle_tol
     diffs = grid.values[:-1] - grid.values[1:]  # positive entries violate monotonicity
     worst = float(max(np.max(diffs), 0.0)) if diffs.size else 0.0
     mask = grid.values >= -ztol
@@ -631,9 +619,7 @@ class RegionCheck(NamedTuple):
     n_violations: int
 
 
-def bernoulli_comparison_check(
-    grid: ValueGrid, beta: float, table: QuadratureTable, zero_tol: float | None = None
-) -> RegionCheck:
+def bernoulli_comparison_check(grid: ValueGrid, beta: float, table: QuadratureTable) -> RegionCheck:
     """Compare the grid's continuation region against the two-point benchmark.
 
     Case (i): support inside [-beta, beta] implies continuation inside
@@ -641,7 +627,7 @@ def bernoulli_comparison_check(
     sides implies continuation contains (-a(beta), a(beta)).  Rejected when
     neither support relationship applies.
     """
-    ztol = grid.config.zero_tol if zero_tol is None else float(zero_tol)
+    ztol = grid.config.zero_tol
     nodes = table.nodes
     inside = np.all(np.abs(nodes) <= beta + 1e-12)
     outside = (
@@ -682,24 +668,20 @@ def bernoulli_comparison_check(
     )
 
 
-def locally_good_check(
-    grid: ValueGrid,
-    c: float | None = None,
-    zero_tol: float | None = None,
-) -> RegionCheck:
+def locally_good_check(grid: ValueGrid) -> RegionCheck:
     """Nodes where Psi^2 clearly exceeds c must lie in the continuation region.
 
     The margin is the dispersion-squared variation over one spatial cell, so
     only nodes robustly above the cost rate are required to continue.
     """
-    ztol = grid.config.zero_tol if zero_tol is None else float(zero_tol)
-    cc = grid.c if c is None else float(c)
+    ztol = grid.config.zero_tol
+    c = grid.c
     psi2 = grid.psi_values**2
     margin = np.zeros_like(psi2)
     margin[:, 1:] = np.abs(psi2[:, 1:] - psi2[:, :-1])
     margin[:, :-1] = np.maximum(margin[:, :-1], np.abs(psi2[:, 1:] - psi2[:, :-1]))
     # absolute floor keeps exact-equality cases (Psi^2 == c to roundoff) out
-    must_continue = psi2 > cc + margin + 1e-12 * (1.0 + cc)
+    must_continue = psi2 > c + margin + 1e-12 * (1.0 + c)
     bad = int(np.sum(must_continue & (grid.values >= -ztol)))
     return RegionCheck(
         passed=(bad == 0),

@@ -38,6 +38,21 @@ def test_format_row_matches_per_float_join():
     assert format_row(row) == ",".join(format_float(v) for v in row)
 
 
+def test_path_batch_csv_rows_match_format_row(tmp_path):
+    t = np.array([0.0, 5e-324, 1e16])
+    y = np.array([[-0.0, np.inf, np.nan], [0.1, -np.inf, 4.854101966249684]])
+    batch = montecarlo.PathBatch(t=t, x_true=np.array([-1.0, 1e16]), y=y, x_hat=-y, psi=y * y)
+    batch.to_csv(tmp_path / "paths.csv")
+    lines = (tmp_path / "paths.csv").read_text().splitlines()
+    assert lines[0] == "path,t,y,x_hat,psi,x_true"
+    expect = [
+        f"{p}," + format_row((t[k], y[p, k], -y[p, k], y[p, k] ** 2, batch.x_true[p]))
+        for p in range(2)
+        for k in range(3)
+    ]
+    assert lines[1:] == expect
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -243,6 +258,19 @@ def test_malformed_perturbations_exit_2(bern_config, capsys, value):
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert "'perturbations'" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("policy", "stop_at"), ("sim", 5), ("solver", [1]), ("cost_c", True)]
+)
+def test_malformed_config_block_exits_2(bern_config, capsys, key, value):
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero")])

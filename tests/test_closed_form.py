@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import driftstop
 from driftstop import (
     bernoulli_analytics,
     bernoulli_psi,
@@ -121,6 +126,39 @@ def test_bernoulli_value_function_shape():
     assert abs(du_a) <= 1e-4
     assert abs(du_0) <= 1e-4
     assert sol.u(0.0) == pytest.approx(-0.48100363769374027, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+def test_bernoulli_closed_forms_match_quadrature(beta):
+    def integrand(xi, c):
+        return (c - bernoulli_psi(beta, xi) ** 2) / bernoulli_psi(beta, xi) ** 2
+
+    tight = dict(epsabs=1e-13, epsrel=1e-13, limit=500)
+    for c in beta**4 * np.array([0.01, 0.25, 0.7]):
+        sol = bernoulli_solve(beta, c)
+        a = sol.boundary_a
+        for x in beta * np.array([0.0, 0.1, 0.4, 0.7, 0.9, 0.99]):
+            q_ref, _ = quad(integrand, 0.0, x, args=(c,), **tight)
+            assert abs(sol.Q(x) - q_ref) <= 1e-12 * abs(q_ref)
+        for x in np.linspace(0.0, a, 7)[:-1]:
+            u_ref, _ = quad(
+                lambda y: quad(integrand, y, a, args=(c,), **tight)[0],
+                x,
+                a,
+                epsabs=1e-12,
+                epsrel=1e-12,
+                limit=500,
+            )
+            assert abs(sol.u(x) + 2.0 * u_ref) <= 1e-9
+            assert sol.u(-x) == sol.u(x)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = Path(driftstop.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, driftstop.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bernoulli_analytics_match_quadrature(bernoulli_table):

@@ -198,7 +198,6 @@ def test_shift_preserves_infinite_slices():
         intervals=[[], [(-math.inf, 0.5)], [(-math.inf, math.inf)]],
         shape="one_sided_lower",
         b=np.array([-math.inf, 0.5, math.inf]),
-        zero_tol=0.0,
     )
     sh = curve.shifted(0.1)
     assert not sh.contains(0.0, np.array([0.0]))[0]
