@@ -7,21 +7,13 @@ the closed-form cases, and verify the probabilistic identities by simulation.
 """
 
 from .prior import (
-    IntegrabilityResult,
     PriorError,
     PriorSpec,
     QuadratureTable,
     WidderValue,
     build_quadrature,
-    check_integrability,
     heat_residual_F,
-    posterior_expectation,
-    posterior_mean_G,
     posterior_mean_var,
-    posterior_measure,
-    posterior_var_H,
-    posterior_weights,
-    prior_moments,
     widder_F,
 )
 from .dispersion import (

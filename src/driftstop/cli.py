@@ -43,7 +43,10 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 # the keys a config's "solver" block may hold; any other key is refused
-SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi", "obstacle_tol")
+SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi")
+
+# the counts a config may set, by block (None is the root); each must be a JSON integer
+COUNT_KEYS = {None: ("quadrature_n",), "solver": ("n_t", "n_x"), "sim": ("n_paths", "seed", "export_paths")}
 
 
 class ConfigError(ValueError):
@@ -70,13 +73,19 @@ def _load_config(path: str) -> dict:
     for key in ("solver", "sim", "policy"):
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
+    for block, keys in COUNT_KEYS.items():
+        held = doc if block is None else doc.get(block, {})
+        for key in keys:
+            if key in held and (isinstance(held[key], bool) or not isinstance(held[key], int)):
+                name = key if block is None else f"{block}.{key}"
+                raise ConfigError(f"config key {name!r} must be an integer, got {held[key]!r}")
     return doc
 
 
 def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     """Fill defaults, build the table, and return the working objects."""
     prior = PriorSpec.from_dict(doc["prior"])
-    n_quad = int(doc.get("quadrature_n", 128))
+    n_quad = doc.get("quadrature_n", 128)
     table = build_quadrature(prior, n=n_quad)
     c = float(doc["cost_c"])
 
@@ -96,8 +105,8 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     x_lo_d, x_hi_d = default_domain(table)
     x_lo = float(solver_doc.get("x_lo", x_lo_d))
     x_hi = float(solver_doc.get("x_hi", x_hi_d))
-    n_t = int(solver_doc.get("n_t", 400))
-    n_x = int(solver_doc.get("n_x", 401))
+    n_t = solver_doc.get("n_t", 400)
+    n_x = solver_doc.get("n_x", 401)
 
     capped = False
     if "T_max" in solver_doc:
@@ -115,23 +124,17 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         if capped:
             t_max = 8.0
 
-    config = SolverConfig(
-        n_t=n_t,
-        n_x=n_x,
-        T_max=t_max,
-        x_lo=x_lo,
-        x_hi=x_hi,
-        obstacle_tol=float(solver_doc.get("obstacle_tol", 1e-10)),
-    )
+    config = SolverConfig(n_t=n_t, n_x=n_x, T_max=t_max, x_lo=x_lo, x_hi=x_hi)
 
     sim_doc = dict(doc.get("sim", {}))
-    seed = seed_override if seed_override is not None else int(sim_doc.get("seed", 20260808))
+    seed = seed_override if seed_override is not None else sim_doc.get("seed", 20260808)
     sim = SimConfig(
-        n_paths=int(sim_doc.get("n_paths", 20_000)),
+        n_paths=sim_doc.get("n_paths", 20_000),
         dt=float(sim_doc.get("dt", 0.01)),
         horizon=float(sim_doc.get("horizon", max(2.0 * config.T_max, 1.0))),
         seed=seed,
     )
+    export_paths = sim_doc.get("export_paths", min(sim.n_paths, 200))
 
     out = Path(out_dir if out_dir is not None else doc.get("output_dir", "driftstop_out"))
     resolved = {
@@ -139,7 +142,13 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         "cost_c": c,
         "quadrature_n": n_quad,
         "solver": config.to_dict(),
-        "sim": {"n_paths": sim.n_paths, "dt": sim.dt, "horizon": sim.horizon, "seed": sim.seed},
+        "sim": {
+            "n_paths": sim.n_paths,
+            "dt": sim.dt,
+            "horizon": sim.horizon,
+            "seed": sim.seed,
+            "export_paths": export_paths,
+        },
         "policy": doc.get("policy", {"kind": "solver_boundary"}),
         "perturbations": perturbations,
         "horizon_scan_capped": capped,
@@ -384,7 +393,7 @@ def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     prior, table, c, config, sim, out, resolved = _resolve(doc, args.out, args.seed)
     _prepare_out(out, resolved)
-    cap_paths = int(doc.get("sim", {}).get("export_paths", min(sim.n_paths, 200)))
+    cap_paths = resolved["sim"]["export_paths"]
     sim_small = SimConfig(n_paths=cap_paths, dt=sim.dt, horizon=sim.horizon, seed=sim.seed)
     batch = simulate_paths(table, sim_small)
     batch.to_csv(out / "paths.csv")

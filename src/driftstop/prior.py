@@ -7,19 +7,21 @@ module is an integral against that exponentially tilted measure, computed on a
 discrete quadrature table with max-shifted (log-sum-exp) exponents so that no
 intermediate overflows.
 
-Functions named after the classical filtering objects:
+The classical filtering objects:
 
-* ``widder_F``        -- the normalizing integral F(t,y) (Widder transform of mu),
-                         a positive solution of the backward heat equation.
-* ``posterior_mean_G`` -- conditional mean G(t,y) of X given Y(t)=y.
-* ``posterior_var_H``  -- conditional variance H(t,y), the spatial gradient of G.
+* ``posterior_mean_var`` -- conditional mean G(t,y) of X given Y(t)=y and
+                            conditional variance H(t,y), the spatial gradient
+                            of G, over an array of y in one call.
+* ``widder_F``           -- the normalizing integral F(t,y) (Widder transform
+                            of mu), a positive solution of the backward heat
+                            equation; ``heat_residual_F`` checks that equation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -31,17 +33,9 @@ __all__ = [
     "PriorSpec",
     "QuadratureTable",
     "WidderValue",
-    "IntegrabilityResult",
     "build_quadrature",
     "widder_F",
-    "posterior_mean_G",
-    "posterior_var_H",
     "posterior_mean_var",
-    "posterior_weights",
-    "posterior_expectation",
-    "posterior_measure",
-    "check_integrability",
-    "prior_moments",
     "heat_residual_F",
 ]
 
@@ -298,11 +292,6 @@ class WidderValue(NamedTuple):
     log_value: float
 
 
-class IntegrabilityResult(NamedTuple):
-    passed: bool
-    detail: str
-
-
 @dataclass(frozen=True)
 class QuadratureTable:
     """Discrete nodes/weights representing the prior (or a posterior).
@@ -315,7 +304,7 @@ class QuadratureTable:
     nodes: np.ndarray
     weights: np.ndarray
     support_bounds: tuple[float, float]
-    log_weights: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -333,9 +322,8 @@ class QuadratureTable:
         total = weights.sum()
         if abs(total - 1.0) > 1e-12:
             raise PriorError(f"quadrature weights must sum to 1 within 1e-12, got {total!r}")
-        if self.log_weights is None:
-            with np.errstate(divide="ignore"):
-                object.__setattr__(self, "log_weights", np.log(weights))
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "log_weights", np.log(weights))
         nodes.setflags(write=False)
         weights.setflags(write=False)
         self.log_weights.setflags(write=False)
@@ -478,12 +466,6 @@ def _weight_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> np.ndarra
     return w
 
 
-def posterior_weights(table: QuadratureTable, t: float, y: float) -> np.ndarray:
-    """Normalized posterior node weights at observation level (t, y)."""
-    t = _check_time(t)
-    return _weight_matrix(table, t, np.array([float(y)]))[:, 0]
-
-
 def posterior_mean_var(table: QuadratureTable, t: float, y) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized posterior mean and variance over an array of y values."""
     t = _check_time(t)
@@ -496,45 +478,6 @@ def posterior_mean_var(table: QuadratureTable, t: float, y) -> tuple[np.ndarray,
     d = u[:, None] - g
     d *= d
     return g, np.einsum("ij,ij->j", w, d)
-
-
-def posterior_mean_G(table: QuadratureTable, t: float, y: float) -> float:
-    """Conditional mean of the drift given the observation level Y(t) = y."""
-    t = _check_time(t)
-    w = _weight_matrix(table, t, np.array([float(y)]))
-    return float((w * table.nodes[:, None]).sum(axis=0)[0])
-
-
-def posterior_var_H(table: QuadratureTable, t: float, y: float) -> float:
-    """Conditional variance of the drift; computed in centered form."""
-    _, h = posterior_mean_var(table, t, y)
-    return float(h[0])
-
-
-def posterior_expectation(table: QuadratureTable, q: Callable[[float], float], t: float, y: float) -> float:
-    """Posterior expectation of q(X) given the observation level (t, y).
-
-    With q(u) = u this reproduces ``posterior_mean_G`` exactly, weight for
-    weight.  Rejects q that is non-finite on any node carrying posterior mass.
-    """
-    t = _check_time(t)
-    w = _weight_matrix(table, t, np.array([float(y)]))[:, 0]
-    vals = np.array([float(q(u)) for u in table.nodes])
-    bad = ~np.isfinite(vals) & (w > 0.0)
-    if np.any(bad):
-        idx = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"q is non-finite at node u={table.nodes[idx]!r} with posterior weight {w[idx]!r}"
-        )
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    return float((w * vals).sum())
-
-
-def posterior_measure(table: QuadratureTable, t: float, y: float) -> QuadratureTable:
-    """The posterior as a new table: same nodes, exponentially tilted weights."""
-    t = _check_time(t)
-    w = _weight_matrix(table, t, np.array([float(y)]))[:, 0]
-    return QuadratureTable(table.nodes.copy(), w / w.sum(), table.support_bounds)
 
 
 def widder_F(table: QuadratureTable, t: float, y: float) -> WidderValue:
@@ -551,41 +494,6 @@ def widder_F(table: QuadratureTable, t: float, y: float) -> WidderValue:
     with np.errstate(over="ignore"):
         value = float(math.exp(log_value)) if log_value < 709.0 else math.inf
     return WidderValue(value=value, log_value=log_value)
-
-
-def prior_moments(table: QuadratureTable) -> tuple[float, float]:
-    """Exact weighted mean and centered variance of the table."""
-    return table.mean(), table.variance()
-
-
-def check_integrability(prior: PriorSpec, a: float) -> IntegrabilityResult:
-    """Decide whether integral of exp(a*u^2) d(mu) is finite.
-
-    Analytic for parametric families (Gaussian-type tails converge iff
-    a < 1/(2 sigma^2); finite atom sets always pass).  For tabulated priors the
-    discretized integral is compared across two refinement levels and must be
-    stable to 1% relative change.
-    """
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError(f"integrability exponent a must be > 0, got {a!r}")
-    if prior.kind == "discrete_atoms":
-        return IntegrabilityResult(True, "finite atom set: integral is a finite sum")
-    if prior.kind in ("gaussian", "symmetric_gaussian_mixture", "half_normal"):
-        sigma2 = prior.sigma2 if prior.sigma2 is not None else prior.sigma**2
-        bound = 1.0 / (2.0 * sigma2)
-        ok = a < bound
-        return IntegrabilityResult(
-            ok, f"gaussian-type tail with variance {sigma2}: requires a < {bound!r}, got a = {a!r}"
-        )
-    g, f = _refine_to_cells(
-        np.asarray(prior.grid, dtype=float), np.asarray(prior.density_values, dtype=float), 128
-    )
-    val = np.trapezoid(f * np.exp(a * g**2), g) / np.trapezoid(f, g)
-    g2, f2 = _refine_tabulated(g, f)
-    val2 = np.trapezoid(f2 * np.exp(a * g2**2), g2) / np.trapezoid(f2, g2)
-    ok = bool(math.isfinite(val) and math.isfinite(val2) and abs(val2 - val) <= 0.01 * abs(val))
-    return IntegrabilityResult(ok, f"discretized integral {val!r} vs refined {val2!r}")
 
 
 def heat_residual_F(table: QuadratureTable, t: float, y: float, h: float) -> float:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -65,14 +65,17 @@ class SolverConfig:
     interval; ``T_max`` is the horizon, where the solve starts from the
     stationary value.  The truncation reflects, which is exact whenever the
     dispersion is flat in x near it or it lies in the stopping region.
+    ``obstacle_tol`` is fixed: it scales the tolerances that classify stop and
+    continue cells and check monotonicity, not the LCP solve.
     """
+
+    obstacle_tol: ClassVar[float] = 1e-10
 
     n_t: int
     n_x: int
     T_max: float
     x_lo: float
     x_hi: float
-    obstacle_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_t < 8 or self.n_x < 8:
@@ -81,8 +84,6 @@ class SolverConfig:
             raise ValueError("T_max must be positive")
         if not (self.x_lo < self.x_hi):
             raise ValueError("x_lo must be below x_hi")
-        if self.obstacle_tol <= 0.0:
-            raise ValueError("obstacle_tol must be positive")
 
     @property
     def dt(self) -> float:
@@ -106,7 +107,6 @@ class SolverConfig:
             "T_max": self.T_max,
             "x_lo": self.x_lo,
             "x_hi": self.x_hi,
-            "obstacle_tol": self.obstacle_tol,
         }
 
     def digest(self) -> str:

@@ -273,7 +273,24 @@ def test_malformed_config_block_exits_2(bern_config, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero")])
+@pytest.mark.parametrize("value", [16.9, True, "8"])
+@pytest.mark.parametrize(
+    "key", ["quadrature_n", "solver.n_t", "solver.n_x", "sim.n_paths", "sim.seed", "sim.export_paths"]
+)
+def test_non_integer_count_exits_2(bern_config, capsys, key, value):
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    block, _, name = key.rpartition(".")
+    (cfg[block] if block else cfg)[name] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero"), ("obstacle_tol", 1e-10)]
+)
 def test_unknown_solver_key_exits_2(bern_config, capsys, key, value):
     cfg_path, _, cfg = bern_config
     cfg["solver"][key] = value
@@ -337,3 +354,15 @@ def test_simulate_writes_paths(bern_config):
     assert len(lines) > 10
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary["prior_variance"] == pytest.approx(1.0)
+
+
+def test_simulate_reruns_from_its_resolved_config(bern_config, tmp_path):
+    cfg_path, out, cfg = bern_config
+    cfg["sim"].update(n_paths=10, export_paths=3)
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    resolved = out / "resolved_config.json"
+    assert json.loads(resolved.read_text())["sim"]["export_paths"] == 3
+    rerun = tmp_path / "rerun"
+    assert main(["simulate", "--config", str(resolved), "--out", str(rerun)]) == 0
+    assert (rerun / "paths.csv").read_bytes() == (out / "paths.csv").read_bytes()

@@ -8,17 +8,11 @@ from driftstop import (
     PriorSpec,
     QuadratureTable,
     build_quadrature,
-    check_integrability,
     heat_residual_F,
-    posterior_expectation,
-    posterior_mean_G,
     posterior_mean_var,
-    posterior_measure,
-    posterior_var_H,
-    posterior_weights,
-    prior_moments,
     widder_F,
 )
+from driftstop.prior import _weight_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +40,8 @@ def test_half_normal_mean_matches_analytic():
 
 def test_mixture_moments():
     table = build_quadrature(PriorSpec.symmetric_gaussian_mixture(1.0, 1.0), n=128)
-    mean, var = prior_moments(table)
-    assert abs(mean) <= 1e-12
-    assert abs(var - 2.0) <= 1e-8
+    assert abs(table.mean()) <= 1e-12
+    assert abs(table.variance() - 2.0) <= 1e-8
 
 
 def test_tabulated_density_becomes_midpoint_atoms():
@@ -100,6 +93,15 @@ def test_table_invariants_enforced():
         QuadratureTable(np.array([1.0, 0.0]), np.array([0.5, 0.5]), (0.0, 1.0))
 
 
+def test_table_log_weights_are_derived_not_passed():
+    # the kernel reads log_weights and mean()/variance() read weights, so the
+    # two must not be able to disagree
+    with pytest.raises(TypeError):
+        QuadratureTable(np.array([0.0, 1.0]), np.array([0.5, 0.5]), (0.0, 1.0), log_weights=np.zeros(2))
+    table = QuadratureTable(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.0, 0.75]), (0.0, 2.0))
+    assert np.array_equal(table.log_weights, [math.log(0.25), -math.inf, math.log(0.75)])
+
+
 # ---------------------------------------------------------------------------
 # widder transform
 # ---------------------------------------------------------------------------
@@ -133,27 +135,31 @@ def test_widder_log_domain_stability(bernoulli_table):
 
 
 # ---------------------------------------------------------------------------
-# posterior mean / variance / expectations
+# posterior mean and variance
 # ---------------------------------------------------------------------------
 
 
 def test_posterior_mean_symmetry(bernoulli_table):
     for t in [0.0, 0.5, 3.0]:
-        assert posterior_mean_G(bernoulli_table, t, 0.0) == pytest.approx(0.0, abs=1e-15)
+        g, _ = posterior_mean_var(bernoulli_table, t, 0.0)
+        assert g[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_posterior_mean_gaussian_closed_form(gaussian_table):
-    assert posterior_mean_G(gaussian_table, 1.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+    g, _ = posterior_mean_var(gaussian_table, 1.0, 2.0)
+    assert g[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_posterior_mean_bernoulli_tanh(bernoulli_table):
     for t in [0.0, 1.7, 12.0]:
-        assert posterior_mean_G(bernoulli_table, t, 0.5) == pytest.approx(math.tanh(0.5), abs=1e-12)
+        g, _ = posterior_mean_var(bernoulli_table, t, 0.5)
+        assert g[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
 
 
 def test_posterior_mean_starts_at_prior_mean(all_tables):
     for table in all_tables.values():
-        assert abs(posterior_mean_G(table, 0.0, 0.0) - table.mean()) <= 1e-12
+        g, _ = posterior_mean_var(table, 0.0, 0.0)
+        assert abs(g[0] - table.mean()) <= 1e-12
 
 
 def test_posterior_mean_range_property(all_tables):
@@ -162,46 +168,38 @@ def test_posterior_mean_range_property(all_tables):
     for table in all_tables.values():
         lo, hi = table.nodes[0], table.nodes[-1]
         for t in [0.0, 0.7, 4.0]:
-            for y in np.linspace(-8, 8, 15):
-                g = posterior_mean_G(table, t, y)
-                assert lo < g < hi
+            g, _ = posterior_mean_var(table, t, np.linspace(-8, 8, 15))
+            assert np.all((lo < g) & (g < hi))
 
 
 def test_posterior_var_examples(bernoulli_table, gaussian_table, halfnormal_table):
-    assert posterior_var_H(bernoulli_table, 2.3, 0.0) == pytest.approx(1.0, abs=1e-12)
+    _, h = posterior_mean_var(bernoulli_table, 2.3, 0.0)
+    assert h[0] == pytest.approx(1.0, abs=1e-12)
     # y-independence of the Gaussian posterior variance, within node coverage
-    for y in [-5.0, 0.0, 5.0]:
-        assert posterior_var_H(gaussian_table, 3.0, y) == pytest.approx(0.25, abs=1e-8)
-    assert posterior_var_H(halfnormal_table, 0.0, 0.0) == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-10)
+    _, h = posterior_mean_var(gaussian_table, 3.0, [-5.0, 0.0, 5.0])
+    assert h == pytest.approx([0.25, 0.25, 0.25], abs=1e-8)
+    _, h = posterior_mean_var(halfnormal_table, 0.0, 0.0)
+    assert h[0] == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-10)
 
 
 def test_posterior_var_positive(all_tables):
     for table in all_tables.values():
         for t in [0.0, 1.0, 5.0]:
-            for y in np.linspace(-8, 8, 9):
-                assert posterior_var_H(table, t, y) > 0.0
+            _, h = posterior_mean_var(table, t, np.linspace(-8, 8, 9))
+            assert np.all(h > 0.0)
 
 
 def test_posterior_expectation_normalization(all_tables):
+    # E[1 | t, y] = 1: the posterior weights of one observation level sum to one
     for table in all_tables.values():
-        assert posterior_expectation(table, lambda u: 1.0, 1.3, 0.4) == pytest.approx(1.0, abs=1e-14)
+        w = _weight_matrix(table, 1.3, np.array([0.4]))
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_posterior_expectation_second_moment(gaussian_table):
     # E[X^2 | .] = H + G^2 = 0.5 at (t, y) = (1, 0)
-    val = posterior_expectation(gaussian_table, lambda u: u * u, 1.0, 0.0)
-    assert val == pytest.approx(0.5, abs=1e-8)
-
-
-def test_posterior_expectation_identity_matches_mean_exactly(all_tables):
-    for table in all_tables.values():
-        for t, y in [(0.0, 0.0), (1.2, -0.7), (4.0, 2.0)]:
-            assert posterior_expectation(table, lambda u: u, t, y) == posterior_mean_G(table, t, y)
-
-
-def test_posterior_expectation_rejects_nonfinite_q(bernoulli_table):
-    with pytest.raises(ValueError, match="non-finite"):
-        posterior_expectation(bernoulli_table, lambda u: math.inf if u > 0 else u, 0.5, 0.0)
+    g, h = posterior_mean_var(gaussian_table, 1.0, 0.0)
+    assert h[0] + g[0] ** 2 == pytest.approx(0.5, abs=1e-8)
 
 
 def test_posterior_rejects_nonfinite_observation_level(bernoulli_table):
@@ -241,81 +239,54 @@ def test_posterior_var_matches_extended_precision(prior):
 
 
 # ---------------------------------------------------------------------------
-# posterior measure
+# posterior weights: the exponential tilt behind the kernel
 # ---------------------------------------------------------------------------
 
 
 def test_posterior_measure_identity_at_origin(gaussian_table):
-    post = posterior_measure(gaussian_table, 0.0, 0.0)
-    assert np.allclose(post.weights, gaussian_table.weights, atol=1e-15)
+    w = _weight_matrix(gaussian_table, 0.0, np.array([0.0]))
+    assert np.allclose(w[:, 0], gaussian_table.weights, atol=1e-15)
 
 
 def test_posterior_measure_balances_biased_coin():
     table = build_quadrature(PriorSpec.bernoulli(1.0, 0.3))
     y = 0.5 * math.log(7.0 / 3.0)
-    post = posterior_measure(table, 0.0, y)
-    assert np.allclose(post.weights, [0.5, 0.5], atol=1e-12)
+    w = _weight_matrix(table, 0.0, np.array([y]))
+    assert np.allclose(w[:, 0], [0.5, 0.5], atol=1e-12)
 
 
 def test_posterior_measure_composes_additively(mixture_table):
-    one_step = posterior_measure(mixture_table, 1.5, 0.9)
-    two_step = posterior_measure(posterior_measure(mixture_table, 1.0, 0.5), 0.5, 0.4)
-    assert np.allclose(one_step.weights, two_step.weights, atol=1e-12)
+    # observing (1.0, 0.5) and then a further (0.5, 0.4) is observing (1.5, 0.9)
+    one_step = _weight_matrix(mixture_table, 1.5, np.array([0.9]))
+    first = _weight_matrix(mixture_table, 1.0, np.array([0.5]))
+    posterior = QuadratureTable(mixture_table.nodes, first[:, 0], mixture_table.support_bounds)
+    two_step = _weight_matrix(posterior, 0.5, np.array([0.4]))
+    assert np.allclose(one_step, two_step, atol=1e-12)
 
 
 def test_posterior_weights_normalized_on_lattice(all_tables):
     for table in all_tables.values():
         for t in [0.0, 0.5, 2.0, 10.0]:
-            for y in np.linspace(-5, 5, 7):
-                w = posterior_weights(table, t, y)
-                assert abs(w.sum() - 1.0) <= 1e-12
+            w = _weight_matrix(table, t, np.linspace(-5, 5, 7))
+            assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# integrability and moments
+# table moments
 # ---------------------------------------------------------------------------
-
-
-def test_integrability_discrete_always_passes():
-    res = check_integrability(PriorSpec.bernoulli(3.0), 100.0)
-    assert res.passed
-
-
-def test_integrability_gaussian_threshold():
-    prior = PriorSpec.gaussian(0.0, 1.0)
-    assert check_integrability(prior, 0.25).passed
-    assert not check_integrability(prior, 0.75).passed
-
-
-def test_integrability_half_normal_uses_underlying_variance():
-    assert not check_integrability(PriorSpec.half_normal(2.0), 0.3).passed
-    assert check_integrability(PriorSpec.half_normal(2.0), 0.2).passed
-
-
-def test_integrability_tabulated_refinement_stability():
-    grid = np.linspace(-2.0, 2.0, 201)
-    dens = np.exp(-grid**2)
-    assert check_integrability(PriorSpec.tabulated_density(grid, dens), 0.1).passed
-
-
-def test_integrability_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        check_integrability(PriorSpec.gaussian(0.0, 1.0), 0.0)
 
 
 def test_prior_moments_bernoulli():
     for beta, p in [(1.0, 0.5), (2.0, 0.3)]:
         table = build_quadrature(PriorSpec.bernoulli(beta, p))
-        mean, var = prior_moments(table)
-        assert mean == pytest.approx(beta * (2 * p - 1), abs=1e-14)
-        assert var == pytest.approx(beta**2 * 4 * p * (1 - p), abs=1e-14)
+        assert table.mean() == pytest.approx(beta * (2 * p - 1), abs=1e-14)
+        assert table.variance() == pytest.approx(beta**2 * 4 * p * (1 - p), abs=1e-14)
 
 
 def test_prior_moments_gaussian_shifted():
     table = build_quadrature(PriorSpec.gaussian(2.0, 3.0), n=64)
-    mean, var = prior_moments(table)
-    assert mean == pytest.approx(2.0, abs=1e-8)
-    assert var == pytest.approx(3.0, abs=1e-8)
+    assert table.mean() == pytest.approx(2.0, abs=1e-8)
+    assert table.variance() == pytest.approx(3.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

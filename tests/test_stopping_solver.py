@@ -317,10 +317,11 @@ def test_odd_node_count_table_inverts(gaussian_table):
     # odd Gauss-Hermite rules place a node exactly at the mean; the inversion
     # bracketing must survive the zero node at large bracket magnitudes
     table = build_quadrature(PriorSpec.gaussian(0.0, 1.0), n=65)
-    from driftstop import invert_G, posterior_mean_G
+    from driftstop import invert_G, posterior_mean_var
 
     y = invert_G(table, 0.5, 3.0, tol=1e-11)
-    assert abs(posterior_mean_G(table, 0.5, y) - 3.0) <= 1e-11
+    g, _ = posterior_mean_var(table, 0.5, y)
+    assert abs(g[0] - 3.0) <= 1e-11
 
 
 def test_bernoulli_comparison_rejects_straddling(gaussian_table):
