@@ -48,6 +48,9 @@ SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi")
 # the counts a config may set, by block (None is the root); each must be a JSON integer
 COUNT_KEYS = {None: ("quadrature_n",), "solver": ("n_t", "n_x"), "sim": ("n_paths", "seed", "export_paths")}
 
+# the real-valued keys a config may set, by block; each must be a finite JSON number
+NUMBER_KEYS = {"solver": ("T_max", "x_lo", "x_hi"), "sim": ("dt", "horizon")}
+
 
 class ConfigError(ValueError):
     pass
@@ -73,13 +76,19 @@ def _load_config(path: str) -> dict:
     for key in ("solver", "sim", "policy"):
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
-    for block, keys in COUNT_KEYS.items():
+    _check_types(doc, COUNT_KEYS, lambda v: isinstance(v, int), "an integer")
+    _check_types(doc, NUMBER_KEYS, lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")
+    return doc
+
+
+def _check_types(doc: dict, keys_by_block: dict, accepts, what: str) -> None:
+    """Refuse a boolean, or a value ``accepts`` rejects, under any of the listed keys."""
+    for block, keys in keys_by_block.items():
         held = doc if block is None else doc.get(block, {})
         for key in keys:
-            if key in held and (isinstance(held[key], bool) or not isinstance(held[key], int)):
+            if key in held and (isinstance(held[key], bool) or not accepts(held[key])):
                 name = key if block is None else f"{block}.{key}"
-                raise ConfigError(f"config key {name!r} must be an integer, got {held[key]!r}")
-    return doc
+                raise ConfigError(f"config key {name!r} must be {what}, got {held[key]!r}")
 
 
 def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
@@ -105,7 +114,7 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     x_lo_d, x_hi_d = default_domain(table)
     x_lo = float(solver_doc.get("x_lo", x_lo_d))
     x_hi = float(solver_doc.get("x_hi", x_hi_d))
-    n_t = solver_doc.get("n_t", 400)
+    n_t = solver_doc.get("n_t", 100)
     n_x = solver_doc.get("n_x", 401)
 
     capped = False
@@ -135,6 +144,8 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         seed=seed,
     )
     export_paths = sim_doc.get("export_paths", min(sim.n_paths, 200))
+    if export_paths < 1:
+        raise ConfigError(f"config key 'sim.export_paths' must be >= 1, got {export_paths!r}")
 
     out = Path(out_dir if out_dir is not None else doc.get("output_dir", "driftstop_out"))
     resolved = {

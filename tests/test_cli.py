@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftstop import montecarlo
-from driftstop.cli import _boundary_from_csv, main
+from driftstop.cli import _boundary_from_csv, _resolve, main
 from driftstop.csvio import format_float, format_row
 
 
@@ -83,6 +83,16 @@ def test_solve_writes_artifacts(bern_config):
     assert report["passed"] is True
     meta = json.loads((out / "solver_meta.json").read_text())
     assert meta["shape"] == "two_sided_symmetric"
+    # the two-point value does not depend on t, so neither march has a time error
+    assert 0.0 <= meta["meta"]["time_error_estimate"] <= 1e-10
+
+
+def test_solver_rows_default_to_100(bern_config):
+    # second-order time steps: 100 rows beat 400 first-order ones on every bench config
+    _, out, cfg = bern_config
+    del cfg["solver"]["n_t"]
+    resolved = _resolve(cfg, str(out), None)[-1]
+    assert resolved["solver"]["n_t"] == 100
 
 
 def test_boundary_csv_round_trip(bern_config):
@@ -286,6 +296,28 @@ def test_non_integer_count_exits_2(bern_config, capsys, key, value):
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [True, "-0.99", 1e400])
+@pytest.mark.parametrize("key", ["solver.T_max", "solver.x_lo", "solver.x_hi", "sim.dt", "sim.horizon"])
+def test_non_number_real_key_exits_2(bern_config, capsys, key, value):
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    block, _, name = key.rpartition(".")
+    cfg[block][name] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_paths_below_one_exits_2(bern_config, capsys):
+    cfg_path, out, cfg = bern_config
+    cfg["sim"]["export_paths"] = 0
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "'sim.export_paths'" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize(

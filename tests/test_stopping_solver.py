@@ -21,7 +21,7 @@ from driftstop import (
     solve_value,
     solver_psi_grid,
 )
-from driftstop.stopping_solver import SolverError, _policy_step
+from driftstop.stopping_solver import SolverError, _policy_step, _step_operator
 
 
 def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, x_lo=None, x_hi=None):
@@ -113,13 +113,14 @@ def test_obstacle_complementarity(bernoulli_table):
     dt = cfg.dt
     dx = grid.x_nodes[1] - grid.x_nodes[0]
     ztol = cfg.zero_tol
-    # recheck the discrete variational inequality on a few reported steps
+    # recheck the discrete variational inequality of the BDF2 step on a few
+    # reported rows
     for k in [0, 20, 50]:
-        v, v_next = grid.values[k], grid.values[k + 1]
+        v, v_next, v_after = grid.values[k], grid.values[k + 1], grid.values[k + 2]
         psi2 = grid.psi_values[k] ** 2
         mu = 0.5 * dt * psi2 / dx**2
-        rhs = v_next + dt * (0.25 - psi2)
-        av = (1.0 + 2.0 * mu) * v
+        rhs = 2.0 * v_next - 0.5 * v_after + dt * (0.25 - psi2)
+        av = (1.5 + 2.0 * mu) * v
         av[1:] += -mu[1:] * v[:-1]
         av[:-1] += -mu[:-1] * v[1:]
         # interior nodes only (boundary rows have the reflected stencil)
@@ -145,14 +146,40 @@ def test_grid_convergence_bernoulli_spatial(bernoulli_table):
 
 
 def test_grid_convergence_gaussian_temporal(gaussian_table):
-    # x-independent case isolates the first-order implicit time stepping
+    # x-independent case isolates the second-order BDF2 time stepping
     expect = gaussian_value(1.0, 0.25, 0.0)
     errs = []
     for n_t in (50, 100, 200):
         grid, _ = _solve(gaussian_table, 0.25, n_t=n_t, n_x=41, T_max=1.1)
         errs.append(abs(grid.values[0, 20] - expect))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert min(orders) >= 0.9
+    assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("n_t", [100, 101])
+def test_time_error_estimate_gaussian(gaussian_table, n_t):
+    # the every-second-row re-solve costs no kernel call and tracks the true
+    # time error of v(0, .) (7.7e-5 at n_t = 100); with n_t odd the rows both
+    # solves share stop at row 1
+    grid, _ = _solve(gaussian_table, 0.25, n_t=n_t, n_x=41, T_max=1.1)
+    err = float(np.max(np.abs(grid.values[0] - gaussian_value(1.0, 0.25, 0.0))))
+    est = grid.meta["time_error_estimate"]
+    assert 0.5 * err <= est <= 2.0 * err
+
+
+def test_bdf2_leaves_the_two_point_lattice_where_it_was(bernoulli_table):
+    # two-point Psi is constant in t, so v_inf is a fixed point of BDF2 and of
+    # implicit Euler alike: the BDF2 rows match an implicit Euler march on the
+    # same Psi grid (the rows themselves drift ~5e-12 from v_inf under either
+    # scheme, because the inverted Psi rows differ from Psi_inf by ~1e-10)
+    grid, cfg = _solve(bernoulli_table, 0.25, n_t=200, n_x=201, T_max=8.0)
+    dx = grid.x_nodes[1] - grid.x_nodes[0]
+    v = grid.values[-1]
+    for k in range(cfg.n_t - 1, -1, -1):
+        psi_k = grid.psi_values[k]
+        lower, diag, upper = _step_operator(psi_k, cfg.dt, dx)
+        v, _, _ = _policy_step(v + cfg.dt * (0.25 - psi_k**2), lower, diag, upper, v >= 0.0)
+        assert np.max(np.abs(grid.values[k] - v)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
