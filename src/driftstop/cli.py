@@ -144,8 +144,10 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         seed=seed,
     )
     export_paths = sim_doc.get("export_paths", min(sim.n_paths, 200))
-    if export_paths < 1:
-        raise ConfigError(f"config key 'sim.export_paths' must be >= 1, got {export_paths!r}")
+    if not 1 <= export_paths <= sim.n_paths:
+        raise ConfigError(
+            f"config key 'sim.export_paths' must be between 1 and sim.n_paths = {sim.n_paths}, got {export_paths!r}"
+        )
 
     out = Path(out_dir if out_dir is not None else doc.get("output_dir", "driftstop_out"))
     resolved = {
@@ -245,45 +247,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _boundary_from_csv(path: Path) -> BoundaryCurve:
-    if not path.exists():
-        raise ConfigError(f"boundary file not found: {path}; run the solve command first")
-    t_nodes: list[float] = []
-    intervals: list[list[tuple[float, float]]] = []
-    b_vals: list[float] = []
-    shape = "general"
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:4] != ["t", "shape", "b", "intervals"]:
-            raise ConfigError(f"unrecognized boundary file header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",", 3)
-            t_nodes.append(float(parts[0]))
-            shape = parts[1]
-            b_vals.append(float(parts[2]))
-            segs = []
-            if parts[3]:
-                for seg in parts[3].split(";"):
-                    lo, hi = seg.split(":")
-                    segs.append((float(lo), float(hi)))
-            intervals.append(segs)
-    return BoundaryCurve(
-        t_nodes=np.array(t_nodes),
-        intervals=intervals,
-        shape=shape,
-        b=np.array(b_vals),
-    )
-
-
 def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
     """The boundary ``solve`` wrote to ``out``, refused unless it solves this config's problem."""
-    policy = _boundary_from_csv(out / "boundary.csv")
+    path = out / "boundary.csv"
+    if not path.exists():
+        raise ConfigError(f"boundary file not found: {path}; run the solve command first")
+    policy = BoundaryCurve.from_csv(path)
     meta_path = out / "solver_meta.json"
     have = json.loads(meta_path.read_text()).get("problem_hash") if meta_path.exists() else None
     want = _problem_hash(resolved)
     if have != want:
         raise ConfigError(
-            f"{out / 'boundary.csv'} was solved for problem_hash "
+            f"{path} was solved for problem_hash "
             f"{have or f'unknown (no problem_hash in {meta_path})'}, not for this config's {want}; "
             "run the solve command with this config first"
         )
@@ -334,16 +309,7 @@ def cmd_verify(args) -> int:
         "variance_identity": identity.to_dict(),
         "optimality_gap": None
         if gap_results is None
-        else [
-            {
-                "shift": r.shift,
-                "cost": r.cost,
-                "cost_se": r.cost_se,
-                "gap": r.gap,
-                "gap_se": r.gap_se,
-            }
-            for r in gap_results
-        ],
+        else [r._asdict() for r in gap_results],
         "passed": bool(identity.passed and gaps_ok),
     }
     _write_json(out / "verify.json", report)

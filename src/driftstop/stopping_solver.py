@@ -270,55 +270,44 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     only if the trapezoid integral of (c - Psi_inf^2) / Psi_inf^2 over the
     truncation is >= 0; otherwise the truncation misses the stopping region and
     ``SolverError`` is raised.  If c already dominates Psi^2 everywhere on the
-    first slice, immediate stopping is optimal and the solve short-circuits
-    to v = 0.
+    first slice, every row stops everywhere on its first LCP pass and v = 0.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
     t_solve = config.solve_times()
     x = config.x_nodes()
     dx = float(x[1] - x[0])
-    dt = config.dt
-    flags: list[str] = []
 
     psi_mat = _align_psi(grid, t_solve, x)
-
-    values = np.zeros((t_solve.size, x.size))
-    iterations = np.zeros(t_solve.size, dtype=int)
-    time_error = 0.0
-
-    if float(np.max(psi_mat[0] ** 2)) <= c:
-        flags.append("short_circuit_immediate_stop")
-    else:
-        psi_inf2 = grid.stationary**2
-        rhs = c - psi_inf2
-        # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
-        # A v <= rhs needs w.rhs >= 0; a node with Psi_inf = 0 decouples (+inf)
-        trap = np.ones_like(rhs)
-        trap[[0, -1]] = 0.5
-        with np.errstate(divide="ignore"):
-            if float(np.dot(trap, c / psi_inf2 - 1.0)) < 0.0:
-                raise SolverError(
-                    f"(c - Psi_inf^2) / Psi_inf^2 integrates below 0 over [x_lo, x_hi] = "
-                    f"[{config.x_lo!r}, {config.x_hi!r}]: the truncation misses the stopping "
-                    "region; widen it"
-                )
-        lower, diag, upper = _step_operator(grid.stationary, 1.0, dx)
-        # policy iteration only grows the continuation set here: <= n + 1 passes
-        v_inf, stopped, n_stationary = _policy_step(
-            rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1
-        )
-        psi_down = psi_mat[::-1]  # row 0 at T_max
-        down, steps = _march(psi_down, v_inf, stopped, c, dt, dx)
-        values, iterations = down[::-1], steps[::-1]
-        iterations[-1] = n_stationary
-        # the same march on every second row: its gap to the fine one is 3x the
-        # fine one's O(dt^2) time error
-        coarse, _ = _march(psi_down[::2], v_inf, stopped, c, 2.0 * dt, dx)
-        time_error = float(np.max(np.abs(down[::2] - coarse))) / 3.0
+    psi_inf2 = grid.stationary**2
+    rhs = c - psi_inf2
+    # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
+    # A v <= rhs needs w.rhs >= 0; a node with Psi_inf = 0 decouples (+inf)
+    trap = np.ones_like(rhs)
+    trap[[0, -1]] = 0.5
+    with np.errstate(divide="ignore"):
+        if float(np.dot(trap, c / psi_inf2 - 1.0)) < 0.0:
+            raise SolverError(
+                f"(c - Psi_inf^2) / Psi_inf^2 integrates below 0 over [x_lo, x_hi] = "
+                f"[{config.x_lo!r}, {config.x_hi!r}]: the truncation misses the stopping "
+                "region; widen it"
+            )
+    lower, diag, upper = _step_operator(grid.stationary, 1.0, dx)
+    # policy iteration only grows the continuation set here: <= n + 1 passes
+    v_inf, stopped, n_stationary = _policy_step(
+        rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1
+    )
+    psi_down = psi_mat[::-1]  # row 0 at T_max
+    down, steps = _march(psi_down, v_inf, stopped, c, config.dt, dx)
+    values, iterations = down[::-1], steps[::-1]
+    iterations[-1] = n_stationary
+    # the same march on every second row: its gap to the fine one is 3x the
+    # fine one's O(dt^2) time error
+    coarse, _ = _march(psi_down[::2], v_inf, stopped, c, 2.0 * config.dt, dx)
+    time_error = float(np.max(np.abs(down[::2] - coarse))) / 3.0
 
     meta = {
-        "flags": flags,
+        "flags": [],  # no safeguard left to report; the key keeps solver_meta.json stable
         "config_hash": config.digest(),
         "max_step_iterations": int(iterations.max()),
         "total_step_iterations": int(iterations.sum()),
@@ -355,43 +344,68 @@ def _align_psi(grid: PsiGrid, t_solve: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# b on slices that stop nowhere and everywhere, in each shape's convention
+_B_EMPTY_FULL = {
+    "all_stop": (-math.inf, -math.inf),
+    "one_sided_lower": (-math.inf, math.inf),
+    "one_sided_upper": (math.inf, -math.inf),
+    "two_sided_symmetric": (math.inf, 0.0),
+    "general": (math.nan, math.nan),
+}
+
+_CSV_HEADER = "t,shape,b,intervals"
+
+
+def _slice_kind(segs: list[tuple[float, float]]) -> tuple[str, float]:
+    """How a slice stops, and its boundary b when it stops on one or two rays (else nan)."""
+    if not segs:
+        return "empty", math.nan
+    from_below, to_above = segs[0][0] == -math.inf, segs[-1][1] == math.inf
+    if len(segs) == 1 and from_below and to_above:
+        return "full", math.nan
+    if len(segs) == 1 and from_below:
+        return "lower", segs[0][1]
+    if len(segs) == 1 and to_above:
+        return "upper", segs[0][0]
+    if len(segs) == 2 and from_below and to_above:
+        return "two_sided", 0.5 * (segs[1][0] - segs[0][1])
+    return "other", math.nan
+
+
 @dataclass
 class BoundaryCurve:
     """Per-slice stopping intervals with a shape classification.
 
-    ``shape`` is one of ``all_stop``, ``one_sided_lower`` (stop at and below
-    b(t)), ``one_sided_upper`` (stop at and above b(t)), ``two_sided_symmetric``
-    (continue inside (-b(t), b(t))), or ``general``.  ``b`` uses +/-inf for
-    slices where the stopping set is empty or everything in the convention of
-    the detected shape.
+    A stopping interval that reaches past the solved window has an infinite
+    end.  ``shape`` is one of ``all_stop``, ``one_sided_lower`` (stop at and
+    below b(t)), ``one_sided_upper`` (stop at and above b(t)),
+    ``two_sided_symmetric`` (continue inside (-b(t), b(t))), or ``general``.
     """
 
     t_nodes: np.ndarray
     intervals: list[list[tuple[float, float]]]
     shape: str
-    b: np.ndarray
 
     @classmethod
     def symmetric_threshold(cls, a: float) -> "BoundaryCurve":
         """Constant-in-time rule: stop as soon as |x| >= a."""
         a = float(a)
-        return cls(
-            t_nodes=np.array([0.0]),
-            intervals=[[(-math.inf, -a), (a, math.inf)]],
-            shape="two_sided_symmetric",
-            b=np.array([a]),
-        )
+        return cls(np.array([0.0]), [[(-math.inf, -a), (a, math.inf)]], "two_sided_symmetric")
 
     @classmethod
     def stop_below(cls, b: float) -> "BoundaryCurve":
         """Constant-in-time rule: stop as soon as x <= b."""
-        b = float(b)
-        return cls(
-            t_nodes=np.array([0.0]),
-            intervals=[[(-math.inf, b)]],
-            shape="one_sided_lower",
-            b=np.array([b]),
-        )
+        return cls(np.array([0.0]), [[(-math.inf, float(b))]], "one_sided_lower")
+
+    @property
+    def b(self) -> np.ndarray:
+        """The boundary per slice, read off the intervals in the convention of ``shape``.
+
+        A slice that stops nowhere or everywhere takes the shape's value for
+        that case; a slice that stops other than on one or two rays is nan.
+        """
+        b_of = dict(zip(("empty", "full"), _B_EMPTY_FULL[self.shape]))
+        return np.array([b_of.get(kind, b) for kind, b in map(_slice_kind, self.intervals)])
 
     def slice_index(self, t: float) -> int:
         i = int(np.searchsorted(self.t_nodes, t + 1e-15, side="right") - 1)
@@ -407,156 +421,97 @@ class BoundaryCurve:
         return out
 
     def shifted(self, delta: float) -> "BoundaryCurve":
-        """Move the stopping boundary outward (delta > 0 enlarges continuation).
+        """Move every finite end outward by ``delta`` (delta > 0 enlarges continuation).
 
-        Supported for the threshold-style shapes used by policy perturbation.
+        Infinite ends stay, and an interval that shrinks past empty is dropped.
         """
-        if self.shape == "two_sided_symmetric":
-            new_b = np.maximum(self.b + delta, 0.0)
-            ivals = [
-                [(-math.inf, -bb), (bb, math.inf)] if math.isfinite(bb) else []
-                for bb in new_b
-            ]
-            return BoundaryCurve(
-                t_nodes=self.t_nodes.copy(),
-                intervals=ivals,
-                shape=self.shape,
-                b=new_b,
-            )
-        if self.shape == "one_sided_lower":
-            new_b = self.b - delta
-            ivals: list[list[tuple[float, float]]] = []
-            for bb in new_b:
-                if bb == math.inf:  # whole slice stops regardless of the shift
-                    ivals.append([(-math.inf, math.inf)])
-                elif bb == -math.inf:
-                    ivals.append([])
-                else:
-                    ivals.append([(-math.inf, float(bb))])
-            return BoundaryCurve(
-                t_nodes=self.t_nodes.copy(),
-                intervals=ivals,
-                shape=self.shape,
-                b=new_b,
-            )
-        raise ValueError(f"shift not supported for shape {self.shape!r}")
+        ivals = [
+            [(lo + delta, hi - delta) for lo, hi in segs if lo + delta <= hi - delta]
+            for segs in self.intervals
+        ]
+        return BoundaryCurve(self.t_nodes.copy(), ivals, self.shape)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,shape,b,intervals\n")
-            for i, ti in enumerate(self.t_nodes):
-                segs = ";".join(
-                    f"{format_float(lo)}:{format_float(hi)}" for lo, hi in self.intervals[i]
-                )
-                fh.write(f"{format_float(ti)},{self.shape},{format_float(self.b[i])},{segs}\n")
+            fh.write(_CSV_HEADER + "\n")
+            for ti, bi, segs in zip(self.t_nodes, self.b, self.intervals):
+                ivals = ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in segs)
+                fh.write(f"{format_float(ti)},{self.shape},{format_float(bi)},{ivals}\n")
 
-
-def _crossing(x_stop: float, v_stop: float, x_cont: float, v_cont: float, ztol: float) -> float:
-    # linear interpolation of v to the classification level -ztol
-    denom = v_stop - v_cont
-    if denom <= 0.0:
-        return x_stop
-    frac = (v_stop + ztol) / denom
-    return float(x_stop + (x_cont - x_stop) * min(max(frac, 0.0), 1.0))
+    @classmethod
+    def from_csv(cls, path) -> "BoundaryCurve":
+        """Read what ``to_csv`` writes; the b column is not read, since b is read off the intervals."""
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != _CSV_HEADER:
+            raise ValueError(f"unrecognized boundary file header in {path}")
+        rows = [line.split(",", 3) for line in lines[1:]]
+        if not rows or any(len(row) != 4 for row in rows):
+            raise ValueError(f"{path} needs one or more rows of four fields {_CSV_HEADER}")
+        shape = rows[0][1]
+        if shape not in _B_EMPTY_FULL:
+            raise ValueError(f"unknown boundary shape {shape!r} in {path}")
+        try:
+            t_nodes = np.array([float(row[0]) for row in rows])
+            intervals = []
+            for row in rows:
+                pairs = [seg.split(":") for seg in row[3].split(";") if seg]
+                intervals.append([(float(lo), float(hi)) for lo, hi in pairs])
+        except ValueError as exc:
+            raise ValueError(f"malformed row in {path}: {exc}") from exc
+        return cls(t_nodes, intervals, shape)
 
 
 def extract_regions(grid: ValueGrid) -> BoundaryCurve:
-    """Stopping set per time slice, merged into maximal intervals and classified."""
+    """Stopping set per time slice, merged into maximal intervals and classified.
+
+    A finite end lies where v, interpolated linearly between a stop node and
+    its continue neighbour, crosses the classification level; a run of stop
+    nodes that reaches the truncation edge stops past it, so that end is
+    infinite.
+    """
     ztol = grid.config.zero_tol
-    x = grid.x_nodes
-    n_x = x.size
-    mask = grid.values >= -ztol
-    all_intervals: list[list[tuple[float, float]]] = []
-    kinds: list[str] = []
-    b_vals: list[float] = []
-    centers: list[float] = []
+    x, v = grid.x_nodes, grid.values
+    mask = v >= -ztol
+    # runs of stop nodes: +1 steps open them, -1 steps close them, row by row
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, first = np.nonzero(steps == 1)
+    last = np.nonzero(steps == -1)[1] - 1
+    lo = np.where(first == 0, -math.inf, _crossings(x, v, rows, first, first - 1, ztol))
+    hi = np.where(last == x.size - 1, math.inf, _crossings(x, v, rows, last, last + 1, ztol))
+    intervals: list[list[tuple[float, float]]] = [[] for _ in grid.t_nodes]
+    for i, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+        intervals[i].append((a, b))
+    return BoundaryCurve(grid.t_nodes.copy(), intervals, _classify(intervals, float(np.max(np.diff(x)))))
 
-    for i in range(grid.t_nodes.size):
-        row = mask[i]
-        v = grid.values[i]
-        runs: list[tuple[int, int]] = []
-        j = 0
-        while j < n_x:
-            if row[j]:
-                j0 = j
-                while j + 1 < n_x and row[j + 1]:
-                    j += 1
-                runs.append((j0, j))
-            j += 1
-        segs: list[tuple[float, float]] = []
-        for j0, j1 in runs:
-            lo = x[0] if j0 == 0 else _crossing(x[j0], v[j0], x[j0 - 1], v[j0 - 1], ztol)
-            hi = x[-1] if j1 == n_x - 1 else _crossing(x[j1], v[j1], x[j1 + 1], v[j1 + 1], ztol)
-            segs.append((float(lo), float(hi)))
-        all_intervals.append(segs)
 
-        if not runs:
-            kinds.append("empty")
-            b_vals.append(math.nan)
-            centers.append(0.0)
-        elif len(runs) == 1 and runs[0] == (0, n_x - 1):
-            kinds.append("full")
-            b_vals.append(math.nan)
-            centers.append(0.0)
-        elif len(runs) == 1 and runs[0][0] == 0:
-            kinds.append("lower")
-            b_vals.append(segs[0][1])
-            centers.append(0.0)
-        elif len(runs) == 1 and runs[0][1] == n_x - 1:
-            kinds.append("upper")
-            b_vals.append(segs[0][0])
-            centers.append(0.0)
-        elif len(runs) == 2 and runs[0][0] == 0 and runs[1][1] == n_x - 1:
-            kinds.append("two_sided")
-            b_vals.append(0.5 * (segs[1][0] - segs[0][1]))
-            centers.append(0.5 * (segs[1][0] + segs[0][1]))
-        else:
-            kinds.append("other")
-            b_vals.append(math.nan)
-            centers.append(math.nan)
+def _crossings(x, v, rows, j_stop, j_cont, ztol) -> np.ndarray:
+    """Where v crosses -ztol between each stop node and its continue neighbour (clipped to the grid)."""
+    j_cont = np.clip(j_cont, 0, x.size - 1)
+    v_stop, v_cont = v[rows, j_stop], v[rows, j_cont]
+    denom = v_stop - v_cont
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((v_stop + ztol) / denom, 0.0, 1.0)
+    return np.where(denom > 0.0, x[j_stop] + (x[j_cont] - x[j_stop]) * frac, x[j_stop])
 
-    dx = float(np.max(np.diff(x)))
-    kind_set = set(kinds)
-    sym_ok = all(
-        k != "two_sided" or abs(ctr) <= 2.0 * dx for k, ctr in zip(kinds, centers)
+
+def _classify(intervals: list[list[tuple[float, float]]], dx: float) -> str:
+    """The shape every slice fits; two-sided slices must be centred within 2 dx of 0."""
+    kinds = {_slice_kind(segs)[0] for segs in intervals}
+    if kinds <= {"full"}:
+        return "all_stop"
+    if "lower" in kinds and kinds <= {"empty", "full", "lower"}:
+        return "one_sided_lower"
+    if "upper" in kinds and kinds <= {"empty", "full", "upper"}:
+        return "one_sided_upper"
+    centred = all(
+        abs(0.5 * (segs[1][0] + segs[0][1])) <= 2.0 * dx
+        for segs in intervals
+        if _slice_kind(segs)[0] == "two_sided"
     )
-    if kind_set <= {"full"}:
-        shape = "all_stop"
-        b = np.full(len(kinds), -math.inf)
-    elif "lower" in kind_set and kind_set <= {"empty", "full", "lower"}:
-        shape = "one_sided_lower"
-        b = np.array(
-            [
-                -math.inf if k == "empty" else (math.inf if k == "full" else bv)
-                for k, bv in zip(kinds, b_vals)
-            ]
-        )
-    elif "upper" in kind_set and kind_set <= {"empty", "full", "upper"}:
-        shape = "one_sided_upper"
-        b = np.array(
-            [
-                math.inf if k == "empty" else (-math.inf if k == "full" else bv)
-                for k, bv in zip(kinds, b_vals)
-            ]
-        )
-    elif kind_set <= {"empty", "full", "two_sided"} and sym_ok:
-        shape = "two_sided_symmetric"
-        b = np.array(
-            [
-                math.inf if k == "empty" else (0.0 if k == "full" else bv)
-                for k, bv in zip(kinds, b_vals)
-            ]
-        )
-    else:
-        shape = "general"
-        b = np.array(b_vals)
-
-    return BoundaryCurve(
-        t_nodes=grid.t_nodes.copy(),
-        intervals=all_intervals,
-        shape=shape,
-        b=b,
-    )
+    if kinds <= {"empty", "full", "two_sided"} and centred:
+        return "two_sided_symmetric"
+    return "general"
 
 
 @dataclass

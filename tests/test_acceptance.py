@@ -292,7 +292,7 @@ def test_criterion_6_mixture_thresholds(mixture_solution):
     empty = np.array([len(iv) == 0 for iv in boundary.intervals])
     full = np.array(
         [
-            len(iv) == 1 and iv[0][0] == grid.x_nodes[0] and iv[0][1] == grid.x_nodes[-1]
+            len(iv) == 1 and iv[0][0] <= grid.x_nodes[0] and iv[0][1] >= grid.x_nodes[-1]
             for iv in boundary.intervals
         ]
     )

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from driftstop import montecarlo
-from driftstop.cli import _boundary_from_csv, _resolve, main
+from driftstop import BoundaryCurve, montecarlo
+from driftstop.cli import _resolve, main
 from driftstop.csvio import format_float, format_row
 
 
@@ -98,7 +98,7 @@ def test_solver_rows_default_to_100(bern_config):
 def test_boundary_csv_round_trip(bern_config):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    curve = _boundary_from_csv(out / "boundary.csv")
+    curve = BoundaryCurve.from_csv(out / "boundary.csv")
     assert curve.shape == "two_sided_symmetric"
     # threshold near the known boundary
     assert np.nanmax(np.abs(curve.b - 0.917)) <= 0.03
@@ -110,6 +110,34 @@ def test_verify_needs_boundary_file(bern_config, capsys):
     cfg_path, out, _ = bern_config
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert "boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,two_sided_symmetric\n"])
+def test_verify_refuses_boundary_without_full_rows(bern_config, capsys, rows):
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert str(out / "boundary.csv") in capsys.readouterr().err
+
+
+def test_verify_stops_paths_past_the_solved_window(tmp_path):
+    # tau* = 1 for N(0, 1) at c = 0.25; after it the rule stops everywhere,
+    # including estimates beyond the truncation x_hi = 1.5
+    cfg = {
+        "prior": {"kind": "gaussian", "m": 0.0, "sigma2": 1.0},
+        "cost_c": 0.25,
+        "solver": {"x_lo": -1.5, "x_hi": 1.5, "T_max": 1.5},
+        "sim": {"n_paths": 2000, "dt": 0.01, "horizon": 3.0},
+        "policy": {"kind": "solver_boundary"},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "gaussian.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    assert main(["verify", "--config", str(cfg_path), "--seed", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["cost"]["cap_fraction"] == 0.0
 
 
 def test_full_pipeline_solve_then_verify(bern_config):
@@ -318,6 +346,16 @@ def test_export_paths_below_one_exits_2(bern_config, capsys):
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "'sim.export_paths'" in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
+
+
+def test_export_paths_above_n_paths_exits_2(bern_config, capsys):
+    # verify walks n_paths paths; exporting more would write paths it never walks
+    cfg_path, out, cfg = bern_config
+    cfg["sim"].update(n_paths=10, export_paths=30)
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "'sim.export_paths'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,6 @@ def test_choose_horizon_mixture_brackets(mixture_table):
 def test_bernoulli_cost_dominates_short_circuit(bernoulli_table):
     grid, _ = _solve(bernoulli_table, 1.0, T_max=1.0)
     assert np.all(grid.values == 0.0)
-    assert "short_circuit_immediate_stop" in grid.meta["flags"]
 
 
 def test_gaussian_value_close_to_closed_form(gaussian_table):
@@ -224,13 +223,67 @@ def test_shift_preserves_infinite_slices():
         t_nodes=np.array([0.0, 1.0, 2.0]),
         intervals=[[], [(-math.inf, 0.5)], [(-math.inf, math.inf)]],
         shape="one_sided_lower",
-        b=np.array([-math.inf, 0.5, math.inf]),
     )
     sh = curve.shifted(0.1)
     assert not sh.contains(0.0, np.array([0.0]))[0]
     assert sh.contains(1.0, np.array([0.39]))[0]
     assert not sh.contains(1.0, np.array([0.41]))[0]
     assert sh.contains(2.0, np.array([100.0]))[0]
+
+
+def test_shift_moves_every_finite_end_outward():
+    # an interior stopping interval has two finite ends; it vanishes once they cross
+    curve = BoundaryCurve(np.array([0.0]), [[(-math.inf, -1.0), (0.2, 0.6)]], "general")
+    assert curve.shifted(0.1).intervals == [[(-math.inf, -1.0 - 0.1), (0.2 + 0.1, 0.6 - 0.1)]]
+    assert curve.shifted(0.3).intervals == [[(-math.inf, -1.0 - 0.3)]]
+    assert curve.shifted(-0.1).intervals == [[(-math.inf, -1.0 + 0.1), (0.2 - 0.1, 0.6 + 0.1)]]
+
+
+# (prior, c, T_max) of the example priors, and the shape their rule takes
+_EXAMPLE_RULES = {
+    "gaussian": (0.25, 1.1, "two_sided_symmetric"),
+    "bernoulli": (0.25, 1.0, "two_sided_symmetric"),
+    "half_normal": (0.25, 2.0, "one_sided_lower"),
+    "mixture": (0.04, 5.34, "two_sided_symmetric"),
+}
+
+
+@pytest.fixture(scope="module")
+def example_rules(all_tables):
+    rules = {}
+    for name, (c, t_max, _) in _EXAMPLE_RULES.items():
+        grid, _ = _solve(all_tables[name], c, n_t=40, n_x=81, T_max=t_max)
+        rules[name] = extract_regions(grid)
+    rules["symmetric_threshold"] = BoundaryCurve.symmetric_threshold(0.9)
+    rules["stop_below"] = BoundaryCurve.stop_below(0.3)
+    return rules
+
+
+@pytest.mark.parametrize("name", [*_EXAMPLE_RULES, "symmetric_threshold", "stop_below"])
+def test_rule_is_its_intervals(example_rules, tmp_path, name):
+    curve = example_rules[name]
+    if name in _EXAMPLE_RULES:
+        assert curve.shape == _EXAMPLE_RULES[name][2]
+    assert curve.shifted(0.0).intervals == curve.intervals
+    curve.to_csv(tmp_path / "boundary.csv")
+    back = BoundaryCurve.from_csv(tmp_path / "boundary.csv")
+    assert back.shape == curve.shape
+    assert back.intervals == curve.intervals
+    assert back.t_nodes.tobytes() == curve.t_nodes.tobytes()
+    assert back.b.tobytes() == curve.b.tobytes()
+
+
+def test_stop_runs_at_the_window_edge_are_unbounded(example_rules, halfnormal_table):
+    # the Gaussian rule stops nowhere before tau* = 1 and everywhere after it,
+    # on the whole line rather than on the solved window only
+    curve = example_rules["gaussian"]
+    assert curve.intervals[0] == [] and curve.intervals[-1] == [(-math.inf, math.inf)]
+    assert curve.contains(1.1, np.array([-100.0, 100.0])).all()
+    assert curve.b[0] == math.inf and curve.b[-1] == 0.0
+    ends = [e for segs in example_rules["half_normal"].intervals for seg in segs for e in seg]
+    assert -math.inf in ends
+    lo, hi = default_domain(halfnormal_table)
+    assert lo not in ends and hi not in ends
 
 
 def test_monotonicity_report_passes(bern_grid):
