@@ -7,6 +7,7 @@ the closed-form cases, and verify the probabilistic identities by simulation.
 """
 
 from .prior import (
+    PosteriorError,
     PriorError,
     PriorSpec,
     QuadratureTable,

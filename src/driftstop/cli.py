@@ -24,7 +24,7 @@ from . import closed_form
 from .csvio import format_row
 from .dispersion import InversionError, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
-from .prior import PriorError, PriorSpec, build_quadrature
+from .prior import PosteriorError, PriorError, PriorSpec, build_quadrature
 from .stopping_solver import (
     BoundaryCurve,
     SolverConfig,
@@ -281,7 +281,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown policy kind {kind!r}")
     _prepare_out(out, resolved)
 
-    with_gaps = isinstance(policy, BoundaryCurve) and policy.shape in ("two_sided_symmetric", "one_sided_lower")
+    # a shift moves only finite interval ends, so a rule without one has no gap to measure
+    with_gaps = (
+        isinstance(policy, BoundaryCurve)
+        and policy.shape in ("two_sided_symmetric", "one_sided_lower")
+        and any(math.isfinite(end) for segs in policy.intervals for seg in segs for end in seg)
+    )
     shifts = resolved["perturbations"] if with_gaps else ()
     cost = evaluate_policy(table, c, policy, sim, shifts)
     identity = verify_variance_identity(table, cost)
@@ -441,7 +446,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, InversionError) as exc:
+    except (SolverError, InversionError, PosteriorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

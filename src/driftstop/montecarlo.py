@@ -12,8 +12,9 @@ in fixed chunks of consecutive indices, and within a chunk the kernel runs only
 on the paths that some rule still needs, so reruns with the same SimConfig are
 bit-identical and so are results at any ``DRIFTSTOP_THREADS``.  The kernel's
 per-column round-off can depend on which columns share a call (BLAS at large
-node counts), so per-path values are not guaranteed to be independent of which
-paths are walked together.
+node counts, and the node band set by the call's smallest and largest y), so
+per-path values are not guaranteed to be independent of which paths are walked
+together.
 """
 
 from __future__ import annotations

@@ -140,6 +140,47 @@ def test_verify_stops_paths_past_the_solved_window(tmp_path):
     assert report["cost"]["cap_fraction"] == 0.0
 
 
+def test_verify_skips_gaps_of_a_rule_without_finite_ends(tmp_path):
+    # the Gaussian rule stops nowhere before tau* = 1 and everywhere after it,
+    # so a shift moves nothing and a gap would compare the rule with itself
+    cfg = {
+        "prior": {"kind": "gaussian", "m": 0.0, "sigma2": 1.0},
+        "cost_c": 0.25,
+        "solver": {"x_lo": -1.5, "x_hi": 1.5, "T_max": 1.5},
+        "sim": {"n_paths": 500, "dt": 0.01, "horizon": 3.0},
+        "policy": {"kind": "solver_boundary"},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "gaussian.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    curve = BoundaryCurve.from_csv(tmp_path / "out" / "boundary.csv")
+    assert curve.shape == "two_sided_symmetric"
+    assert not any(math.isfinite(end) for segs in curve.intervals for seg in segs for end in seg)
+    assert main(["verify", "--config", str(cfg_path), "--seed", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["optimality_gap"] is None
+    assert report["passed"] is True
+
+
+def test_nonfinite_observation_in_walk_exits_3(bern_config, capsys, monkeypatch):
+    # a non-finite level reaching the kernel is a numerical failure, not bad input
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    cfg_path.write_text(json.dumps(cfg))
+    cumulate = montecarlo._cumulate
+
+    def poisoned(z, w_last, dt):
+        w = cumulate(z, w_last, dt)
+        w[0, 5] = math.nan
+        return w
+
+    monkeypatch.setattr(montecarlo, "_cumulate", poisoned)
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite posterior weights" in err
+
+
 def test_full_pipeline_solve_then_verify(bern_config):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftstop import (
+    PosteriorError,
     PriorError,
     PriorSpec,
     QuadratureTable,
@@ -12,7 +13,22 @@ from driftstop import (
     posterior_mean_var,
     widder_F,
 )
-from driftstop.prior import _weight_matrix
+from driftstop.prior import _band_cut, _tilt, _weight_matrix
+
+EPS = np.finfo(float).eps
+
+
+def _full_weights(table, t, y):
+    """The kernel's band weights padded to every node, after checking each node
+    outside the band lies more than ``_band_cut`` below its column's largest."""
+    band, w = _weight_matrix(table, t, y)
+    logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
+    outside = np.ones(table.n, dtype=bool)
+    outside[band] = False
+    assert np.all(logits[outside] - logits.max(axis=0) < -_band_cut(table))
+    full = np.zeros((table.n, y.size))
+    full[band] = w
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ def test_posterior_var_positive(all_tables):
 def test_posterior_expectation_normalization(all_tables):
     # E[1 | t, y] = 1: the posterior weights of one observation level sum to one
     for table in all_tables.values():
-        w = _weight_matrix(table, 1.3, np.array([0.4]))
+        w = _full_weights(table, 1.3, np.array([0.4]))
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -203,8 +219,8 @@ def test_posterior_expectation_second_moment(gaussian_table):
 
 
 def test_posterior_rejects_nonfinite_observation_level(bernoulli_table):
-    # a ValueError, not an assert, so the guard survives python -O
-    with pytest.raises(ValueError, match="non-finite"):
+    # a numerical error, not an assert, so the guard survives python -O
+    with pytest.raises(PosteriorError, match="non-finite"):
         posterior_mean_var(bernoulli_table, 1.0, [0.0, math.nan])
 
 
@@ -244,31 +260,117 @@ def test_posterior_var_matches_extended_precision(prior):
 
 
 def test_posterior_measure_identity_at_origin(gaussian_table):
-    w = _weight_matrix(gaussian_table, 0.0, np.array([0.0]))
+    w = _full_weights(gaussian_table, 0.0, np.array([0.0]))
     assert np.allclose(w[:, 0], gaussian_table.weights, atol=1e-15)
 
 
 def test_posterior_measure_balances_biased_coin():
     table = build_quadrature(PriorSpec.bernoulli(1.0, 0.3))
     y = 0.5 * math.log(7.0 / 3.0)
-    w = _weight_matrix(table, 0.0, np.array([y]))
+    w = _full_weights(table, 0.0, np.array([y]))
     assert np.allclose(w[:, 0], [0.5, 0.5], atol=1e-12)
 
 
 def test_posterior_measure_composes_additively(mixture_table):
     # observing (1.0, 0.5) and then a further (0.5, 0.4) is observing (1.5, 0.9)
-    one_step = _weight_matrix(mixture_table, 1.5, np.array([0.9]))
-    first = _weight_matrix(mixture_table, 1.0, np.array([0.5]))
+    one_step = _full_weights(mixture_table, 1.5, np.array([0.9]))
+    first = _full_weights(mixture_table, 1.0, np.array([0.5]))
     posterior = QuadratureTable(mixture_table.nodes, first[:, 0], mixture_table.support_bounds)
-    two_step = _weight_matrix(posterior, 0.5, np.array([0.4]))
+    two_step = _full_weights(posterior, 0.5, np.array([0.4]))
     assert np.allclose(one_step, two_step, atol=1e-12)
 
 
 def test_posterior_weights_normalized_on_lattice(all_tables):
     for table in all_tables.values():
         for t in [0.0, 0.5, 2.0, 10.0]:
-            w = _weight_matrix(table, t, np.linspace(-5, 5, 7))
+            w = _full_weights(table, t, np.linspace(-5, 5, 7))
             assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the node band: the kernel runs only on the nodes a call can reach
+# ---------------------------------------------------------------------------
+
+
+BAND_PRIORS = {
+    "mixture": (PriorSpec.symmetric_gaussian_mixture(1.0, 1.0), 128),
+    "half_normal": (PriorSpec.half_normal(1.0), 128),
+    # the cells (-1, 0) and (0, 1) carry no mass, so the table has gaps
+    "tabulated_gap": (PriorSpec.tabulated_density([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0, 2.0, 0.0]), 16),
+    "wide_atoms": (PriorSpec.discrete_atoms([(-50.0, 0.2), (-1.0, 0.2), (0.0, 0.2), (2.0, 0.2), (60.0, 0.2)]), 128),
+}
+
+
+def _random_calls(seed, count=200):
+    """(t, y) pairs spanning early and late times and narrow to very wide y spreads."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = float(rng.uniform(0.0, 10.0) * rng.integers(0, 2))
+        y = rng.normal(0.0, 10.0 ** rng.uniform(-1.0, 2.5), int(rng.integers(1, 60)))
+        yield t, y + rng.normal() * 10.0 ** rng.uniform(-1.0, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_PRIORS))
+def test_band_holds_every_node_a_column_keeps(name):
+    prior, n = BAND_PRIORS[name]
+    table = build_quadrature(prior, n=n)
+    cut = _band_cut(table)
+    for t, y in _random_calls(1):
+        band, w = _weight_matrix(table, t, y)
+        logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
+        kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=1))
+        assert band.start <= kept[0] and kept[-1] < band.stop
+        # and it is no wider: it spans the kept nodes of the two extreme columns
+        at_lo, at_hi = logits[:, np.argmin(y)], logits[:, np.argmax(y)]
+        assert band.start == np.flatnonzero(at_lo >= at_lo.max() - cut)[0]
+        assert band.stop == np.flatnonzero(at_hi >= at_hi.max() - cut)[-1] + 1
+        assert w.shape == (band.stop - band.start, y.size)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_PRIORS))
+def test_band_matches_full_table_extended_precision(name):
+    # the reference shares the kernel's float64 logits and does the rest in
+    # long double on every node: the dropped weights move g and h by under
+    # 1e-15, and the kernel's own round-off is a few ulps of E|X| and of h
+    prior, n = BAND_PRIORS[name]
+    table = build_quadrature(prior, n=n)
+    u = table.nodes.astype(np.longdouble)[:, None]
+    for t, y in _random_calls(2):
+        g, h = posterior_mean_var(table, t, y)
+        logits = (np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]).astype(np.longdouble)
+        w = np.exp(logits - logits.max(axis=0))
+        w /= w.sum(axis=0)
+        g_ref = (w * u).sum(axis=0)
+        h_ref = (w * (u - g_ref) ** 2).sum(axis=0)
+        assert np.all(np.abs(g - g_ref) <= 1e-15 + 16.0 * EPS * (w * abs(u)).sum(axis=0))
+        assert np.all(np.abs(h - h_ref) <= 1e-15 + 16.0 * EPS * h_ref)
+
+
+def test_full_band_is_bit_identical_to_unbanded_arithmetic(bernoulli_table):
+    # on atoms +-1 the two logits differ by 2|y|, far inside the cut for |y| <= 15
+    rng = np.random.default_rng(3)
+    u = bernoulli_table.nodes
+    for _ in range(200):
+        t = float(rng.uniform(0.0, 20.0))
+        y = rng.uniform(-15.0, 15.0, int(rng.integers(1, 300)))
+        band, _ = _weight_matrix(bernoulli_table, t, y)
+        assert band == slice(0, 2)
+        w = np.multiply.outer(u, y)
+        w += (bernoulli_table.log_weights - 0.5 * t * u * u)[:, None]
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= w.sum(axis=0)
+        g_full = u @ w
+        d = u[:, None] - g_full
+        d *= d
+        g, h = posterior_mean_var(bernoulli_table, t, y)
+        assert np.array_equal(g, g_full)
+        assert np.array_equal(h, np.einsum("ij,ij->j", w, d))
+
+
+def test_empty_observation_array_gives_empty_moments(gaussian_table):
+    g, h = posterior_mean_var(gaussian_table, 1.0, np.array([]))
+    assert g.shape == (0,) and h.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
