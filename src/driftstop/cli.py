@@ -24,7 +24,7 @@ from . import closed_form
 from .csvio import format_row
 from .dispersion import InversionError, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
-from .prior import PosteriorError, PriorError, PriorSpec, build_quadrature
+from .prior import PosteriorError, PriorSpec, build_quadrature
 from .stopping_solver import (
     BoundaryCurve,
     SolverConfig,
@@ -42,14 +42,18 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# the keys a config's "solver" block may hold; any other key is refused
-SOLVER_KEYS = ("n_t", "n_x", "T_max", "x_lo", "x_hi")
+# the keys each block of a config may hold; any other key is refused
+BLOCK_KEYS = {
+    "solver": ("n_t", "n_x", "T_max", "x_lo", "x_hi"),
+    "sim": ("n_paths", "dt", "horizon", "seed", "export_paths"),
+    "policy": ("kind", "time", "a"),
+}
 
 # the counts a config may set, by block (None is the root); each must be a JSON integer
 COUNT_KEYS = {None: ("quadrature_n",), "solver": ("n_t", "n_x"), "sim": ("n_paths", "seed", "export_paths")}
 
 # the real-valued keys a config may set, by block; each must be a finite JSON number
-NUMBER_KEYS = {"solver": ("T_max", "x_lo", "x_hi"), "sim": ("dt", "horizon")}
+NUMBER_KEYS = {"solver": ("T_max", "x_lo", "x_hi"), "sim": ("dt", "horizon"), "policy": ("time", "a")}
 
 
 class ConfigError(ValueError):
@@ -73,9 +77,16 @@ def _load_config(path: str) -> dict:
     c = doc["cost_c"]
     if isinstance(c, bool) or not isinstance(c, (int, float)) or not c > 0:
         raise ConfigError(f"config key 'cost_c' must be a positive number, got {c!r}")
-    for key in ("solver", "sim", "policy"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
+    for block, allowed in BLOCK_KEYS.items():
+        held = doc.get(block, {})
+        if not isinstance(held, dict):
+            raise ConfigError(f"config key {block!r} must be a JSON object, got {held!r}")
+        unknown = sorted(set(held) - set(allowed))
+        if unknown:
+            msg = f"unknown key {unknown[0]!r} in {block!r}; allowed keys: {', '.join(allowed)}"
+            if block == "solver":
+                msg += " (the solve starts from the stationary value; 'T_max' sets the window)"
+            raise ConfigError(msg)
     _check_types(doc, COUNT_KEYS, lambda v: isinstance(v, int), "an integer")
     _check_types(doc, NUMBER_KEYS, lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")
     return doc
@@ -99,12 +110,6 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     c = float(doc["cost_c"])
 
     solver_doc = dict(doc.get("solver", {}))
-    unknown = sorted(set(solver_doc) - set(SOLVER_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown key {unknown[0]!r} in 'solver'; allowed keys: {', '.join(SOLVER_KEYS)} "
-            "(the solve starts from the stationary value; 'T_max' sets the window)"
-        )
     perturbations = doc.get("perturbations", [-0.1, 0.1])
     if not (
         isinstance(perturbations, list)
@@ -364,8 +369,6 @@ def cmd_closed_form(args) -> int:
         if args.c is not None:
             t_inf, t_zero = closed_form.mixture_boundary_thresholds(args.m, args.sigma, args.c)
             rec.update(t_infinity=t_inf, t_zero=t_zero)
-    else:  # pragma: no cover - argparse already restricts choices
-        raise ConfigError(f"unknown family {family!r}")
     json.dump(rec, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -440,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PriorError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, InversionError, PosteriorError) as exc:

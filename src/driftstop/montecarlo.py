@@ -10,18 +10,15 @@ Randomness is counter-based: each path owns a Philox stream keyed by
 (seed, path index), drawn lazily in blocks of Wiener steps.  Paths are walked
 in fixed chunks of consecutive indices, and within a chunk the kernel runs only
 on the paths that some rule still needs, so reruns with the same SimConfig are
-bit-identical and so are results at any ``DRIFTSTOP_THREADS``.  The kernel's
-per-column round-off can depend on which columns share a call (BLAS at large
-node counts, and the node band set by the call's smallest and largest y), so
-per-path values are not guaranteed to be independent of which paths are walked
-together.
+bit-identical.  The kernel's per-column round-off can depend on which columns
+share a call (BLAS at large node counts, and the node band set by the call's
+smallest and largest y), so per-path values are not guaranteed to be
+independent of which paths are walked together.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -47,13 +44,6 @@ Policy = Union[float, BoundaryCurve]
 
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("DRIFTSTOP_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"DRIFTSTOP_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -249,35 +239,6 @@ def _walk_chunk(
         psi2_prev = psi2_k
 
 
-def _run_paths(table: QuadratureTable, sim: SimConfig, policies: list[Policy]) -> list[PathStats]:
-    """Walk every policy over the same paths; chunks write disjoint slices of shared arrays."""
-    n = sim.n_paths
-    out = [
-        PathStats(
-            tau=np.full(n, math.nan),
-            sq_err=np.full(n, math.nan),
-            psi_at_stop=np.full(n, math.nan),
-            integral_psi2=np.zeros(n),
-            capped=np.zeros(n, dtype=bool),
-            second_diff_sum=np.zeros(n),
-        )
-        for _ in policies
-    ]
-    chunks = [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
-
-    def work(sl: slice) -> None:
-        _walk_chunk(table, sim, sl, policies, out)
-
-    workers = min(_worker_cap(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for sl in chunks:
-            work(sl)
-    return out
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     n = values.size
     mean = float(np.mean(values))
@@ -324,7 +285,21 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
         shifted: list[Policy] = [policy.shifted(s) for s in shifts]
     else:
         shifted = [max(float(policy) + s, 0.0) for s in shifts]
-    paths = _run_paths(table, sim, [policy, *shifted])
+    policies = [policy, *shifted]
+    n = sim.n_paths
+    paths = [
+        PathStats(
+            tau=np.full(n, math.nan),
+            sq_err=np.full(n, math.nan),
+            psi_at_stop=np.full(n, math.nan),
+            integral_psi2=np.zeros(n),
+            capped=np.zeros(n, dtype=bool),
+            second_diff_sum=np.zeros(n),
+        )
+        for _ in policies
+    ]
+    for start in range(0, n, _CHUNK):
+        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), policies, paths)
     base = paths[0]
     mean, se = _mean_se(base.sq_err + c * base.tau)
     cap_fraction = float(np.mean(base.capped))

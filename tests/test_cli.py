@@ -240,18 +240,6 @@ def test_verify_refuses_boundary_without_solver_meta(bern_config, capsys):
     assert not (out / "verify.json").exists()
 
 
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_malformed_thread_cap_exits_2(bern_config, capsys, monkeypatch, raw):
-    cfg_path, out, cfg = bern_config
-    cfg["policy"] = {"kind": "stop_at", "time": 0.0}
-    cfg_path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("DRIFTSTOP_THREADS", raw)
-    assert main(["verify", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert "DRIFTSTOP_THREADS" in err and repr(raw) in err
-    assert not (out / "verify.json").exists()
-
-
 def test_psi_outputs_are_deterministic(bern_config, tmp_path):
     cfg_path, _, _ = bern_config
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -368,7 +356,9 @@ def test_non_integer_count_exits_2(bern_config, capsys, key, value):
 
 
 @pytest.mark.parametrize("value", [True, "-0.99", 1e400])
-@pytest.mark.parametrize("key", ["solver.T_max", "solver.x_lo", "solver.x_hi", "sim.dt", "sim.horizon"])
+@pytest.mark.parametrize(
+    "key", ["solver.T_max", "solver.x_lo", "solver.x_hi", "sim.dt", "sim.horizon", "policy.time", "policy.a"]
+)
 def test_non_number_real_key_exits_2(bern_config, capsys, key, value):
     cfg_path, out, cfg = bern_config
     cfg["policy"] = {"kind": "stop_at", "time": 0.5}
@@ -399,15 +389,25 @@ def test_export_paths_above_n_paths_exits_2(bern_config, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key, value", [("scheme", "implicit_psor"), ("bc", "dirichlet_zero"), ("obstacle_tol", 1e-10)]
-)
-def test_unknown_solver_key_exits_2(bern_config, capsys, key, value):
-    cfg_path, _, cfg = bern_config
-    cfg["solver"][key] = value
+_UNKNOWN_KEYS = [
+    ("solver", "scheme", "implicit_psor"),
+    ("solver", "bc", "dirichlet_zero"),
+    ("solver", "obstacle_tol", 1e-10),
+    ("sim", "npaths", 200),
+    ("policy", "threshold", 0.5),
+]
+
+
+@pytest.mark.parametrize("block, key, value", _UNKNOWN_KEYS, ids=[f"{k}-{v}" for _, k, v in _UNKNOWN_KEYS])
+def test_unknown_solver_key_exits_2(bern_config, capsys, block, key, value):
+    # a misspelt key would otherwise fall back to its default without a word
+    cfg_path, out, cfg = bern_config
+    cfg.setdefault(block, {})[key] = value
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path)]) == 2
-    assert repr(key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(block) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["t_burnin", "T_max_when_capped", "horizon_scan_limit"])

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -186,25 +185,6 @@ def test_policy_gap_time_shifts_for_gaussian(gaussian_table):
             assert r.gap - 2.0 * r.gap_se > 0.0
 
 
-def test_thread_cap_does_not_change_results(bernoulli_table, monkeypatch):
-    sim = SimConfig(n_paths=9000, dt=0.05, horizon=5.0, seed=53)
-    policy = BoundaryCurve.symmetric_threshold(0.9)
-    base = evaluate_policy(bernoulli_table, 0.25, policy, sim, [-0.05, 0.05])
-    monkeypatch.setenv("DRIFTSTOP_THREADS", "4")
-    # three chunks on three threads write disjoint slices of shared arrays;
-    # frequent thread switches would expose a lost or misplaced write
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = evaluate_policy(bernoulli_table, 0.25, policy, sim, [-0.05, 0.05])
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.mean == base.mean
-    assert threaded.std_error == base.std_error
-    assert verify_variance_identity(bernoulli_table, threaded) == verify_variance_identity(bernoulli_table, base)
-    assert policy_optimality_gap(threaded) == policy_optimality_gap(base)
-
-
 def test_shifts_leave_base_cost_and_identity_unchanged(bernoulli_table):
     # the shifted rules ride on the same paths; the base rule's results must
     # not depend on them, bit for bit
@@ -279,10 +259,13 @@ def _reference_walk(table, policy, sim):
     return ref
 
 
-def test_walk_matches_reference_walk_bit_for_bit(bernoulli_table):
+@pytest.mark.parametrize("chunk", [montecarlo._CHUNK, 256])
+def test_walk_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch, chunk):
     # at q = 2 the kernel's columns do not interact, so dropping stopped paths
     # from the walk must leave every per-path result unchanged to the last bit;
-    # the short horizon caps some paths of every rule
+    # the short horizon caps some paths of every rule, and chunks of 256 split
+    # the 600 paths into three walks, the last one partial
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     policy, shifts = _bernoulli_rule_and_shifts()
     sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=73)
     est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
