@@ -49,6 +49,9 @@ BLOCK_KEYS = {
     "policy": ("kind", "time", "a"),
 }
 
+# the keys each policy kind reads besides 'kind'; a missing or unused one is refused
+POLICY_KEYS = {"solver_boundary": (), "stop_at": ("time",), "symmetric_threshold": ("a",)}
+
 # the counts a config may set, by block (None is the root); each must be a JSON integer
 COUNT_KEYS = {None: ("quadrature_n",), "solver": ("n_t", "n_x"), "sim": ("n_paths", "seed", "export_paths")}
 
@@ -89,7 +92,23 @@ def _load_config(path: str) -> dict:
             raise ConfigError(msg)
     _check_types(doc, COUNT_KEYS, lambda v: isinstance(v, int), "an integer")
     _check_types(doc, NUMBER_KEYS, lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")
+    _check_policy(doc.get("policy", {}))
     return doc
+
+
+def _check_policy(policy: dict) -> None:
+    """Refuse an unknown policy kind, and a key its kind needs but lacks or holds but does not use."""
+    kind = policy.get("kind", "solver_boundary")
+    if not isinstance(kind, str) or kind not in POLICY_KEYS:
+        known = ", ".join(POLICY_KEYS)
+        raise ConfigError(f"key 'kind' in 'policy' names an unknown kind {kind!r}; known kinds: {known}")
+    needed = POLICY_KEYS[kind]
+    for key in needed:
+        if key not in policy:
+            raise ConfigError(f"policy kind {kind!r} requires key {key!r} in 'policy'")
+    unused = sorted(set(policy) - {"kind", *needed})
+    if unused:
+        raise ConfigError(f"key {unused[0]!r} in 'policy' is not used by policy kind {kind!r}")
 
 
 def _check_types(doc: dict, keys_by_block: dict, accepts, what: str) -> None:
@@ -280,10 +299,8 @@ def cmd_verify(args) -> int:
         policy = _solver_boundary(out, resolved)
     elif kind == "stop_at":
         policy = float(policy_doc["time"])
-    elif kind == "symmetric_threshold":
-        policy = BoundaryCurve.symmetric_threshold(float(policy_doc["a"]))
     else:
-        raise ConfigError(f"unknown policy kind {kind!r}")
+        policy = BoundaryCurve.symmetric_threshold(float(policy_doc["a"]))
     _prepare_out(out, resolved)
 
     # a shift moves only finite interval ends, so a rule without one has no gap to measure

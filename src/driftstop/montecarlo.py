@@ -6,8 +6,10 @@ posterior mean at every monitored time from the pair (t, Y(t)) directly; there
 is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
-Randomness is counter-based: each path owns a Philox stream keyed by
-(seed, path index), drawn lazily in blocks of Wiener steps.  Paths are walked
+Randomness is counter-based: each path owns the Philox stream of key
+(seed, path index) from counter 0, drawn lazily in blocks of Wiener steps.
+A Philox stream is fully defined by its key and counter, so one bit generator
+per chunk, re-keyed for each path, draws every path's stream.  Paths are walked
 in fixed chunks of consecutive indices, and within a chunk the kernel runs only
 on the paths that some rule still needs, so reruns with the same SimConfig are
 bit-identical.  The kernel's per-column round-off can depend on which columns
@@ -95,38 +97,78 @@ class PathBatch:
                 fh.write("".join([f"{p},{tk},{yk!r},{xk!r},{sk!r}{tail}" for tk, yk, xk, sk in rows]))
 
 
+# where a path's Philox stream stands: its counter, four buffered 64-bit outputs,
+# the next of them to use, and a held half of one for 32-bit draws
+_POSITION = np.dtype(
+    [("counter", "u8", 4), ("buffer", "u8", 4), ("buffer_pos", "i4"), ("has_uint32", "i4"), ("uinteger", "u4")]
+)
+_START = ((0, 0, 0, 0), (0, 0, 0, 0), 4, 0, 0)  # counter 0 and an empty buffer
+
+
+class _Streams:
+    """The Philox streams of paths [start, start + count), drawn through one bit generator.
+
+    Path ``i`` owns the stream of key (seed, start + i) from counter 0, the one
+    a fresh ``Generator(Philox(key=...))`` gives.  ``load`` re-keys the bit
+    generator through its public ``state`` setter, at the stream's start or at
+    a position ``save`` recorded in ``saved[i]``.
+    """
+
+    def __init__(self, seed: int, start: int, count: int) -> None:
+        self.bits = np.random.Philox(0)  # re-keyed before every draw
+        self.gen = np.random.Generator(self.bits)
+        self.seed, self.start = seed, start
+        self.saved = np.empty(count, _POSITION)
+
+    def load(self, i: int, position: tuple = _START) -> None:
+        counter, buffer, buffer_pos, has_uint32, uinteger = position
+        self.bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": (self.seed, self.start + i)},
+            "buffer": buffer,
+            "buffer_pos": buffer_pos,
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }
+
+    def save(self, i: int) -> None:
+        st = self.bits.state
+        self.saved[i] = (st["state"]["counter"], st["buffer"], st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
 def _path_streams(
     table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float, keep: bool
-) -> tuple[np.ndarray, np.ndarray, list[np.random.Generator]]:
-    """Drift draws for paths [start, start+count), their W over the first ``n_steps`` steps
-    and, when ``keep``, each path's stream, left where its next block of W begins.
+) -> tuple[np.ndarray, np.ndarray, _Streams]:
+    """Drift draws for paths [start, start+count), their W over the first ``n_steps`` steps,
+    and their streams; when ``keep``, each path's position is saved where its next
+    block of W begins.
 
-    Streams are kept only when more blocks follow: a chunk's 4,096 streams hold
-    about 3 MB, which would raise the peak memory of a one-block walk.
+    A path's stream is its Philox key (seed, path index) at counter 0, loaded by
+    re-keying the chunk's one bit generator.  It gives the drift's uniform first
+    and then the normals.  Positions are saved only when more blocks follow.
     """
-    x_true = np.empty(count)
+    streams = _Streams(seed, start, count if keep else 0)
+    random, normals = streams.gen.random, streams.gen.standard_normal
+    u = np.empty(count)
     z = np.empty((count, n_steps))
-    streams = []
-    cum_w = np.cumsum(table.weights)
     for i in range(count):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
-        )
-        u = gen.random()
-        x_true[i] = table.nodes[min(int(np.searchsorted(cum_w, u, side="right")), table.n - 1)]
-        z[i] = gen.standard_normal(n_steps)
+        streams.load(i)
+        u[i] = random()
+        normals(out=z[i])
         if keep:
-            streams.append(gen)
-    return x_true, _cumulate(z, 0.0, dt), streams
+            streams.save(i)
+    drawn = np.minimum(np.searchsorted(np.cumsum(table.weights), u, side="right"), table.n - 1)
+    return table.nodes[drawn], _cumulate(z, 0.0, dt), streams
 
 
-def _wiener_block(
-    streams: list[np.random.Generator], paths: np.ndarray, w_last: np.ndarray, n_steps: int, dt: float
-) -> np.ndarray:
-    """The next ``n_steps`` values of W for ``streams[paths]``, which stand at ``w_last``."""
+def _wiener_block(streams: _Streams, paths: np.ndarray, w_last: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
+    """The next ``n_steps`` values of W for the chunk's ``paths``, which stand at ``w_last``."""
+    normals = streams.gen.standard_normal
     z = np.empty((paths.size, n_steps))
-    for row, i in enumerate(paths):
-        z[row] = streams[i].standard_normal(n_steps)
+    for row, i in enumerate(paths.tolist()):
+        streams.load(i, streams.saved[i].item())
+        normals(out=z[row])
+        streams.save(i)
     return _cumulate(z, w_last, dt)
 
 

@@ -410,6 +410,29 @@ def test_unknown_solver_key_exits_2(bern_config, capsys, block, key, value):
     assert not out.exists()
 
 
+_POLICY_KEYS = [
+    ({"kind": "stop_at"}, "time"),
+    ({"kind": "symmetric_threshold"}, "a"),
+    ({"kind": "stop_at", "time": 1.0, "a": 0.3}, "a"),
+    ({"kind": "symmetric_threshold", "a": 0.3, "time": 1.0}, "time"),
+    ({"kind": "solver_boundary", "a": 0.3}, "a"),
+    ({"kind": "stop_now", "time": 1.0}, "kind"),
+]
+
+
+@pytest.mark.parametrize("policy, key", _POLICY_KEYS, ids=[f"{p['kind']}-{k}" for p, k in _POLICY_KEYS])
+def test_policy_keys_checked_against_its_kind_exits_2(bern_config, capsys, policy, key):
+    # an unknown kind, a required key that is missing, or a key the kind does
+    # not use: the message names the block, the kind and the key, and nothing is written
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = policy
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'policy'" in err and repr(policy["kind"]) in err and repr(key) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["t_burnin", "T_max_when_capped", "horizon_scan_limit"])
 def test_removed_solver_key_names_replacement(bern_config, capsys, key):
     cfg_path, _, cfg = bern_config

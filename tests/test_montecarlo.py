@@ -274,3 +274,45 @@ def test_walk_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch, c
         assert 0 < ref["capped"].sum() < sim.n_paths
         for name, want in ref.items():
             assert np.array_equal(getattr(stats, name), want), name
+
+
+def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkeypatch):
+    # path i's stream is Generator(Philox(key=[seed, i])) from its start: the
+    # drift from its first uniform, then W from its normals in order.  Chunks of
+    # 64 put the 150 paths in three walks, and blocks of 16 steps make every
+    # path that walks past step 16 resume its stream lazily, a block at a time,
+    # after others have stopped; the kernel sees y = x t + W of each needed path
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 16)
+    policy, _ = _bernoulli_rule_and_shifts()
+    sim = SimConfig(n_paths=150, dt=0.02, horizon=4.0, seed=2**63 + 79)
+    calls = []
+    kernel = montecarlo.posterior_mean_var
+
+    def recorded(table, t, y):
+        calls.append((t, np.array(y, dtype=float, copy=True)))
+        return kernel(table, t, y)
+
+    monkeypatch.setattr(montecarlo, "posterior_mean_var", recorded)
+    est = evaluate_policy(bernoulli_table, 0.25, policy, sim)
+    last_step = np.rint(est.paths[0].tau / sim.dt).astype(int)
+    assert last_step.min() < 16 and last_step.max() > 3 * 16
+
+    cum_w = np.cumsum(bernoulli_table.weights)
+    x = np.empty(sim.n_paths)
+    w = np.empty((sim.n_paths, sim.n_steps))
+    for i in range(sim.n_paths):
+        gen = np.random.Generator(np.random.Philox(key=np.array([sim.seed, i], dtype=np.uint64)))
+        x[i] = bernoulli_table.nodes[np.searchsorted(cum_w, gen.random(), "right")]
+        w[i] = np.cumsum(gen.standard_normal(sim.n_steps) * math.sqrt(sim.dt))
+
+    want = []
+    for start in range(0, sim.n_paths, 64):
+        chunk = np.arange(start, min(start + 64, sim.n_paths))
+        for k in range(1, last_step[chunk].max() + 1):
+            at = chunk[last_step[chunk] >= k]
+            want.append((k * sim.dt, x[at] * (k * sim.dt) + w[at, k - 1]))
+    got = [(t, y) for t, y in calls if t > 0.0]
+    assert len(got) == len(want)
+    for (t, y), (t_want, y_want) in zip(got, want):
+        assert t == t_want and np.array_equal(y, y_want)
