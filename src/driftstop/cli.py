@@ -139,7 +139,7 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     x_lo = float(solver_doc.get("x_lo", x_lo_d))
     x_hi = float(solver_doc.get("x_hi", x_hi_d))
     n_t = solver_doc.get("n_t", 100)
-    n_x = solver_doc.get("n_x", 401)
+    n_x = solver_doc.get("n_x", 201)
 
     capped = False
     if "T_max" in solver_doc:
@@ -349,6 +349,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    for flag in ("m", "sigma2", "sigma", "beta", "c", "t", "y"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be a finite number, got {value!r}")
+    if args.c is not None and args.c <= 0.0:
+        raise ConfigError(f"--c must be positive, got {args.c!r}")
+    if args.t is not None and args.t < 0.0:
+        raise ConfigError(f"--t must be >= 0, got {args.t!r}")
     family = args.family
     rec: dict = {"family": family}
     t = args.t if args.t is not None else 0.0

@@ -15,8 +15,8 @@ it, except the first row below T_max, which takes one implicit Euler step
 from v_inf.  The stationary problem and every step are tridiagonal linear
 complementarity problems solved exactly by policy iteration with direct
 banded solves; both lateral boundaries reflect.  Repeating the march on every
-second row estimates the time error.  Stopping regions are read off the
-solved grid and classified.
+second row estimates the time error, and on every second node the space
+error.  Stopping regions are read off the solved grid and classified.
 """
 
 from __future__ import annotations
@@ -251,6 +251,27 @@ def _march(
     return values, iterations
 
 
+def _stationary_value(
+    psi_inf: np.ndarray, c: float, dx: float, config: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The stationary value v_inf on nodes spaced ``dx``, its stopped set and LCP iterations."""
+    rhs = c - psi_inf**2
+    # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
+    # A v <= rhs needs w.rhs >= 0; a node with Psi_inf = 0 decouples (+inf)
+    trap = np.ones_like(rhs)
+    trap[[0, -1]] = 0.5
+    with np.errstate(divide="ignore"):
+        if float(np.dot(trap, c / psi_inf**2 - 1.0)) < 0.0:
+            raise SolverError(
+                f"(c - Psi_inf^2) / Psi_inf^2 integrates below 0 over [x_lo, x_hi] = "
+                f"[{config.x_lo!r}, {config.x_hi!r}]: the truncation misses the stopping "
+                "region; widen it"
+            )
+    lower, diag, upper = _step_operator(psi_inf, 1.0, dx)
+    # policy iteration only grows the continuation set here: <= n + 1 passes
+    return _policy_step(rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1)
+
+
 def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     """Backward induction for the value surface.
 
@@ -269,8 +290,12 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     when Psi = Psi_inf, and zero when Psi_inf^2 <= c everywhere.  It exists
     only if the trapezoid integral of (c - Psi_inf^2) / Psi_inf^2 over the
     truncation is >= 0; otherwise the truncation misses the stopping region and
-    ``SolverError`` is raised.  If c already dominates Psi^2 everywhere on the
-    first slice, every row stops everywhere on its first LCP pass and v = 0.
+    ``SolverError`` is raised (also when only every second node fails it, as
+    the space estimate's lattice must pass too).  If c already dominates Psi^2
+    everywhere on the first slice, every row stops everywhere on its first LCP
+    pass and v = 0.  ``meta`` reports the time and space error estimates; the
+    space one is None for an even ``n_x``, whose every second node stops one
+    node short of ``x_hi``.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
@@ -279,24 +304,7 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     dx = float(x[1] - x[0])
 
     psi_mat = _align_psi(grid, t_solve, x)
-    psi_inf2 = grid.stationary**2
-    rhs = c - psi_inf2
-    # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
-    # A v <= rhs needs w.rhs >= 0; a node with Psi_inf = 0 decouples (+inf)
-    trap = np.ones_like(rhs)
-    trap[[0, -1]] = 0.5
-    with np.errstate(divide="ignore"):
-        if float(np.dot(trap, c / psi_inf2 - 1.0)) < 0.0:
-            raise SolverError(
-                f"(c - Psi_inf^2) / Psi_inf^2 integrates below 0 over [x_lo, x_hi] = "
-                f"[{config.x_lo!r}, {config.x_hi!r}]: the truncation misses the stopping "
-                "region; widen it"
-            )
-    lower, diag, upper = _step_operator(grid.stationary, 1.0, dx)
-    # policy iteration only grows the continuation set here: <= n + 1 passes
-    v_inf, stopped, n_stationary = _policy_step(
-        rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1
-    )
+    v_inf, stopped, n_stationary = _stationary_value(grid.stationary, c, dx, config)
     psi_down = psi_mat[::-1]  # row 0 at T_max
     down, steps = _march(psi_down, v_inf, stopped, c, config.dt, dx)
     values, iterations = down[::-1], steps[::-1]
@@ -305,6 +313,13 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     # fine one's O(dt^2) time error
     coarse, _ = _march(psi_down[::2], v_inf, stopped, c, 2.0 * config.dt, dx)
     time_error = float(np.max(np.abs(down[::2] - coarse))) / 3.0
+    # and on every second node, which for odd n_x ends at x_hi too: its gap is
+    # 3x the fine one's O(dx^2) error at the nodes (not between them)
+    space_error = None
+    if config.n_x % 2:
+        v_inf2, stopped2, _ = _stationary_value(grid.stationary[::2], c, 2.0 * dx, config)
+        coarse, _ = _march(psi_down[:, ::2], v_inf2, stopped2, c, config.dt, 2.0 * dx)
+        space_error = float(np.max(np.abs(down[:, ::2] - coarse))) / 3.0
 
     meta = {
         "flags": [],  # no safeguard left to report; the key keeps solver_meta.json stable
@@ -312,6 +327,7 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
         "max_step_iterations": int(iterations.max()),
         "total_step_iterations": int(iterations.sum()),
         "time_error_estimate": time_error,
+        "space_error_estimate": space_error,
     }
     return ValueGrid(
         t_nodes=t_solve,

@@ -95,6 +95,38 @@ def test_solver_rows_default_to_100(bern_config):
     assert resolved["solver"]["n_t"] == 100
 
 
+def test_solver_nodes_default_to_201(bern_config):
+    # at 201 nodes the space error estimate stays below the time error estimate
+    # on the continuous priors' CLI defaults (test_space_error_below_time_error_at_defaults)
+    _, out, cfg = bern_config
+    del cfg["solver"]["n_x"]
+    resolved = _resolve(cfg, str(out), None)[-1]
+    assert resolved["solver"]["n_x"] == 201
+
+
+@pytest.mark.parametrize(
+    "prior, c",
+    [
+        ({"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, 0.25),
+        ({"kind": "half_normal", "sigma2": 1.0}, 0.25),
+        ({"kind": "symmetric_gaussian_mixture", "m": 1.0, "sigma": 1.0}, 0.04),
+    ],
+    ids=["gaussian", "half_normal", "mixture"],
+)
+def test_space_error_below_time_error_at_defaults(tmp_path, prior, c):
+    # measured at 201 nodes: space 1.3e-16 / 3.9e-5 / 1.4e-4 against time
+    # 1.2e-4 / 7.7e-5 / 5.8e-3.  Atoms +-1 cannot meet this at any n_x: their v
+    # does not change in t, so the time estimate is round-off (3e-14) while the
+    # space one is 1.7e-4; the two-point bench config pins its own n_x
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"prior": prior, "cost_c": c, "output_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    meta = json.loads((tmp_path / "out" / "solver_meta.json").read_text())
+    assert meta["meta"]["space_error_estimate"] < meta["meta"]["time_error_estimate"]
+    assert meta["locally_good_passed"] is True
+    assert json.loads((tmp_path / "out" / "monotonicity_report.json").read_text())["passed"] is True
+
+
 def test_boundary_csv_round_trip(bern_config):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
@@ -300,6 +332,27 @@ def test_closed_form_mixture_thresholds(capsys):
 def test_closed_form_missing_param_exit_2(capsys):
     assert main(["closed-form", "--family", "gaussian"]) == 2
     assert "sigma2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--family", "gaussian", "--sigma2", "1", "--c", "0"], "--c"),
+        (["--family", "gaussian", "--sigma2", "1", "--c", "-1"], "--c"),
+        (["--family", "gaussian", "--sigma2", "1", "--t", "-1"], "--t"),
+        (["--family", "half_normal", "--sigma2", "1", "--t", "-1"], "--t"),
+        (["--family", "gaussian", "--sigma2", "nan"], "--sigma2"),
+        (["--family", "gaussian", "--sigma2", "1", "--y", "inf"], "--y"),
+        (["--family", "bernoulli", "--beta", "1", "--c", "inf"], "--c"),
+    ],
+    ids=["gaussian-c-zero", "c-negative", "gaussian-t-negative", "half_normal-t-negative", "sigma2-nan",
+         "y-inf", "bernoulli-c-inf"],
+)
+def test_closed_form_bad_number_exits_2(capsys, argv, flag):
+    assert main(["closed-form", *argv]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_verify_failed_gap_exits_3(bern_config, capsys):

@@ -166,6 +166,27 @@ def test_time_error_estimate_gaussian(gaussian_table, n_t):
     assert 0.5 * err <= est <= 2.0 * err
 
 
+@pytest.mark.parametrize("name, c, T_max", [("half_normal", 0.25, 1.1), ("mixture", 0.04, 5.5)])
+def test_space_error_estimate_bounds_the_nodal_error(all_tables, name, c, T_max):
+    # the CLI defaults at n_x = 201 against a 1601-node reference on the same
+    # window and rows: the every-second-node re-solve bounds the error of
+    # v(0, .) at the nodes (1.8e-5 and 1.4e-4), not the error of interpolating
+    # between them, which is larger
+    grid, _ = _solve(all_tables[name], c, n_t=100, n_x=201, T_max=T_max)
+    ref, _ = _solve(all_tables[name], c, n_t=100, n_x=1601, T_max=T_max)
+    err = float(np.max(np.abs(grid.values[0] - ref.values[0, ::8])))
+    est = grid.meta["space_error_estimate"]
+    assert err <= est <= 3.0 * err
+
+
+def test_space_error_estimate_none_for_even_nodes_and_zero_when_flat(gaussian_table):
+    # an even n_x has no nested lattice that ends at x_hi; the Gaussian v is flat in x
+    even, _ = _solve(gaussian_table, 0.25, n_t=40, n_x=40, T_max=1.1)
+    assert even.meta["space_error_estimate"] is None
+    flat, _ = _solve(gaussian_table, 0.25, n_t=40, n_x=41, T_max=1.1)
+    assert 0.0 <= flat.meta["space_error_estimate"] <= 1e-12
+
+
 def test_bdf2_leaves_the_two_point_lattice_where_it_was(bernoulli_table):
     # two-point Psi is constant in t, so v_inf is a fixed point of BDF2 and of
     # implicit Euler alike: the BDF2 rows match an implicit Euler march on the
