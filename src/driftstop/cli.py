@@ -145,13 +145,12 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     if "T_max" in solver_doc:
         t_max = float(solver_doc["T_max"])
     else:
-        scan = psi_grid(
-            table,
+        x_scan = np.linspace(x_lo, x_hi, 41)
+        hz = choose_horizon(
+            lambda t: float(np.max(psi_grid(table, [t], x_scan, tol=1e-8).values ** 2)),
             np.linspace(0.0, 50.0, 201),
-            np.linspace(x_lo, x_hi, 41),
-            tol=1e-8,
+            c,
         )
-        hz = choose_horizon(scan, c)
         capped = hz.capped
         t_max = hz.horizon if hz.horizon > 0.0 else 1.0
         if capped:
@@ -349,14 +348,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    for flag in ("m", "sigma2", "sigma", "beta", "c", "t", "y"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
+    names = ("m", "sigma2", "sigma", "beta", "c", "t", "y")
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for flag, value in flags.items():
+        if not math.isfinite(value):
             raise ConfigError(f"--{flag} must be a finite number, got {value!r}")
     if args.c is not None and args.c <= 0.0:
         raise ConfigError(f"--c must be positive, got {args.c!r}")
     if args.t is not None and args.t < 0.0:
         raise ConfigError(f"--t must be >= 0, got {args.t!r}")
+    given = " ".join(f"--{flag} {value!r}" for flag, value in flags.items())
+    try:
+        rec = _closed_form_record(args)
+    except OverflowError as exc:
+        raise OverflowError(f"the {args.family} record overflows a float at {given}: {exc}") from exc
+    # a record field that overflowed to inf (or to nan through inf) is not JSON
+    for key, value in rec.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise OverflowError(f"closed-form field {key!r} is {value!r} at {given}")
+    json.dump(rec, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return EXIT_OK
+
+
+def _closed_form_record(args) -> dict:
     family = args.family
     rec: dict = {"family": family}
     t = args.t if args.t is not None else 0.0
@@ -394,9 +409,7 @@ def cmd_closed_form(args) -> int:
         if args.c is not None:
             t_inf, t_zero = closed_form.mixture_boundary_thresholds(args.m, args.sigma, args.c)
             rec.update(t_infinity=t_inf, t_zero=t_zero)
-    json.dump(rec, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return rec
 
 
 def cmd_simulate(args) -> int:
@@ -471,7 +484,7 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, InversionError, PosteriorError) as exc:
+    except (SolverError, InversionError, PosteriorError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -25,10 +25,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .closed_form import bernoulli_solve
 from .csvio import format_float, write_table_csv
@@ -138,20 +138,28 @@ class HorizonResult(NamedTuple):
     capped: bool
 
 
-def choose_horizon(grid: PsiGrid, c: float) -> HorizonResult:
-    """Smallest grid time where sup_x Psi^2 <= c, with a 10% safety margin.
+def choose_horizon(sup_psi2: Callable[[float], float], t_scan, c: float) -> HorizonResult:
+    """Smallest scan time where sup_x Psi^2 <= c, with a 10% safety margin.
 
-    Beyond that time the whole spatial slice belongs to the stopping region,
-    so truncating the solve there is exact.  When the scanned range never
-    satisfies the condition the scan limit is returned with ``capped=True``.
+    ``sup_psi2(t)`` is sup_x Psi(t, .)^2 over the scanned slice; from the first
+    time it passes on, the whole slice stops, so truncating the solve there is
+    exact.  Psi does not increase in t, so once a time passes every later one
+    does: the last time is tried first (if it fails, it is returned with
+    ``capped=True``), then bisection finds the first pass in at most
+    ceil(log2(len(t_scan))) more calls.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
-    sup_psi2 = np.max(grid.values**2, axis=1)
-    hits = np.nonzero(sup_psi2 <= c)[0]
-    if hits.size == 0:
-        return HorizonResult(t_c=None, horizon=float(grid.t_nodes[-1]), capped=True)
-    t_c = float(grid.t_nodes[hits[0]])
+    if sup_psi2(float(t_scan[-1])) > c:
+        return HorizonResult(t_c=None, horizon=float(t_scan[-1]), capped=True)
+    fails, passes = -1, len(t_scan) - 1  # every index <= fails fails, every one >= passes passes
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        if sup_psi2(float(t_scan[mid])) <= c:
+            passes = mid
+        else:
+            fails = mid
+    t_c = float(t_scan[passes])
     return HorizonResult(t_c=t_c, horizon=1.1 * t_c, capped=False)
 
 
@@ -203,21 +211,16 @@ def _policy_step(
     max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact LCP solve by policy iteration over the stopped set."""
-    n = rhs.size
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
     for it in range(1, max_iter + 1):
-        ab = np.zeros((3, n))
-        d = np.where(stopped, 1.0, diag)
+        # a stopped row reads v = 0: unit diagonal, no neighbours, zero rhs
         lo = np.where(stopped, 0.0, lower)
         up = np.where(stopped, 0.0, upper)
+        d = np.where(stopped, 1.0, diag)
         b = np.where(stopped, 0.0, rhs)
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = d
-        ab[2, :-1] = lo[1:]
-        try:
-            v = solve_banded((1, 1), ab, b)
-        except np.linalg.LinAlgError as exc:  # a ValueError, which the CLI reads as bad input
-            raise SolverError(f"singular step operator in policy iteration: {exc}") from exc
+        _, _, _, v, info = dgtsv(lo[1:], d, up[:-1], b)
+        if info > 0:  # an exactly zero pivot
+            raise SolverError(f"singular step operator in policy iteration (zero pivot at row {info - 1})")
         # residual of the *original* rows decides admissibility of stopping
         resid = rhs - (diag * v + _neighbor_terms(v, lower, upper))
         new_stopped = np.where(stopped, resid >= -slack, v > slack)

@@ -355,6 +355,25 @@ def test_closed_form_bad_number_exits_2(capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--family", "gaussian", "--sigma2", "1", "--y", "1e300"], "--y"),
+        (["--family", "mixture", "--m", "1e200", "--sigma", "1", "--t", "1"], "--m"),
+        (["--family", "gaussian", "--sigma2", "1e300", "--y", "1e300"], "'F'"),
+        (["--family", "half_normal", "--sigma2", "1e300", "--y", "1e300"], "'F'"),
+    ],
+    ids=["gaussian-overflow", "mixture-overflow", "gaussian-F-inf", "half_normal-F-inf"],
+)
+def test_closed_form_overflow_exits_3(capsys, argv, field):
+    # finite flags whose record overflows a float: a numerical failure, and no non-JSON output
+    assert main(["closed-form", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:")
+    assert field in captured.err
+    assert captured.out == ""
+
+
 def test_verify_failed_gap_exits_3(bern_config, capsys):
     # a threshold far inside the optimal boundary a = 0.917: widening it by
     # 0.1 lowers the cost significantly, which is evidence against the policy

@@ -5,6 +5,7 @@ import pytest
 
 from driftstop import (
     BoundaryCurve,
+    HorizonResult,
     PriorSpec,
     SolverConfig,
     bernoulli_comparison_check,
@@ -50,26 +51,66 @@ def test_config_validation():
         SolverConfig(n_t=80, n_x=81, T_max=1.0, x_lo=1.0, x_hi=-1.0)
 
 
+def _sup_psi2(table, x_nodes, tol=1e-10, calls=None):
+    """sup_x Psi(t, .)^2 over ``x_nodes``, one single-row grid per call; ``calls`` records each t."""
+
+    def row(t):
+        if calls is not None:
+            calls.append(t)
+        return float(np.max(psi_grid(table, [t], x_nodes, tol=tol).values ** 2))
+
+    return row
+
+
 def test_choose_horizon_gaussian(gaussian_table):
-    grid = psi_grid(gaussian_table, np.linspace(0.0, 3.0, 301), np.linspace(-4.0, 4.0, 9))
-    res = choose_horizon(grid, 0.25)
+    res = choose_horizon(_sup_psi2(gaussian_table, np.linspace(-4.0, 4.0, 9)), np.linspace(0.0, 3.0, 301), 0.25)
     assert not res.capped
     assert res.t_c == pytest.approx(1.0, abs=0.02)
     assert res.horizon == pytest.approx(1.1 * res.t_c)
 
 
 def test_choose_horizon_degenerate_and_capped(bernoulli_table):
-    grid = psi_grid(bernoulli_table, np.linspace(0.0, 5.0, 26), np.linspace(-0.99, 0.99, 21))
-    res = choose_horizon(grid, 1.0)  # sup psi^2 = beta^4 = 1 <= c everywhere
+    sup_psi2, t_scan = _sup_psi2(bernoulli_table, np.linspace(-0.99, 0.99, 21)), np.linspace(0.0, 5.0, 26)
+    res = choose_horizon(sup_psi2, t_scan, 1.0)  # sup psi^2 = beta^4 = 1 <= c everywhere
     assert res.t_c == 0.0 and res.horizon == 0.0 and not res.capped
-    res = choose_horizon(grid, 0.25)  # never falls below sqrt(c)
+    res = choose_horizon(sup_psi2, t_scan, 0.25)  # never falls below sqrt(c)
     assert res.capped and res.horizon == pytest.approx(5.0)
 
 
 def test_choose_horizon_mixture_brackets(mixture_table):
-    grid = psi_grid(mixture_table, np.linspace(0.0, 8.0, 401), np.linspace(-6.0, 6.0, 17))
-    res = choose_horizon(grid, 0.04)
+    res = choose_horizon(_sup_psi2(mixture_table, np.linspace(-6.0, 6.0, 17)), np.linspace(0.0, 8.0, 401), 0.04)
     assert 4.0 <= res.t_c <= 4.8742  # within one scan cell above t_zero
+
+
+@pytest.mark.parametrize(
+    "prior, c, capped",
+    [
+        (PriorSpec.gaussian(0.0, 1.0), 0.25, False),
+        (PriorSpec.half_normal(1.0), 0.25, False),
+        (PriorSpec.symmetric_gaussian_mixture(1.0, 1.0), 0.04, False),
+        (PriorSpec.bernoulli(1.0, 0.5), 0.25, True),
+        (PriorSpec.bernoulli(1.0, 0.5), 1.0, False),  # t_c = 0
+    ],
+    ids=["gaussian", "half_normal", "mixture", "atoms-capped", "atoms-t_c-zero"],
+)
+def test_choose_horizon_bisection_matches_full_scan(prior, c, capped):
+    # the CLI's scan lattice: 201 rows to t = 50, 41 nodes over the default domain
+    table = build_quadrature(prior, n=128)
+    t_scan, x_scan = np.linspace(0.0, 50.0, 201), np.linspace(*default_domain(table), 41)
+    calls = []
+    res = choose_horizon(_sup_psi2(table, x_scan, 1e-8, calls), t_scan, c)
+
+    sup_psi2 = np.max(psi_grid(table, t_scan, x_scan, tol=1e-8).values ** 2, axis=1)
+    hits = np.nonzero(sup_psi2 <= c)[0]
+    if hits.size == 0:
+        full = HorizonResult(t_c=None, horizon=50.0, capped=True)
+    else:
+        full = HorizonResult(t_c=float(t_scan[hits[0]]), horizon=1.1 * float(t_scan[hits[0]]), capped=False)
+    assert res == full
+    assert res.capped == capped
+    assert len(calls) == 1 if capped else len(calls) <= 9
+    if prior.kind == "discrete_atoms" and not capped:
+        assert res.t_c == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +482,8 @@ def test_locally_good(bern_grid, gaussian_table):
 
 
 def test_singular_step_operator_is_a_solver_error():
-    # numpy's LinAlgError is a ValueError, which the CLI reports as bad input
-    # (exit 2); a singular operator is a numerical failure (exit 3)
+    # LAPACK's gtsv reports a zero pivot through info > 0; a singular operator
+    # is a numerical failure (exit 3), not bad input (exit 2)
     n = 5
     zeros = np.zeros(n)
     with pytest.raises(SolverError, match="singular"):
