@@ -97,7 +97,8 @@ def _load_config(path: str) -> dict:
 
 
 def _check_policy(policy: dict) -> None:
-    """Refuse an unknown policy kind, and a key its kind needs but lacks or holds but does not use."""
+    """Refuse an unknown policy kind, a key its kind needs but lacks or holds but does not use,
+    and a negative stopping time or threshold."""
     kind = policy.get("kind", "solver_boundary")
     if not isinstance(kind, str) or kind not in POLICY_KEYS:
         known = ", ".join(POLICY_KEYS)
@@ -109,6 +110,9 @@ def _check_policy(policy: dict) -> None:
     unused = sorted(set(policy) - {"kind", *needed})
     if unused:
         raise ConfigError(f"key {unused[0]!r} in 'policy' is not used by policy kind {kind!r}")
+    for key in needed:
+        if policy[key] < 0:
+            raise ConfigError(f"key {key!r} in 'policy' must be >= 0 for policy kind {kind!r}, got {policy[key]!r}")
 
 
 def _check_types(doc: dict, keys_by_block: dict, accepts, what: str) -> None:

@@ -6,26 +6,39 @@ posterior mean at every monitored time from the pair (t, Y(t)) directly; there
 is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
+Stops are decided in y.  G(t, .) is strictly increasing, so each stopping
+interval of the estimate is an interval of the observation: every rule's
+interval ends are inverted once per monitoring step, and a comparison of the
+drawn Y with them gives each rule's stop step before any filtering (a
+deterministic time's step is known in advance).  A Y inside a guard band
+around an end, sized by the inversion tolerance and the kernel's round-off, is
+decided on the kernel's estimate there, so every stop is the one the estimate's
+interval containment gives.
+
 Randomness is counter-based: each path owns the Philox stream of key
 (seed, path index) from counter 0, drawn lazily in blocks of Wiener steps.
 A Philox stream is fully defined by its key and counter, so one bit generator
 per chunk, re-keyed for each path, draws every path's stream.  Paths are walked
-in fixed chunks of consecutive indices, and within a chunk the kernel runs only
-on the paths that some rule still needs, so reruns with the same SimConfig are
-bit-identical.  The kernel's per-column round-off can depend on which columns
-share a call (BLAS at large node counts, and the node band set by the call's
-smallest and largest y), so per-path values are not guaranteed to be
-independent of which paths are walked together.
+in fixed chunks of consecutive indices.  Within a chunk the kernel runs only on
+the (step, path) cells some rule still needs, in one call per span of whole
+steps: as many steps as keep table nodes x cells within ``_NODE_COLUMNS``, at
+least one, so a small table covers several steps per call.  Reruns with the
+same SimConfig are bit-identical.  The kernel's per-column round-off can depend
+on which columns share a call (BLAS and summation order at large node counts,
+and the node band set by the call's extreme cells), so per-path values are not
+guaranteed to be independent of which paths are walked together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Union
 
 import numpy as np
 
+from .dispersion import _invert_array
 from .prior import QuadratureTable, posterior_mean_var
 from .stopping_solver import BoundaryCurve
 
@@ -46,6 +59,8 @@ Policy = Union[float, BoundaryCurve]
 
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
+_NODE_COLUMNS = 2**15  # table nodes x columns of a kernel call that spans several steps
+_END_TOL = 1e-13  # inversion tolerance of the stopping-interval ends in y
 
 
 @dataclass(frozen=True)
@@ -184,10 +199,109 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     return np.cumsum(z, axis=1, out=z)
 
 
-def _stops_now(policy: Policy, t_k: float, x_hat_col: np.ndarray) -> np.ndarray:
-    if isinstance(policy, BoundaryCurve):
-        return policy.contains(t_k, x_hat_col)
-    return np.full(x_hat_col.shape, t_k >= float(policy) - 1e-12, dtype=bool)
+class _Ends(NamedTuple):
+    """A BoundaryCurve's stopping intervals at every monitored step, in x_hat and in y.
+
+    Row k holds the intervals of step k's slice, padded with empty ones
+    (+inf, -inf).  A y in [in_lo, in_hi] stops for sure and a y outside
+    (out_lo, out_hi) surely does not; a y between the two is inside the guard
+    band of an end, and the kernel's x_hat there decides against [x_lo, x_hi].
+    """
+
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    in_lo: np.ndarray
+    in_hi: np.ndarray
+    out_lo: np.ndarray
+    out_hi: np.ndarray
+
+    def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each path's first row of ``y`` (observations at steps k, k + 1, ...) that
+        stops for sure or lies in a guard band, ``len(y)`` if none, and whether
+        that row lies in a guard band."""
+        span = y.shape[0]
+        at = slice(k, k + span)
+        sure = np.zeros(y.shape, dtype=bool)
+        maybe = np.zeros(y.shape, dtype=bool)
+        for j in range(self.x_lo.shape[1]):
+            sure |= (y >= self.in_lo[at, j, None]) & (y <= self.in_hi[at, j, None])
+            maybe |= (y > self.out_lo[at, j, None]) & (y < self.out_hi[at, j, None])
+        maybe |= sure
+        found = maybe.any(axis=0)
+        first = np.where(found, maybe.argmax(axis=0), span)
+        unsure = found & ~sure[np.minimum(first, span - 1), np.arange(y.shape[1])]
+        return first, unsure
+
+    def contains(self, steps: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+        """Is each x_hat in a stopping interval of its step?"""
+        x = x_hat[:, None]
+        return ((x >= self.x_lo[steps]) & (x <= self.x_hi[steps])).any(axis=1)
+
+
+class _Time(NamedTuple):
+    """A deterministic stopping time, known as a step before any path is drawn."""
+
+    step: int  # the first step at or after the time; past the horizon if none
+
+    @classmethod
+    def of(cls, time: float, times: np.ndarray) -> "_Time":
+        hit = np.flatnonzero(times >= time - 1e-12)
+        return cls(int(hit[0]) if hit.size else times.size)
+
+    def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, None]:
+        return np.full(y.shape[1], min(self.step - k, y.shape[0])), None
+
+
+def _roundoff(table: QuadratureTable) -> float:
+    """A bound on the kernel's round-off in G: 2^-40 times the node span.
+
+    The round-off grows with the logits; the largest measured against long
+    double on the test priors over t <= 100 and |y| <= 40 (1 + t) is 2^-45 of
+    the span.
+    """
+    return 2.0**-40 * float(table.nodes[-1] - table.nodes[0])
+
+
+def _guard(table: QuadratureTable) -> float:
+    """Half-width m, in x_hat, of the guard band around each stopping-interval end.
+
+    G(t, .) increases in y and the kernel computes it to within eps =
+    ``_roundoff``.  An end inverted at x to tolerance tau has |G - x| <= tau +
+    eps, so every y at or past the inversion of x + m has kernel x_hat >= x + m
+    - tau - 2 eps > x, and every y at or before the inversion of x - m has
+    x_hat < x.
+    """
+    return 2.0 * (_END_TOL + _roundoff(table))
+
+
+def _observation_ends(table: QuadratureTable, curves: list[BoundaryCurve], times: np.ndarray) -> list[_Ends]:
+    """Every curve's intervals at every monitored time, with their guard-band ends in y.
+
+    The x_hat ends come from one slice lookup per curve; all their points are
+    inverted in one call at tolerance ``_END_TOL``.  A point at or beyond an
+    extreme node has no finite inverse and maps to +-inf, so the walk decides
+    near such an end on x_hat alone.
+    """
+    if not curves:
+        return []
+    width = max(1, max(len(segs) for curve in curves for segs in curve.intervals))
+    ends = np.empty((len(curves), times.size, width, 2))
+    for c, curve in enumerate(curves):
+        padded = np.empty((len(curve.intervals), width, 2))
+        padded[...] = (math.inf, -math.inf)
+        for i, segs in enumerate(curve.intervals):
+            if segs:
+                padded[i, : len(segs)] = segs
+        ends[c] = padded[curve.slice_index(times)]
+    lo, hi = ends[..., 0], ends[..., 1]
+    m = _guard(table)
+    x = np.stack([lo + m, hi - m, lo - m, hi + m], axis=1)
+    t = np.broadcast_to(times[:, None], x.shape)
+    y = np.where(x <= table.nodes[0], -math.inf, math.inf)
+    inner = (x > table.nodes[0]) & (x < table.nodes[-1])
+    if inner.any():
+        y[inner] = _invert_array(table, t[inner], x[inner], _END_TOL)[0]
+    return [_Ends(lo[c], hi[c], *y[c]) for c in range(len(curves))]
 
 
 @dataclass(frozen=True)
@@ -222,63 +336,119 @@ class CostEstimate:
     paths: tuple[PathStats, ...]
 
 
-def _walk_chunk(
-    table: QuadratureTable, sim: SimConfig, sl: slice, policies: list[Policy], out: list[PathStats]
-) -> None:
-    """Simulate the paths of one chunk and walk every policy on them, writing ``out[p][sl]``.
+def _running_sum(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Turn row j of ``inc`` into start + inc[0] + ... + inc[j], in place, added
+    left to right as a step-by-step walk adds them."""
+    for row in inc:
+        start = np.add(start, row, out=row)
+    return inc
 
-    Only the working set, the paths still live in some policy, is filtered and
-    drawn: it shrinks as paths stop, and the walk ends when it is empty.  The
-    path integrals are shared by every policy and read off at each path's stop.
+
+def _walk_chunk(
+    table: QuadratureTable, sim: SimConfig, sl: slice, rules: list[_Ends | _Time], out: list[PathStats]
+) -> None:
+    """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
+
+    The walk takes a span of whole steps at a time.  Each rule scans the
+    working set's observations over the span for its first sure or unsure
+    stop; the span ends early at the first unsure one, which the kernel's
+    x_hat then decides.  One kernel call filters every (step, path) cell some
+    rule still needs, step by step in path order, and the path integrals are
+    summed along the span from their carried values.  Only the working set,
+    the paths still live in some rule, is drawn and filtered: it shrinks as
+    paths stop, and the walk ends when it is empty.
     """
-    n_steps = sim.n_steps
+    n_steps, dt = sim.n_steps, sim.dt
+    times = sim.times()
     n_first = min(_BLOCK, n_steps)
     x, w_block, streams = _path_streams(
-        table, sim.seed, sl.start, sl.stop - sl.start, n_first, sim.dt, keep=n_steps > n_first
+        table, sim.seed, sl.start, sl.stop - sl.start, n_first, dt, keep=n_steps > n_first
     )
     k0 = 1  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
-    live = np.ones((len(policies), x.size), dtype=bool)
+    live = np.ones((len(rules), x.size), dtype=bool)
     integral_psi2 = np.zeros(x.size)
     second_diff_sum = np.zeros(x.size)
-    psi2_prev = np.zeros(x.size)  # read from step 1 on
-    for k in range(n_steps + 1):
-        if k - k0 == w_block.shape[1]:
-            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), sim.dt)
-            k0, rows = k, np.arange(paths.size)
-        t_k = k * sim.dt
-        y_k = x * t_k + (w_block[rows, k - k0] if k > 0 else 0.0)
-        g_k, h_k = posterior_mean_var(table, t_k, y_k)
-        psi2_k = h_k * h_k
-        if k >= 1:
-            integral_psi2 += 0.5 * sim.dt * (psi2_prev + psi2_k)
-            if k >= 2:
-                second_diff_sum += np.abs(psi2_k - 2.0 * psi2_prev + psi2_prev2)
-        for policy, lv, stats in zip(policies, live, out):
-            if not lv.any():
+    psi2_prev2 = psi2_prev = np.zeros(x.size)  # Psi^2 two steps and one step back
+    k = 0
+    while True:
+        if k == 0:  # W(0) = 0 for every path
+            y = np.multiply.outer(times[:1], x) + 0.0
+        else:
+            if k - k0 == w_block.shape[1]:
+                w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), dt)
+                k0, rows = k, np.arange(paths.size)
+            span = min(max(_NODE_COLUMNS // (table.n * paths.size), 1), k0 + w_block.shape[1] - k)
+            cols = slice(k - k0, k - k0 + span)
+            w = w_block[:, cols] if rows.size == w_block.shape[0] else w_block[rows, cols]  # no path dropped yet
+            y = np.multiply.outer(times[k : k + span], x) + w.T
+        span = full = y.shape[0]
+
+        # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
+        scans = []
+        for rule, lv in zip(rules, live):
+            first, unsure = rule.scan(k, y)
+            sure = first < full if unsure is None else (first < full) & ~unsure
+            if k + full - 1 == n_steps:
+                first = np.minimum(first, full - 1)
+            first = np.where(lv, first, -1)
+            if unsure is not None and (lv & unsure).any():
+                span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
+            scans.append((first, sure, unsure))
+        last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
+
+        if span == 1:
+            g, h = posterior_mean_var(table, float(times[k]), y[0])
+            g, h = g[None], h[None]
+        else:
+            cells = np.arange(span)[:, None] <= last  # (step, path) cells some rule needs
+            counts = cells.sum(axis=1)
+            g_cells, h_cells = posterior_mean_var(table, np.repeat(times[k : k + span], counts), y[:span][cells])
+            g, h = np.zeros(cells.shape), np.zeros(cells.shape)
+            g[cells], h[cells] = g_cells, h_cells
+        psi2 = h * h
+        if k == 0:
+            integral, second_diff = integral_psi2[None], second_diff_sum[None]
+        else:
+            back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
+            inc = 0.5 * dt * (back[1:-1] + back[2:])
+            d2 = np.abs(back[2:] - 2.0 * back[1:-1] + back[:-2])
+            if k == 1:
+                d2[0] = 0.0  # the second difference starts at step 2
+            integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
+
+        for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
+            idx = np.flatnonzero((first >= 0) & (first < span))
+            if idx.size == 0:
                 continue
-            stop = _stops_now(policy, t_k, g_k) & lv
-            if k == n_steps:
-                stats.capped[sl.start + paths[lv & ~stop]] = True
-                stop = lv.copy()  # force-stop whatever is left at the horizon
-            if stop.any():
-                at = sl.start + paths[stop]
-                stats.tau[at] = t_k
-                stats.sq_err[at] = (x[stop] - g_k[stop]) ** 2
-                stats.psi_at_stop[at] = h_k[stop]
-                stats.integral_psi2[at] = integral_psi2[stop]
-                stats.second_diff_sum[at] = second_diff_sum[stop]
-                lv[stop] = False
+            j = first[idx]
+            hit = sure[idx]
+            if unsure is not None:
+                ask = unsure[idx]
+                hit[ask] = rule.contains(k + j[ask], g[j[ask], idx[ask]])
+            horizon = k + j == n_steps  # force-stop whatever is left at the horizon
+            stop = hit | horizon
+            idx, j = idx[stop], j[stop]
+            at = sl.start + paths[idx]
+            stats.tau[at] = times[k + j]
+            stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
+            stats.psi_at_stop[at] = h[j, idx]
+            stats.integral_psi2[at] = integral[j, idx]
+            stats.second_diff_sum[at] = second_diff[j, idx]
+            stats.capped[at] = horizon[stop] & ~hit[stop]
+            lv[idx] = False
+
+        k += span
         needed = live.any(axis=0)
+        if not needed.any():
+            break
+        psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
+        psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
         if not needed.all():
-            if not needed.any():
-                break
             paths, x, rows, live = paths[needed], x[needed], rows[needed], live[:, needed]
             integral_psi2, second_diff_sum = integral_psi2[needed], second_diff_sum[needed]
-            psi2_k, psi2_prev = psi2_k[needed], psi2_prev[needed]
-        psi2_prev2 = psi2_prev
-        psi2_prev = psi2_k
+            psi2_prev, psi2_prev2 = psi2_prev[needed], psi2_prev2[needed]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -340,8 +510,11 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
         )
         for _ in policies
     ]
+    times = sim.times()
+    ends = iter(_observation_ends(table, [p for p in policies if isinstance(p, BoundaryCurve)], times))
+    rules = [next(ends) if isinstance(p, BoundaryCurve) else _Time.of(p, times) for p in policies]
     for start in range(0, n, _CHUNK):
-        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), policies, paths)
+        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, paths)
     base = paths[0]
     mean, se = _mean_se(base.sq_err + c * base.tau)
     cap_fraction = float(np.mean(base.capped))

@@ -27,6 +27,11 @@ move G by less than 0.6e-16 and H by less than 1.2e-16 (absolute), below the
 kernel's own round-off.  The kept weights are computed exactly as on the
 whole table; a column's last bits can still depend on the extreme columns
 that share its call, since they set the band the sums run over.
+
+A call may also pair each y with its own time.  Its band then runs from the
+first to the last node that any column keeps, found from every column's
+full-table log weights; a column's weights are the ones a call at its time
+alone computes, so on the same band it gets the same bits.
 """
 
 from __future__ import annotations
@@ -460,7 +465,17 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _tilt(table: QuadratureTable, t: float) -> np.ndarray:
+def _check_times(t, shape: tuple) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if t.shape != shape:
+        raise ValueError(f"times of shape {t.shape} do not match observations of shape {shape}")
+    bad = ~(np.isfinite(t) & (t >= 0.0))
+    if bad.any():
+        raise ValueError(f"time must be finite and >= 0, got {float(t[bad][0])!r}")
+    return t
+
+
+def _tilt(table: QuadratureTable, t) -> np.ndarray:
     """The y-free part ln w_i - u_i^2 t / 2 of every node's log posterior weight."""
     u = table.nodes
     return table.log_weights - 0.5 * t * u * u
@@ -477,37 +492,61 @@ def _band_cut(table: QuadratureTable) -> float:
     return math.log(table.n * (1.0 + span * span)) + 53.0 * math.log(2.0)
 
 
-def _weight_matrix(table: QuadratureTable, t: float, y: np.ndarray) -> tuple[slice, np.ndarray]:
+def _non_finite(y: float) -> PosteriorError:
+    return PosteriorError(f"observation level y={float(y)!r} gives non-finite posterior weights")
+
+
+def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.ndarray]:
     """Normalized posterior weights on the node band the call can reach, one column per y.
 
-    Returns the band as a slice of the nodes and the weights of its nodes; the
-    band comes from the full-table logits of the smallest and the largest y
-    alone (see the module docstring).  ``y`` must be non-empty.
+    Returns the band as a slice of the nodes and the weights of its nodes.  At
+    one time t the band comes from the full-table logits of the smallest and
+    the largest y alone; with an array of times it holds every node any column
+    keeps (see the module docstring).  ``y`` must be non-empty.
     """
-    tilt = _tilt(table, t)
-    y_lo, y_hi = y.min(), y.max()
-    ends = np.multiply.outer((y_lo, y_hi), table.nodes)
-    ends += tilt
-    top_lo, top_hi = ends.max(axis=1).tolist()
-    for y_end, top in ((y_lo, top_lo), (y_hi, top_hi)):
-        if not math.isfinite(top):
-            raise PosteriorError(f"observation level y={float(y_end)!r} gives non-finite posterior weights")
     cut = _band_cut(table)
-    first = int((ends[0] >= top_lo - cut).argmax())  # first node kept at the smallest y
-    past_last = table.n - int((ends[1, ::-1] >= top_hi - cut).argmax())  # past the last kept at the largest y
-    band = slice(first, past_last)
-    w = np.multiply.outer(table.nodes[band], y)
-    w += tilt[band, None]
-    w -= w.max(axis=0)  # max shift: the largest exponent becomes 0, so every column sums to >= 1
+    if np.ndim(t) == 0:
+        tilt = _tilt(table, t)
+        y_lo, y_hi = y.min(), y.max()
+        ends = np.multiply.outer((y_lo, y_hi), table.nodes)
+        ends += tilt
+        top_lo, top_hi = ends.max(axis=1).tolist()
+        for y_end, top in ((y_lo, top_lo), (y_hi, top_hi)):
+            if not math.isfinite(top):
+                raise _non_finite(y_end)
+        first = int((ends[0] >= top_lo - cut).argmax())  # first node kept at the smallest y
+        past_last = table.n - int((ends[1, ::-1] >= top_hi - cut).argmax())  # past the last kept at the largest y
+        band = slice(first, past_last)
+        w = np.multiply.outer(table.nodes[band], y)
+        w += tilt[band, None]
+        top = w.max(axis=0)
+    else:
+        u = table.nodes[:, None]
+        tilt = np.multiply.outer(table.nodes, 0.5 * t)
+        tilt *= u
+        np.subtract(table.log_weights[:, None], tilt, out=tilt)
+        w = np.multiply.outer(table.nodes, y)
+        w += tilt
+        top = w.max(axis=0)
+        if not np.isfinite(top).all():
+            raise _non_finite(y[~np.isfinite(top)][0])
+        kept = (w >= top - cut).any(axis=1)
+        band = slice(int(kept.argmax()), table.n - int(kept[::-1].argmax()))
+        w = w[band]
+    w -= top  # max shift: the largest exponent becomes 0, so every column sums to >= 1
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     return band, w
 
 
-def posterior_mean_var(table: QuadratureTable, t: float, y) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior mean and variance over an array of y values."""
-    t = _check_time(t)
+def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized posterior mean and variance over an array of y values.
+
+    ``t`` is one time for every y, or an array of times of the shape of ``y``
+    that gives each y its own.
+    """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)
     if y_arr.size == 0:
         return np.empty(0), np.empty(0)
     band, w = _weight_matrix(table, t, y_arr)

@@ -426,9 +426,12 @@ class BoundaryCurve:
         b_of = dict(zip(("empty", "full"), _B_EMPTY_FULL[self.shape]))
         return np.array([b_of.get(kind, b) for kind, b in map(_slice_kind, self.intervals)])
 
-    def slice_index(self, t: float) -> int:
-        i = int(np.searchsorted(self.t_nodes, t + 1e-15, side="right") - 1)
-        return min(max(i, 0), self.t_nodes.size - 1)
+    def slice_index(self, t):
+        """The slice in force at time t, or at each of an array of times: the last one
+        starting at or before t + 1e-15, and the first one before it starts."""
+        i = np.searchsorted(self.t_nodes, np.asarray(t, dtype=float) + 1e-15, side="right") - 1
+        i = np.clip(i, 0, self.t_nodes.size - 1)
+        return int(i) if i.ndim == 0 else i
 
     def contains(self, t: float, x) -> np.ndarray:
         """Is (t, x) in the stopping set?  Piecewise constant to the right in t."""

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftstop
 from driftstop import BoundaryCurve, montecarlo
 from driftstop.cli import _resolve, main
 from driftstop.csvio import format_float, format_row
@@ -489,13 +494,21 @@ _POLICY_KEYS = [
     ({"kind": "symmetric_threshold", "a": 0.3, "time": 1.0}, "time"),
     ({"kind": "solver_boundary", "a": 0.3}, "a"),
     ({"kind": "stop_now", "time": 1.0}, "kind"),
+    ({"kind": "stop_at", "time": -1.0}, "time"),
+    ({"kind": "symmetric_threshold", "a": -0.5}, "a"),
 ]
 
 
-@pytest.mark.parametrize("policy, key", _POLICY_KEYS, ids=[f"{p['kind']}-{k}" for p, k in _POLICY_KEYS])
+@pytest.mark.parametrize(
+    "policy, key",
+    _POLICY_KEYS,
+    ids=[f"{p['kind']}-{k}" + ("-negative" if k != "kind" and p.get(k, 0) < 0 else "") for p, k in _POLICY_KEYS],
+)
 def test_policy_keys_checked_against_its_kind_exits_2(bern_config, capsys, policy, key):
-    # an unknown kind, a required key that is missing, or a key the kind does
-    # not use: the message names the block, the kind and the key, and nothing is written
+    # an unknown kind, a required key that is missing, a key the kind does not
+    # use, or a negative time or threshold (a = -0.5 would make the two stop
+    # rays overlap): the message names the block, the kind and the key, and
+    # nothing is written
     cfg_path, out, cfg = bern_config
     cfg["policy"] = policy
     cfg_path.write_text(json.dumps(cfg))
@@ -572,3 +585,11 @@ def test_simulate_reruns_from_its_resolved_config(bern_config, tmp_path):
     rerun = tmp_path / "rerun"
     assert main(["simulate", "--config", str(resolved), "--out", str(rerun)]) == 0
     assert (rerun / "paths.csv").read_bytes() == (out / "paths.csv").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(driftstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "driftstop", "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout

@@ -7,11 +7,17 @@ import pytest
 from driftstop import (
     BoundaryCurve,
     SimConfig,
+    SolverConfig,
     bernoulli_solve,
+    default_domain,
     evaluate_policy,
+    extract_regions,
     gaussian_tau_star,
     policy_optimality_gap,
+    posterior_mean_var,
     simulate_paths,
+    solve_value,
+    solver_psi_grid,
     verify_variance_identity,
 )
 from driftstop import montecarlo
@@ -204,20 +210,24 @@ def _bernoulli_rule_and_shifts():
 
 def test_walk_filters_only_paths_some_rule_still_needs(bernoulli_table, monkeypatch):
     # a path is needed at step k while k <= its latest stop over the rules, so
-    # the kernel sees exactly sum over paths of (latest stop step + 1) columns
+    # the kernel sees exactly sum over paths of (latest stop step + 1) columns,
+    # although at q = 2 one call covers several steps
     policy, shifts = _bernoulli_rule_and_shifts()
     sim = SimConfig(n_paths=5000, dt=0.02, horizon=20.0, seed=67)
     columns = []
+    steps_per_call = []
     kernel = montecarlo.posterior_mean_var
 
     def counted(table, t, y):
         columns.append(np.size(y))
+        steps_per_call.append(np.unique(t).size)
         return kernel(table, t, y)
 
     monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
     est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
     last_step = np.max([np.rint(stats.tau / sim.dt) for stats in est.paths], axis=0)
     assert sum(columns) == int(np.sum(last_step + 1))
+    assert max(steps_per_call) > 1
 
 
 def test_walk_memory_does_not_grow_with_the_horizon(bernoulli_table):
@@ -281,7 +291,9 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
     # drift from its first uniform, then W from its normals in order.  Chunks of
     # 64 put the 150 paths in three walks, and blocks of 16 steps make every
     # path that walks past step 16 resume its stream lazily, a block at a time,
-    # after others have stopped; the kernel sees y = x t + W of each needed path
+    # after others have stopped; the kernel sees the cell (t, y = x t + W) of
+    # each needed path at each step, step by step in path order, whether a call
+    # covers one step or several
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     policy, _ = _bernoulli_rule_and_shifts()
@@ -290,7 +302,8 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
     kernel = montecarlo.posterior_mean_var
 
     def recorded(table, t, y):
-        calls.append((t, np.array(y, dtype=float, copy=True)))
+        y = np.array(y, dtype=float, copy=True)
+        calls.append((np.broadcast_to(t, y.shape).copy(), y))
         return kernel(table, t, y)
 
     monkeypatch.setattr(montecarlo, "posterior_mean_var", recorded)
@@ -312,7 +325,65 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
         for k in range(1, last_step[chunk].max() + 1):
             at = chunk[last_step[chunk] >= k]
             want.append((k * sim.dt, x[at] * (k * sim.dt) + w[at, k - 1]))
-    got = [(t, y) for t, y in calls if t > 0.0]
-    assert len(got) == len(want)
-    for (t, y), (t_want, y_want) in zip(got, want):
-        assert t == t_want and np.array_equal(y, y_want)
+    assert any(np.unique(t).size > 1 for t, _ in calls)
+    t_got, y_got = (np.concatenate(cells) for cells in zip(*calls))
+    after_0 = t_got > 0.0
+    t_want = np.concatenate([np.full(y.size, t) for t, y in want])
+    y_want = np.concatenate([y for _, y in want])
+    assert np.array_equal(t_got[after_0], t_want) and np.array_equal(y_got[after_0], y_want)
+
+
+def _solver_boundary(table, c, t_max):
+    lo, hi = default_domain(table)
+    cfg = SolverConfig(n_t=60, n_x=101, T_max=t_max, x_lo=lo, x_hi=hi)
+    return extract_regions(solve_value(solver_psi_grid(table, cfg), c, cfg))
+
+
+@pytest.mark.parametrize("case", ["half_normal", "mixture", "atoms_at_extreme_node"])
+def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table):
+    # the walk decides stops on y against the ends of each interval inverted
+    # per step, and on the kernel's x_hat inside a guard band around them; the
+    # reference applies BoundaryCurve.contains to x_hat at every step.  The
+    # half-normal boundary is one-sided, the mixture one stops nowhere early
+    # and everywhere late, and the end of |x| >= 1 on atoms +-1 sits on an
+    # extreme node: x_hat reaches it only as floating point rounds to 1.0 near
+    # y = 19, which stops 491 of the 500 paths before the horizon
+    if case == "half_normal":
+        table, policy = halfnormal_table, _solver_boundary(halfnormal_table, 0.1, 3.0)
+        sim = SimConfig(n_paths=400, dt=0.02, horizon=4.0, seed=83)
+    elif case == "mixture":
+        table, policy = mixture_table, _solver_boundary(mixture_table, 0.04, 5.5)
+        sim = SimConfig(n_paths=400, dt=0.02, horizon=8.0, seed=89)
+    else:
+        table, policy = bernoulli_table, BoundaryCurve.symmetric_threshold(1.0)
+        sim = SimConfig(n_paths=500, dt=0.05, horizon=30.0, seed=3)
+    est = evaluate_policy(table, 0.25, policy, sim)
+    ref = _reference_walk(table, policy, sim)
+    stopped = int(np.sum(~ref["capped"]))
+    assert np.unique(ref["tau"][~ref["capped"]]).size > 5
+    if case == "atoms_at_extreme_node":
+        assert stopped == 491
+        for name, want in ref.items():  # q = 2: every field to the last bit
+            assert np.array_equal(getattr(est.paths[0], name), want), name
+    else:
+        assert stopped > 0
+        assert np.array_equal(est.paths[0].tau, ref["tau"]) and np.array_equal(est.paths[0].capped, ref["capped"])
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "gaussian", "half_normal", "mixture"])
+def test_kernel_roundoff_within_the_walk_guard(all_tables, name):
+    # the guard band around each end assumes the kernel's G is within
+    # montecarlo._roundoff of the exact posterior mean, taken here in long
+    # double on every node from the same float64 inputs
+    table = all_tables[name]
+    u = table.nodes.astype(np.longdouble)[:, None]
+    log_w = table.log_weights.astype(np.longdouble)[:, None]
+    worst = 0.0
+    for t in (0.0, 0.5, 3.0, 30.0, 100.0):
+        y = np.linspace(-40.0 * (1.0 + t), 40.0 * (1.0 + t), 801)
+        g, _ = posterior_mean_var(table, t, y)
+        logits = u * y.astype(np.longdouble) + log_w - np.longdouble(0.5) * np.longdouble(t) * u * u
+        w = np.exp(logits - logits.max(axis=0))
+        g_ref = (w * u).sum(axis=0) / w.sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(g - g_ref))))
+    assert worst <= montecarlo._roundoff(table) / 8.0

@@ -368,6 +368,60 @@ def test_full_band_is_bit_identical_to_unbanded_arithmetic(bernoulli_table):
         assert np.array_equal(h, np.einsum("ij,ij->j", w, d))
 
 
+def _random_cells(seed, count=50):
+    """Observation arrays whose columns carry their own times, a few columns per time."""
+    rng = np.random.default_rng(seed)
+    for t, y in _random_calls(seed, count):
+        times = rng.choice([t, t + 0.5, 2.0 * t + 1.0], y.size)
+        yield times, y
+
+
+@pytest.mark.parametrize("name", sorted(BAND_PRIORS))
+def test_array_time_band_holds_every_node_a_column_keeps(name):
+    prior, n = BAND_PRIORS[name]
+    table = build_quadrature(prior, n=n)
+    cut = _band_cut(table)
+    for t, y in _random_cells(4):
+        band, w = _weight_matrix(table, t, y)
+        logits = np.multiply.outer(table.nodes, y) + (table.log_weights[:, None] - 0.5 * t * table.nodes[:, None] ** 2)
+        kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=1))
+        assert band == slice(kept[0], kept[-1] + 1)
+        assert w.shape == (band.stop - band.start, y.size)
+
+
+@pytest.mark.parametrize(
+    "prior", [PriorSpec.bernoulli(1.0, 0.3), PriorSpec.discrete_atoms([(-1.5, 0.2), (0.0, 0.5), (2.0, 0.3)])]
+)
+def test_array_times_match_scalar_calls_bit_for_bit(prior):
+    # where every call's band is the whole table, a call with one time per
+    # column gives each column the bits that a call at its time gives it, as
+    # the walk's calls over several steps must (a call of one column takes
+    # other summation paths, so every time here has several)
+    table = build_quadrature(prior)
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        times = rng.uniform(0.0, 8.0, int(rng.integers(1, 6)))
+        t = np.repeat(times, rng.integers(2, 60, times.size))
+        rng.shuffle(t)
+        y = rng.uniform(-4.0, 4.0, t.size)
+        assert _weight_matrix(table, t, y)[0] == slice(0, table.n)
+        g, h = posterior_mean_var(table, t, y)
+        for tk in times.tolist():
+            at = t == tk
+            assert _weight_matrix(table, tk, y[at])[0] == slice(0, table.n)
+            g1, h1 = posterior_mean_var(table, tk, y[at])
+            assert np.array_equal(g[at], g1) and np.array_equal(h[at], h1)
+
+
+def test_array_times_are_checked(bernoulli_table):
+    with pytest.raises(ValueError, match="time must be finite"):
+        posterior_mean_var(bernoulli_table, np.array([0.5, -1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="do not match"):
+        posterior_mean_var(bernoulli_table, np.array([0.5, 1.0]), np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(PosteriorError, match="non-finite"):
+        posterior_mean_var(bernoulli_table, np.array([0.5, 1.0]), np.array([0.0, math.inf]))
+
+
 def test_empty_observation_array_gives_empty_moments(gaussian_table):
     g, h = posterior_mean_var(gaussian_table, 1.0, np.array([]))
     assert g.shape == (0,) and h.shape == (0,)

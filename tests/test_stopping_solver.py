@@ -293,6 +293,16 @@ def test_shift_preserves_infinite_slices():
     assert sh.contains(2.0, np.array([100.0]))[0]
 
 
+def test_slice_index_of_an_array_matches_each_time():
+    # the walk looks up every monitored time at once; each must get the slice
+    # contains uses: the last one starting at or before t + 1e-15, the first before t_nodes[0]
+    curve = BoundaryCurve(np.array([0.5, 1.0, 2.0]), [[], [(0.0, 1.0)], [(-1.0, 1.0)]], "general")
+    t = np.array([0.0, 0.5 - 1e-14, 0.5 - 1e-16, 0.5, 0.7, 1.0 - 2e-16, 1.0, 1.9999, 2.0, 30.0])
+    got = curve.slice_index(t)
+    assert got.tolist() == [curve.slice_index(float(tk)) for tk in t]
+    assert got.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 2, 2]
+
+
 def test_shift_moves_every_finite_end_outward():
     # an interior stopping interval has two finite ends; it vanishes once they cross
     curve = BoundaryCurve(np.array([0.0]), [[(-math.inf, -1.0), (0.2, 0.6)]], "general")
