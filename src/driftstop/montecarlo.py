@@ -6,14 +6,17 @@ posterior mean at every monitored time from the pair (t, Y(t)) directly; there
 is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
-Stops are decided in y.  G(t, .) is strictly increasing, so each stopping
-interval of the estimate is an interval of the observation: every rule's
-interval ends are inverted once per monitoring step, and a comparison of the
-drawn Y with them gives each rule's stop step before any filtering (a
+Stops over several steps are decided in y.  G(t, .) is strictly increasing,
+so each stopping interval of the estimate is an interval of the observation: a
+comparison of the drawn Y with every rule's interval ends, inverted into y at
+each monitoring step, gives each rule's stop step before any filtering (a
 deterministic time's step is known in advance).  A Y inside a guard band
-around an end, sized by the inversion tolerance and the kernel's round-off, is
-decided on the kernel's estimate there, so every stop is the one the estimate's
-interval containment gives.
+around an end, sized by the inversion tolerance and a bound on the kernel's
+round-off, is decided on the kernel's estimate there, so every stop is the one
+the estimate's interval containment gives.  The ends are inverted a block of
+steps at a time, only when a walk first scans the block several steps at a
+time; over one step the kernel filters every working path anyway, and the
+estimate decides.
 
 Randomness is counter-based: each path owns the Philox stream of key
 (seed, path index) from counter 0, drawn lazily in blocks of Wiener steps.
@@ -22,7 +25,9 @@ per chunk, re-keyed for each path, draws every path's stream.  Paths are walked
 in fixed chunks of consecutive indices.  Within a chunk the kernel runs only on
 the (step, path) cells some rule still needs, in one call per span of whole
 steps: as many steps as keep table nodes x cells within ``_NODE_COLUMNS``, at
-least one, so a small table covers several steps per call.  Reruns with the
+least one, so a small table covers several steps per call (one step per call
+where inverting the ends would cost more than the calls it saves, see
+``_END_COLUMNS``).  Reruns with the
 same SimConfig are bit-identical.  The kernel's per-column round-off can depend
 on which columns share a call (BLAS and summation order at large node counts,
 and the node band set by the call's extreme cells), so per-path values are not
@@ -39,7 +44,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .dispersion import _invert_array
-from .prior import QuadratureTable, posterior_mean_var
+from .prior import QuadratureTable, _band_cut, posterior_mean_var
 from .stopping_solver import BoundaryCurve
 
 __all__ = [
@@ -60,7 +65,9 @@ Policy = Union[float, BoundaryCurve]
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
 _NODE_COLUMNS = 2**15  # table nodes x columns of a kernel call that spans several steps
-_END_TOL = 1e-13  # inversion tolerance of the stopping-interval ends in y
+# table nodes x stopping-interval ends in y per step, past which the walk takes one step per call:
+# inverting the ends takes several kernel passes over them and then costs more than the calls it saves
+_END_COLUMNS = 2**11
 
 
 @dataclass(frozen=True)
@@ -199,49 +206,149 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     return np.cumsum(z, axis=1, out=z)
 
 
-class _Ends(NamedTuple):
-    """A BoundaryCurve's stopping intervals at every monitored step, in x_hat and in y.
+def _roundoff(table: QuadratureTable, t: float) -> float:
+    """A bound on the kernel's round-off in G, at any y and any time up to t.
 
-    Row k holds the intervals of step k's slice, padded with empty ones
-    (+inf, -inf).  A y in [in_lo, in_hi] stops for sure and a y outside
-    (out_lo, out_hi) surely does not; a y between the two is inside the guard
-    band of an end, and the kernel's x_hat there decides against [x_lo, x_hi].
+    Each log weight u y + ln w - u^2 t / 2 is rounded to within 2^-52 of the
+    sizes of its terms, and relative errors in the kept weights move G by at
+    most their largest times the node span.  Past |y| = Y, where every other
+    node's log weight lies more than the band cut below the extreme node's, a
+    column keeps that node alone; so |u y| <= max|u| Y bounds the terms that
+    matter.  The bound doubles that first-order sum and adds the dot product's
+    own rounding.  It grows with the size of the nodes, not only their span, so
+    it holds for a prior far from 0.
+    """
+    held = table.weights > 0.0
+    u, log_w = table.nodes[held], table.log_weights[held]
+    big = float(np.abs(u).max())
+    cut = _band_cut(table)
+    rise = (cut + log_w[:-1] - log_w[-1]) / (u[-1] - u[:-1]) + 0.5 * t * (u[-1] + u[:-1])  # y past which u[-1] alone
+    fall = (cut + log_w[1:] - log_w[0]) / (u[1:] - u[0]) - 0.5 * t * (u[0] + u[1:])  # -y past which u[0] alone
+    y_one = max(float(rise.max(initial=0.0)), float(fall.max(initial=0.0)))
+    terms = big * y_one + t * big * big + float(np.abs(log_w).max()) + cut
+    return 2.0**-50 * (float(u[-1] - u[0]) * terms + table.n * big)
+
+
+class _EndTable:
+    """Every BoundaryCurve's stopping intervals at each monitored step, in x_hat and in y.
+
+    Steps come in the walk's blocks: step 0 with the ``_BLOCK`` steps after it,
+    then ``_BLOCK`` steps at a time.  A block's intervals are looked up when a
+    walk first reaches it, padded to one width with empty ones (+inf, -inf);
+    their ends in y are inverted only when a walk first scans the block several
+    steps at a time.  Blocks are kept for the chunks walked after.
+
+    For an end x, with eps = ``_roundoff`` at the block's last time, the
+    inversion runs at tolerance tol = 4 eps and the guard band is m = 2 (tol +
+    eps) wide on each side.  G(t, .) increases in y, so every y at or past the
+    inversion of x + m has kernel x_hat >= x + m - tol - 2 eps > x, and every
+    y at or before the inversion of x - m has x_hat < x.  A point at or beyond
+    an extreme node has no finite inverse and maps to +-inf.
     """
 
-    x_lo: np.ndarray
-    x_hi: np.ndarray
-    in_lo: np.ndarray
-    in_hi: np.ndarray
-    out_lo: np.ndarray
-    out_hi: np.ndarray
+    def __init__(self, table: QuadratureTable, curves: list[BoundaryCurve], times: np.ndarray) -> None:
+        self.table, self.curves, self.times = table, curves, times
+        width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
+        self.padded = []
+        for curve in curves:
+            padded = np.empty((len(curve.intervals), width, 2))
+            padded[...] = (math.inf, -math.inf)
+            for i, segs in enumerate(curve.intervals):
+                if segs:
+                    padded[i, : len(segs)] = segs
+            self.padded.append(padded)
+        self.several = 4 * len(curves) * width * table.n <= _END_COLUMNS  # may a walk scan several steps?
+        self.x: list[np.ndarray] = []  # per block: step x [lo, hi] x curve x interval
+        self.y: list[np.ndarray | None] = []  # per block: step x [in_lo, in_hi, out_lo, out_hi] x curve x interval
+
+    def _steps(self, b: int) -> tuple[int, int]:
+        return (0 if b == 0 else 1 + b * _BLOCK), min(1 + (b + 1) * _BLOCK, self.times.size)
+
+    def block(self, k: int) -> tuple[int, int]:
+        """The block of step k, looked up if no walk reached it before, and k's row in it."""
+        b = max(k - 1, 0) // _BLOCK
+        while len(self.x) <= b:
+            start, stop = self._steps(len(self.x))
+            steps = self.times[start:stop]
+            x = np.stack([padded[curve.slice_index(steps)] for curve, padded in zip(self.curves, self.padded)], axis=1)
+            self.x.append(np.moveaxis(x, 3, 1))
+            self.y.append(None)
+        return b, k - self._steps(b)[0]
+
+    def y_ends(self, b: int) -> np.ndarray:
+        """Block b's guard-band ends in y, inverted the first time they are asked for."""
+        if self.y[b] is None:
+            table, nodes = self.table, self.table.nodes
+            start, stop = self._steps(b)
+            eps = _roundoff(table, float(self.times[stop - 1]))
+            tol, m = 4.0 * eps, 10.0 * eps
+            lo, hi = self.x[b][:, 0], self.x[b][:, 1]
+            x = np.stack([lo + m, hi - m, lo - m, hi + m], axis=1)  # in step order, so in time order
+            y = np.where(x <= nodes[0], -math.inf, math.inf)
+            at = np.flatnonzero((x > nodes[0]) & (x < nodes[-1]))
+            t = np.repeat(self.times[start:stop], x[0].size)[at]
+            x_at, y_flat = x.reshape(-1)[at], y.reshape(-1)
+            size = max(_CHUNK, _NODE_COLUMNS // table.n)  # no larger than the walk's own calls
+            for i in range(0, at.size, size):
+                part = slice(i, i + size)
+                y_flat[at[part]] = _invert_array(table, t[part], x_at[part], tol)[0]
+            self.y[b] = y
+        return self.y[b]
+
+
+class _Ends(NamedTuple):
+    """Curve ``c`` of an end table, as a rule of the walk.
+
+    At each step a y in [in_lo, in_hi] of an interval stops for sure and a y
+    outside [out_lo, out_hi] of every interval surely does not; a y between
+    the two lies in the guard band of an end, and the kernel's x_hat there
+    decides against the interval's x_hat ends.
+    """
+
+    table: _EndTable
+    c: int
+
+    @property
+    def several(self) -> bool:
+        return self.table.several
 
     def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each path's first row of ``y`` (observations at steps k, k + 1, ...) that
         stops for sure or lies in a guard band, ``len(y)`` if none, and whether
         that row lies in a guard band."""
         span = y.shape[0]
-        at = slice(k, k + span)
-        sure = np.zeros(y.shape, dtype=bool)
-        maybe = np.zeros(y.shape, dtype=bool)
-        for j in range(self.x_lo.shape[1]):
-            sure |= (y >= self.in_lo[at, j, None]) & (y <= self.in_hi[at, j, None])
-            maybe |= (y > self.out_lo[at, j, None]) & (y < self.out_hi[at, j, None])
-        maybe |= sure
-        found = maybe.any(axis=0)
-        first = np.where(found, maybe.argmax(axis=0), span)
-        unsure = found & ~sure[np.minimum(first, span - 1), np.arange(y.shape[1])]
+        b, row = self.table.block(k)
+        ends = self.table.y_ends(b)[row : row + span, :, self.c]
+        maybe = np.zeros(y.shape, dtype=bool)  # a sure stop lies inside [out_lo, out_hi] too
+        for j in range(ends.shape[2]):
+            maybe |= (y >= ends[:, 2, j, None]) & (y <= ends[:, 3, j, None])
+        hit = np.flatnonzero(maybe.any(axis=0))
+        first = np.full(y.shape[1], span)
+        unsure = np.zeros(y.shape[1], dtype=bool)
+        if hit.size:
+            at = maybe[:, hit].argmax(axis=0)
+            y_at, sure = y[at, hit], np.zeros(hit.size, dtype=bool)
+            for j in range(ends.shape[2]):
+                sure |= (y_at >= ends[at, 0, j]) & (y_at <= ends[at, 1, j])
+            first[hit], unsure[hit] = at, ~sure
         return first, unsure
 
-    def contains(self, steps: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-        """Is each x_hat in a stopping interval of its step?"""
-        x = x_hat[:, None]
-        return ((x >= self.x_lo[steps]) & (x <= self.x_hi[steps])).any(axis=1)
+    def contains(self, k: int, j, x_hat: np.ndarray) -> np.ndarray:
+        """Is each x_hat, at step k + j (j one offset for all, or one per x_hat), in a
+        stopping interval of that step?"""
+        b, row = self.table.block(k)
+        ends = self.table.x[b][row + j, :, self.c]
+        out = np.zeros(x_hat.shape, dtype=bool)
+        for i in range(ends.shape[-1]):
+            out |= (x_hat >= ends[..., 0, i]) & (x_hat <= ends[..., 1, i])
+        return out
 
 
 class _Time(NamedTuple):
     """A deterministic stopping time, known as a step before any path is drawn."""
 
     step: int  # the first step at or after the time; past the horizon if none
+    several = True  # a walk may scan several steps at a time
 
     @classmethod
     def of(cls, time: float, times: np.ndarray) -> "_Time":
@@ -251,57 +358,8 @@ class _Time(NamedTuple):
     def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, None]:
         return np.full(y.shape[1], min(self.step - k, y.shape[0])), None
 
-
-def _roundoff(table: QuadratureTable) -> float:
-    """A bound on the kernel's round-off in G: 2^-40 times the node span.
-
-    The round-off grows with the logits; the largest measured against long
-    double on the test priors over t <= 100 and |y| <= 40 (1 + t) is 2^-45 of
-    the span.
-    """
-    return 2.0**-40 * float(table.nodes[-1] - table.nodes[0])
-
-
-def _guard(table: QuadratureTable) -> float:
-    """Half-width m, in x_hat, of the guard band around each stopping-interval end.
-
-    G(t, .) increases in y and the kernel computes it to within eps =
-    ``_roundoff``.  An end inverted at x to tolerance tau has |G - x| <= tau +
-    eps, so every y at or past the inversion of x + m has kernel x_hat >= x + m
-    - tau - 2 eps > x, and every y at or before the inversion of x - m has
-    x_hat < x.
-    """
-    return 2.0 * (_END_TOL + _roundoff(table))
-
-
-def _observation_ends(table: QuadratureTable, curves: list[BoundaryCurve], times: np.ndarray) -> list[_Ends]:
-    """Every curve's intervals at every monitored time, with their guard-band ends in y.
-
-    The x_hat ends come from one slice lookup per curve; all their points are
-    inverted in one call at tolerance ``_END_TOL``.  A point at or beyond an
-    extreme node has no finite inverse and maps to +-inf, so the walk decides
-    near such an end on x_hat alone.
-    """
-    if not curves:
-        return []
-    width = max(1, max(len(segs) for curve in curves for segs in curve.intervals))
-    ends = np.empty((len(curves), times.size, width, 2))
-    for c, curve in enumerate(curves):
-        padded = np.empty((len(curve.intervals), width, 2))
-        padded[...] = (math.inf, -math.inf)
-        for i, segs in enumerate(curve.intervals):
-            if segs:
-                padded[i, : len(segs)] = segs
-        ends[c] = padded[curve.slice_index(times)]
-    lo, hi = ends[..., 0], ends[..., 1]
-    m = _guard(table)
-    x = np.stack([lo + m, hi - m, lo - m, hi + m], axis=1)
-    t = np.broadcast_to(times[:, None], x.shape)
-    y = np.where(x <= table.nodes[0], -math.inf, math.inf)
-    inner = (x > table.nodes[0]) & (x < table.nodes[-1])
-    if inner.any():
-        y[inner] = _invert_array(table, t[inner], x[inner], _END_TOL)[0]
-    return [_Ends(lo[c], hi[c], *y[c]) for c in range(len(curves))]
+    def contains(self, k: int, j, x_hat: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(k + j >= self.step, x_hat.shape)
 
 
 @dataclass(frozen=True)
@@ -349,14 +407,16 @@ def _walk_chunk(
 ) -> None:
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
-    The walk takes a span of whole steps at a time.  Each rule scans the
-    working set's observations over the span for its first sure or unsure
-    stop; the span ends early at the first unsure one, which the kernel's
-    x_hat then decides.  One kernel call filters every (step, path) cell some
-    rule still needs, step by step in path order, and the path integrals are
-    summed along the span from their carried values.  Only the working set,
-    the paths still live in some rule, is drawn and filtered: it shrinks as
-    paths stop, and the walk ends when it is empty.
+    The walk takes a span of whole steps at a time, as many as keep table
+    nodes x working paths x steps within ``_NODE_COLUMNS``.  Over one step the
+    kernel filters every working path and x_hat decides each rule, as a
+    step-by-step walk does.  Over several, each rule scans the working set's
+    observations for its first sure or unsure stop; the span ends early at the
+    first unsure one, which the kernel's x_hat then decides.  One kernel call
+    filters every (step, path) cell some rule still needs, step by step in path
+    order, and the path integrals are summed along the span from their carried
+    values.  Only the working set, the paths still live in some rule, is drawn
+    and filtered: it shrinks as paths stop, and the walk ends when it is empty.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
@@ -371,46 +431,60 @@ def _walk_chunk(
     integral_psi2 = np.zeros(x.size)
     second_diff_sum = np.zeros(x.size)
     psi2_prev2 = psi2_prev = np.zeros(x.size)  # Psi^2 two steps and one step back
+    budget = _NODE_COLUMNS // table.n if all(rule.several for rule in rules) else 0
     k = 0
     while True:
-        if k == 0:  # W(0) = 0 for every path
-            y = np.multiply.outer(times[:1], x) + 0.0
-        else:
-            if k - k0 == w_block.shape[1]:
-                w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), dt)
-                k0, rows = k, np.arange(paths.size)
-            span = min(max(_NODE_COLUMNS // (table.n * paths.size), 1), k0 + w_block.shape[1] - k)
-            cols = slice(k - k0, k - k0 + span)
-            w = w_block[:, cols] if rows.size == w_block.shape[0] else w_block[rows, cols]  # no path dropped yet
-            y = np.multiply.outer(times[k : k + span], x) + w.T
-        span = full = y.shape[0]
-
-        # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
-        scans = []
-        for rule, lv in zip(rules, live):
-            first, unsure = rule.scan(k, y)
-            sure = first < full if unsure is None else (first < full) & ~unsure
-            if k + full - 1 == n_steps:
-                first = np.minimum(first, full - 1)
-            first = np.where(lv, first, -1)
-            if unsure is not None and (lv & unsure).any():
-                span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
-            scans.append((first, sure, unsure))
-        last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
-
+        if k - k0 == w_block.shape[1]:
+            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), dt)
+            k0, rows = k, np.arange(paths.size)
+        span = 1 if k == 0 else min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
         if span == 1:
-            g, h = posterior_mean_var(table, float(times[k]), y[0])
-            g, h = g[None], h[None]
+            t_k = float(times[k])
+            g, h = posterior_mean_var(table, t_k, x * t_k + (w_block[rows, k - k0] if k > 0 else 0.0))
+            psi2 = h * h
+            if k >= 1:
+                integral_psi2 = integral_psi2 + 0.5 * dt * (psi2_prev + psi2)
+                if k >= 2:
+                    second_diff_sum = second_diff_sum + np.abs(psi2 - 2.0 * psi2_prev + psi2_prev2)
+            for rule, lv, stats in zip(rules, live, out):
+                if not lv.any():
+                    continue
+                hit = rule.contains(k, 0, g) & lv
+                stop = lv.copy() if k == n_steps else hit  # force-stop whatever is left at the horizon
+                if stop.any():
+                    at = sl.start + paths[stop]
+                    stats.tau[at] = t_k
+                    stats.sq_err[at] = (x[stop] - g[stop]) ** 2
+                    stats.psi_at_stop[at] = h[stop]
+                    stats.integral_psi2[at] = integral_psi2[stop]
+                    stats.second_diff_sum[at] = second_diff_sum[stop]
+                    stats.capped[at] = ~hit[stop]
+                    lv[stop] = False
+            psi2_prev2, psi2_prev = psi2_prev, psi2
         else:
+            w = w_block[:, k - k0 : k - k0 + span]
+            y = np.multiply.outer(times[k : k + span], x) + (w if rows.size == w.shape[0] else w[rows]).T
+            full = span
+
+            # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
+            scans = []
+            for rule, lv in zip(rules, live):
+                first, unsure = rule.scan(k, y)
+                sure = first < full if unsure is None else (first < full) & ~unsure
+                if k + full - 1 == n_steps:
+                    first = np.minimum(first, full - 1)
+                first = np.where(lv, first, -1)
+                if unsure is not None and (lv & unsure).any():
+                    span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
+                scans.append((first, sure, unsure))
+            last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
+
             cells = np.arange(span)[:, None] <= last  # (step, path) cells some rule needs
-            counts = cells.sum(axis=1)
-            g_cells, h_cells = posterior_mean_var(table, np.repeat(times[k : k + span], counts), y[:span][cells])
+            t_cells = np.repeat(times[k : k + span], cells.sum(axis=1))
+            g_cells, h_cells = posterior_mean_var(table, t_cells, y[:span][cells])
             g, h = np.zeros(cells.shape), np.zeros(cells.shape)
             g[cells], h[cells] = g_cells, h_cells
-        psi2 = h * h
-        if k == 0:
-            integral, second_diff = integral_psi2[None], second_diff_sum[None]
-        else:
+            psi2 = h * h
             back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
             inc = 0.5 * dt * (back[1:-1] + back[2:])
             d2 = np.abs(back[2:] - 2.0 * back[1:-1] + back[:-2])
@@ -418,33 +492,32 @@ def _walk_chunk(
                 d2[0] = 0.0  # the second difference starts at step 2
             integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
 
-        for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
-            idx = np.flatnonzero((first >= 0) & (first < span))
-            if idx.size == 0:
-                continue
-            j = first[idx]
-            hit = sure[idx]
-            if unsure is not None:
-                ask = unsure[idx]
-                hit[ask] = rule.contains(k + j[ask], g[j[ask], idx[ask]])
-            horizon = k + j == n_steps  # force-stop whatever is left at the horizon
-            stop = hit | horizon
-            idx, j = idx[stop], j[stop]
-            at = sl.start + paths[idx]
-            stats.tau[at] = times[k + j]
-            stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
-            stats.psi_at_stop[at] = h[j, idx]
-            stats.integral_psi2[at] = integral[j, idx]
-            stats.second_diff_sum[at] = second_diff[j, idx]
-            stats.capped[at] = horizon[stop] & ~hit[stop]
-            lv[idx] = False
-
+            for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
+                idx = np.flatnonzero((first >= 0) & (first < span))
+                if idx.size == 0:
+                    continue
+                j = first[idx]
+                hit = sure[idx]
+                if unsure is not None:
+                    ask = unsure[idx]
+                    hit[ask] = rule.contains(k, j[ask], g[j[ask], idx[ask]])
+                horizon = k + j == n_steps  # force-stop whatever is left at the horizon
+                stop = hit | horizon
+                idx, j = idx[stop], j[stop]
+                at = sl.start + paths[idx]
+                stats.tau[at] = times[k + j]
+                stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
+                stats.psi_at_stop[at] = h[j, idx]
+                stats.integral_psi2[at] = integral[j, idx]
+                stats.second_diff_sum[at] = second_diff[j, idx]
+                stats.capped[at] = horizon[stop] & ~hit[stop]
+                lv[idx] = False
+            psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
+            psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
         k += span
         needed = live.any(axis=0)
         if not needed.any():
             break
-        psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
-        psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
         if not needed.all():
             paths, x, rows, live = paths[needed], x[needed], rows[needed], live[:, needed]
             integral_psi2, second_diff_sum = integral_psi2[needed], second_diff_sum[needed]
@@ -511,7 +584,9 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
         for _ in policies
     ]
     times = sim.times()
-    ends = iter(_observation_ends(table, [p for p in policies if isinstance(p, BoundaryCurve)], times))
+    curves = [p for p in policies if isinstance(p, BoundaryCurve)]
+    end_table = _EndTable(table, curves, times)
+    ends = iter([_Ends(end_table, c) for c in range(len(curves))])
     rules = [next(ends) if isinstance(p, BoundaryCurve) else _Time.of(p, times) for p in policies]
     for start in range(0, n, _CHUNK):
         _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, paths)

@@ -28,10 +28,11 @@ kernel's own round-off.  The kept weights are computed exactly as on the
 whole table; a column's last bits can still depend on the extreme columns
 that share its call, since they set the band the sums run over.
 
-A call may also pair each y with its own time.  Its band then runs from the
-first to the last node that any column keeps, found from every column's
-full-table log weights; a column's weights are the ones a call at its time
-alone computes, so on the same band it gets the same bits.
+A call may also pair each y with its own time.  Each run of consecutive
+columns at one time then gives a band from its smallest and its largest y as
+above, and the call's band runs from the first to the last node of these, so
+it still holds every node any column keeps; a column's weights are the ones a
+call at its time alone computes, so on the same band it gets the same bits.
 """
 
 from __future__ import annotations
@@ -492,48 +493,44 @@ def _band_cut(table: QuadratureTable) -> float:
     return math.log(table.n * (1.0 + span * span)) + 53.0 * math.log(2.0)
 
 
-def _non_finite(y: float) -> PosteriorError:
-    return PosteriorError(f"observation level y={float(y)!r} gives non-finite posterior weights")
-
-
 def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.ndarray]:
     """Normalized posterior weights on the node band the call can reach, one column per y.
 
-    Returns the band as a slice of the nodes and the weights of its nodes.  At
-    one time t the band comes from the full-table logits of the smallest and
-    the largest y alone; with an array of times it holds every node any column
-    keeps (see the module docstring).  ``y`` must be non-empty.
+    Returns the band as a slice of the nodes and the weights of its nodes.  Each
+    run of columns that share a time adds the band from the full-table logits
+    of its smallest and its largest y alone; the call's band runs from the
+    first to the last node of these (see the module docstring).  ``y`` must be
+    non-empty.
     """
-    cut = _band_cut(table)
-    if np.ndim(t) == 0:
-        tilt = _tilt(table, t)
-        y_lo, y_hi = y.min(), y.max()
-        ends = np.multiply.outer((y_lo, y_hi), table.nodes)
-        ends += tilt
-        top_lo, top_hi = ends.max(axis=1).tolist()
-        for y_end, top in ((y_lo, top_lo), (y_hi, top_hi)):
-            if not math.isfinite(top):
-                raise _non_finite(y_end)
-        first = int((ends[0] >= top_lo - cut).argmax())  # first node kept at the smallest y
-        past_last = table.n - int((ends[1, ::-1] >= top_hi - cut).argmax())  # past the last kept at the largest y
-        band = slice(first, past_last)
-        w = np.multiply.outer(table.nodes[band], y)
-        w += tilt[band, None]
-        top = w.max(axis=0)
+    if isinstance(t, np.ndarray):
+        starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        tilt = _tilt(table, t[starts, None])
+        ext = np.stack([np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)])
+        ends = np.multiply.outer(ext, table.nodes)
     else:
-        u = table.nodes[:, None]
-        tilt = np.multiply.outer(table.nodes, 0.5 * t)
-        tilt *= u
-        np.subtract(table.log_weights[:, None], tilt, out=tilt)
-        w = np.multiply.outer(table.nodes, y)
+        tilt = _tilt(table, t)
+        ext = (y.min(), y.max())
+        ends = np.multiply.outer(ext, table.nodes)[:, None]
+    ends += tilt  # [smallest, largest y] x run x node
+    top = ends.max(axis=2)
+    if not np.isfinite(top).all():
+        y_end = np.reshape(ext, top.shape)[~np.isfinite(top)][0]
+        raise PosteriorError(f"observation level y={float(y_end)!r} gives non-finite posterior weights")
+    cut = top - _band_cut(table)
+    runs = top.shape[1]
+    first = int((ends[0] >= cut[0, :, None]).T.argmax()) // runs  # first node kept at a run's smallest y
+    past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // runs  # past the last at its largest
+    band = slice(first, past_last)
+    u = table.nodes[band]
+    w = np.multiply.outer(u, y)
+    if isinstance(t, np.ndarray):
+        tilt = np.multiply.outer(u, 0.5 * t)
+        tilt *= u[:, None]
+        np.subtract(table.log_weights[band, None], tilt, out=tilt)
         w += tilt
-        top = w.max(axis=0)
-        if not np.isfinite(top).all():
-            raise _non_finite(y[~np.isfinite(top)][0])
-        kept = (w >= top - cut).any(axis=1)
-        band = slice(int(kept.argmax()), table.n - int(kept[::-1].argmax()))
-        w = w[band]
-    w -= top  # max shift: the largest exponent becomes 0, so every column sums to >= 1
+    else:
+        w += tilt[band, None]
+    w -= w.max(axis=0)  # max shift: the largest exponent becomes 0, so every column sums to >= 1
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     return band, w

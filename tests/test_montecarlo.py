@@ -6,9 +6,11 @@ import pytest
 
 from driftstop import (
     BoundaryCurve,
+    PriorSpec,
     SimConfig,
     SolverConfig,
     bernoulli_solve,
+    build_quadrature,
     default_domain,
     evaluate_policy,
     extract_regions,
@@ -244,6 +246,38 @@ def test_walk_memory_does_not_grow_with_the_horizon(bernoulli_table):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("case", ["solver_boundary_and_shifts", "threshold_to_the_horizon"])
+def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_table, mixture_table, case, monkeypatch):
+    # the stopping-interval ends are looked up, and inverted into y, a block of
+    # steps at a time as the walk reaches it, in kernel calls no larger than the
+    # walk's own: inverting every step of a 40-unit horizon at once took 16 MB
+    # on the solver boundary (ends inside the nodes up to t = 10) and 36 MB on
+    # the threshold, whose capped paths walk to the horizon
+    if case == "solver_boundary_and_shifts":
+        table, policy, shifts = halfnormal_table, _solver_boundary(halfnormal_table, 0.01, 100.0), (-0.05, 0.05)
+        sim = SimConfig(n_paths=400, dt=0.01, horizon=100.0, seed=5)
+    else:
+        table, policy, shifts = mixture_table, BoundaryCurve.symmetric_threshold(1.5), ()
+        sim = SimConfig(n_paths=100, dt=0.01, horizon=40.0, seed=5)
+    inverted = []
+    y_ends = montecarlo._EndTable.y_ends
+
+    def recorded(end_table, b):
+        inverted.append(b)
+        return y_ends(end_table, b)
+
+    monkeypatch.setattr(montecarlo._EndTable, "y_ends", recorded)
+    tracemalloc.start()
+    try:
+        est = evaluate_policy(table, 0.01, policy, sim, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    if case == "threshold_to_the_horizon":
+        assert est.cap_fraction > 0.3 and len(set(inverted)) == -(-sim.n_steps // montecarlo._BLOCK)
+
+
 def _reference_walk(table, policy, sim):
     """Every path walked to its stop over full simulate_paths trajectories."""
     batch = simulate_paths(table, sim)
@@ -339,25 +373,62 @@ def _solver_boundary(table, c, t_max):
     return extract_regions(solve_value(solver_psi_grid(table, cfg), c, cfg))
 
 
-@pytest.mark.parametrize("case", ["half_normal", "mixture", "atoms_at_extreme_node"])
-def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table):
+def _offset_table():
+    return build_quadrature(PriorSpec.gaussian(2000.0, 1.0), n=128)
+
+
+def _offset_boundary():
+    """Stop once x_hat leaves a band around 2000 that narrows at t = 1.5."""
+    inf = math.inf
+    bands = [[(-inf, 1999.4), (2000.6, inf)], [(-inf, 1999.8), (2000.2, inf)]]
+    return BoundaryCurve(np.array([0.0, 1.5]), bands, "general")
+
+
+@pytest.mark.parametrize(
+    "case", ["half_normal", "mixture", "atoms_at_extreme_node", "gaussian_at_2000", "mixture_with_shifts"]
+)
+def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table, monkeypatch):
     # the walk decides stops on y against the ends of each interval inverted
     # per step, and on the kernel's x_hat inside a guard band around them; the
     # reference applies BoundaryCurve.contains to x_hat at every step.  The
     # half-normal boundary is one-sided, the mixture one stops nowhere early
     # and everywhere late, and the end of |x| >= 1 on atoms +-1 sits on an
     # extreme node: x_hat reaches it only as floating point rounds to 1.0 near
-    # y = 19, which stops 491 of the 500 paths before the horizon
+    # y = 19, which stops 491 of the 500 paths before the horizon.  The prior
+    # centred at 2000 has logits near 1e6 by t = 6, and so a kernel round-off
+    # far above its span's.  At q = 128 the walk takes several steps per call
+    # only once at most 128 paths are left, so these cases reach the y ends;
+    # with two shifts of the two-sided mixture boundary, inverting them would
+    # cost more than it saves, and x_hat decides every step of every rule
+    shifts = ()
     if case == "half_normal":
         table, policy = halfnormal_table, _solver_boundary(halfnormal_table, 0.1, 3.0)
         sim = SimConfig(n_paths=400, dt=0.02, horizon=4.0, seed=83)
     elif case == "mixture":
         table, policy = mixture_table, _solver_boundary(mixture_table, 0.04, 5.5)
         sim = SimConfig(n_paths=400, dt=0.02, horizon=8.0, seed=89)
-    else:
+    elif case == "atoms_at_extreme_node":
         table, policy = bernoulli_table, BoundaryCurve.symmetric_threshold(1.0)
         sim = SimConfig(n_paths=500, dt=0.05, horizon=30.0, seed=3)
-    est = evaluate_policy(table, 0.25, policy, sim)
+    elif case == "gaussian_at_2000":
+        table, policy = _offset_table(), _offset_boundary()
+        sim = SimConfig(n_paths=120, dt=0.02, horizon=6.0, seed=97)
+    else:
+        table, policy, shifts = mixture_table, _solver_boundary(mixture_table, 0.04, 5.5), (-0.05, 0.05)
+        sim = SimConfig(n_paths=150, dt=0.02, horizon=8.0, seed=101)
+    scanned = []
+    y_ends = montecarlo._EndTable.y_ends
+
+    def recorded(end_table, b):
+        scanned.append(b)
+        return y_ends(end_table, b)
+
+    monkeypatch.setattr(montecarlo._EndTable, "y_ends", recorded)
+    est = evaluate_policy(table, 0.25, policy, sim, shifts)
+    assert bool(scanned) == (case != "mixture_with_shifts")
+    for shift, stats in zip(shifts, est.paths[1:]):
+        ref = _reference_walk(table, policy.shifted(shift), sim)
+        assert np.array_equal(stats.tau, ref["tau"]) and np.array_equal(stats.capped, ref["capped"])
     ref = _reference_walk(table, policy, sim)
     stopped = int(np.sum(~ref["capped"]))
     assert np.unique(ref["tau"][~ref["capped"]]).size > 5
@@ -370,20 +441,30 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
         assert np.array_equal(est.paths[0].tau, ref["tau"]) and np.array_equal(est.paths[0].capped, ref["capped"])
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "gaussian", "half_normal", "mixture"])
+@pytest.mark.parametrize(
+    "name", ["bernoulli", "gaussian", "half_normal", "mixture", "gaussian_at_2000", "atoms_at_1000"]
+)
 def test_kernel_roundoff_within_the_walk_guard(all_tables, name):
     # the guard band around each end assumes the kernel's G is within
-    # montecarlo._roundoff of the exact posterior mean, taken here in long
-    # double on every node from the same float64 inputs
-    table = all_tables[name]
+    # montecarlo._roundoff(table, t) of the exact posterior mean at every y,
+    # taken here in long double on every node from the same float64 inputs.
+    # The y reach from the prior mean's path out to where one node holds the
+    # column; the last two priors sit far from 0, where the logits are large
+    if name == "gaussian_at_2000":
+        table = _offset_table()
+    elif name == "atoms_at_1000":
+        table = build_quadrature(PriorSpec.discrete_atoms([(999.0, 0.5), (1001.0, 0.5)]))
+    else:
+        table = all_tables[name]
     u = table.nodes.astype(np.longdouble)[:, None]
     log_w = table.log_weights.astype(np.longdouble)[:, None]
-    worst = 0.0
+    mean = float(table.nodes @ table.weights)
     for t in (0.0, 0.5, 3.0, 30.0, 100.0):
-        y = np.linspace(-40.0 * (1.0 + t), 40.0 * (1.0 + t), 801)
+        near = np.linspace(-40.0, 40.0, 801) * (1.0 + t)
+        far = np.geomspace(1e2, 1e7, 60) * (1.0 + t)
+        y = mean * t + np.concatenate([near, far, -far])
         g, _ = posterior_mean_var(table, t, y)
         logits = u * y.astype(np.longdouble) + log_w - np.longdouble(0.5) * np.longdouble(t) * u * u
         w = np.exp(logits - logits.max(axis=0))
         g_ref = (w * u).sum(axis=0) / w.sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(g - g_ref))))
-    assert worst <= montecarlo._roundoff(table) / 8.0
+        assert np.max(np.abs(g - g_ref)) <= montecarlo._roundoff(table, t) / 8.0
