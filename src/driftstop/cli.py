@@ -80,6 +80,8 @@ def _load_config(path: str) -> dict:
     c = doc["cost_c"]
     if isinstance(c, bool) or not isinstance(c, (int, float)) or not c > 0:
         raise ConfigError(f"config key 'cost_c' must be a positive number, got {c!r}")
+    if not isinstance(doc.get("output_dir", ""), str):
+        raise ConfigError(f"config key 'output_dir' must be a string, got {doc['output_dir']!r}")
     for block, allowed in BLOCK_KEYS.items():
         held = doc.get(block, {})
         if not isinstance(held, dict):

@@ -315,8 +315,14 @@ class _Ends(NamedTuple):
     def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each path's first row of ``y`` (observations at steps k, k + 1, ...) that
         stops for sure or lies in a guard band, ``len(y)`` if none, and whether
-        that row lies in a guard band."""
+        that row lies in a guard band.
+
+        Over one row the kernel filters every path anyway: each is unsure at
+        row 0, nothing is inverted, and x_hat decides.
+        """
         span = y.shape[0]
+        if span == 1:
+            return np.zeros(y.shape[1], dtype=np.intp), np.ones(y.shape[1], dtype=bool)
         b, row = self.table.block(k)
         ends = self.table.y_ends(b)[row : row + span, :, self.c]
         maybe = np.zeros(y.shape, dtype=bool)  # a sure stop lies inside [out_lo, out_hi] too
@@ -333,9 +339,8 @@ class _Ends(NamedTuple):
             first[hit], unsure[hit] = at, ~sure
         return first, unsure
 
-    def contains(self, k: int, j, x_hat: np.ndarray) -> np.ndarray:
-        """Is each x_hat, at step k + j (j one offset for all, or one per x_hat), in a
-        stopping interval of that step?"""
+    def contains(self, k: int, j: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+        """Is each x_hat, at step k + j (one j per x_hat), in a stopping interval of that step?"""
         b, row = self.table.block(k)
         ends = self.table.x[b][row + j, :, self.c]
         out = np.zeros(x_hat.shape, dtype=bool)
@@ -356,10 +361,9 @@ class _Time(NamedTuple):
         return cls(int(hit[0]) if hit.size else times.size)
 
     def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, None]:
+        """Every path's stop row in ``y`` (observations at steps k, k + 1, ...), ``len(y)`` if
+        none; no stop is unsure."""
         return np.full(y.shape[1], min(self.step - k, y.shape[0])), None
-
-    def contains(self, k: int, j, x_hat: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(k + j >= self.step, x_hat.shape)
 
 
 @dataclass(frozen=True)
@@ -408,15 +412,18 @@ def _walk_chunk(
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
     The walk takes a span of whole steps at a time, as many as keep table
-    nodes x working paths x steps within ``_NODE_COLUMNS``.  Over one step the
-    kernel filters every working path and x_hat decides each rule, as a
-    step-by-step walk does.  Over several, each rule scans the working set's
-    observations for its first sure or unsure stop; the span ends early at the
-    first unsure one, which the kernel's x_hat then decides.  One kernel call
-    filters every (step, path) cell some rule still needs, step by step in path
-    order, and the path integrals are summed along the span from their carried
-    values.  Only the working set, the paths still live in some rule, is drawn
-    and filtered: it shrinks as paths stop, and the walk ends when it is empty.
+    nodes x working paths x steps within ``_NODE_COLUMNS``, at least one; step
+    0, where Y = 0, is a span of its own.  Each rule scans the working set's
+    observations over the span for its first sure or unsure stop; the span
+    ends early at the first unsure one, which the kernel's x_hat then decides.
+    Over one step every path of a stopping-interval rule is unsure, so x_hat
+    decides each, as a step-by-step walk does.  One kernel call filters every
+    (step, path) cell some rule still needs, step by step in path order, with
+    a scalar time when the span is one step, and the path integrals are summed
+    along the span from their carried values (the trapezoid from step 1, the
+    second difference from step 2).  Only the working set, the paths still live
+    in some rule, is drawn and filtered: it shrinks as paths stop, and the walk
+    ends when it is empty.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
@@ -437,83 +444,61 @@ def _walk_chunk(
         if k - k0 == w_block.shape[1]:
             w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), dt)
             k0, rows = k, np.arange(paths.size)
-        span = 1 if k == 0 else min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
-        if span == 1:
-            t_k = float(times[k])
-            g, h = posterior_mean_var(table, t_k, x * t_k + (w_block[rows, k - k0] if k > 0 else 0.0))
-            psi2 = h * h
-            if k >= 1:
-                integral_psi2 = integral_psi2 + 0.5 * dt * (psi2_prev + psi2)
-                if k >= 2:
-                    second_diff_sum = second_diff_sum + np.abs(psi2 - 2.0 * psi2_prev + psi2_prev2)
-            for rule, lv, stats in zip(rules, live, out):
-                if not lv.any():
-                    continue
-                hit = rule.contains(k, 0, g) & lv
-                stop = lv.copy() if k == n_steps else hit  # force-stop whatever is left at the horizon
-                if stop.any():
-                    at = sl.start + paths[stop]
-                    stats.tau[at] = t_k
-                    stats.sq_err[at] = (x[stop] - g[stop]) ** 2
-                    stats.psi_at_stop[at] = h[stop]
-                    stats.integral_psi2[at] = integral_psi2[stop]
-                    stats.second_diff_sum[at] = second_diff_sum[stop]
-                    stats.capped[at] = ~hit[stop]
-                    lv[stop] = False
-            psi2_prev2, psi2_prev = psi2_prev, psi2
+        if k == 0:
+            span, y = 1, np.zeros((1, x.size))  # Y(0) = 0
         else:
+            span = min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
             w = w_block[:, k - k0 : k - k0 + span]
             y = np.multiply.outer(times[k : k + span], x) + (w if rows.size == w.shape[0] else w[rows]).T
-            full = span
+        full = span
 
-            # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
-            scans = []
-            for rule, lv in zip(rules, live):
-                first, unsure = rule.scan(k, y)
-                sure = first < full if unsure is None else (first < full) & ~unsure
-                if k + full - 1 == n_steps:
-                    first = np.minimum(first, full - 1)
-                first = np.where(lv, first, -1)
-                if unsure is not None and (lv & unsure).any():
-                    span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
-                scans.append((first, sure, unsure))
-            last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
+        # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
+        scans = []
+        for rule, lv in zip(rules, live):
+            first, unsure = rule.scan(k, y)
+            sure = first < full if unsure is None else (first < full) & ~unsure
+            if k + full - 1 == n_steps:
+                first = np.minimum(first, full - 1)
+            first = np.where(lv, first, -1)
+            if unsure is not None and (lv & unsure).any():
+                span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
+            scans.append((first, sure, unsure))
+        last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
 
-            cells = np.arange(span)[:, None] <= last  # (step, path) cells some rule needs
-            t_cells = np.repeat(times[k : k + span], cells.sum(axis=1))
-            g_cells, h_cells = posterior_mean_var(table, t_cells, y[:span][cells])
-            g, h = np.zeros(cells.shape), np.zeros(cells.shape)
-            g[cells], h[cells] = g_cells, h_cells
-            psi2 = h * h
-            back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
-            inc = 0.5 * dt * (back[1:-1] + back[2:])
-            d2 = np.abs(back[2:] - 2.0 * back[1:-1] + back[:-2])
-            if k == 1:
-                d2[0] = 0.0  # the second difference starts at step 2
-            integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
+        cells = np.arange(span)[:, None] <= last  # (step, path) cells some rule needs
+        t_cells = times[k] if span == 1 else np.repeat(times[k : k + span], cells.sum(axis=1))
+        g_cells, h_cells = posterior_mean_var(table, t_cells, y[:span][cells])
+        g, h = np.zeros(cells.shape), np.zeros(cells.shape)
+        g[cells], h[cells] = g_cells, h_cells
+        psi2 = h * h
+        back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
+        inc = 0.5 * dt * (back[1:-1] + back[2:])
+        d2 = np.abs(back[2:] - 2.0 * back[1:-1] + back[:-2])
+        inc[: max(1 - k, 0)], d2[: max(2 - k, 0)] = 0.0, 0.0  # the trapezoid starts at step 1, d2 at step 2
+        integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
 
-            for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
-                idx = np.flatnonzero((first >= 0) & (first < span))
-                if idx.size == 0:
-                    continue
-                j = first[idx]
-                hit = sure[idx]
-                if unsure is not None:
-                    ask = unsure[idx]
-                    hit[ask] = rule.contains(k, j[ask], g[j[ask], idx[ask]])
-                horizon = k + j == n_steps  # force-stop whatever is left at the horizon
-                stop = hit | horizon
-                idx, j = idx[stop], j[stop]
-                at = sl.start + paths[idx]
-                stats.tau[at] = times[k + j]
-                stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
-                stats.psi_at_stop[at] = h[j, idx]
-                stats.integral_psi2[at] = integral[j, idx]
-                stats.second_diff_sum[at] = second_diff[j, idx]
-                stats.capped[at] = horizon[stop] & ~hit[stop]
-                lv[idx] = False
-            psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
-            psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
+        for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
+            idx = np.flatnonzero((first >= 0) & (first < span))
+            if idx.size == 0:
+                continue
+            j = first[idx]
+            hit = sure[idx]
+            if unsure is not None:
+                ask = unsure[idx]
+                hit[ask] = rule.contains(k, j[ask], g[j[ask], idx[ask]])
+            horizon = k + j == n_steps  # force-stop whatever is left at the horizon
+            stop = hit | horizon
+            idx, j = idx[stop], j[stop]
+            at = sl.start + paths[idx]
+            stats.tau[at] = times[k + j]
+            stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
+            stats.psi_at_stop[at] = h[j, idx]
+            stats.integral_psi2[at] = integral[j, idx]
+            stats.second_diff_sum[at] = second_diff[j, idx]
+            stats.capped[at] = horizon[stop] & ~hit[stop]
+            lv[idx] = False
+        psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
+        psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
         k += span
         needed = live.any(axis=0)
         if not needed.any():

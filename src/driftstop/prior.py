@@ -496,40 +496,35 @@ def _band_cut(table: QuadratureTable) -> float:
 def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.ndarray]:
     """Normalized posterior weights on the node band the call can reach, one column per y.
 
-    Returns the band as a slice of the nodes and the weights of its nodes.  Each
-    run of columns that share a time adds the band from the full-table logits
-    of its smallest and its largest y alone; the call's band runs from the
-    first to the last node of these (see the module docstring).  ``y`` must be
-    non-empty.
+    Returns the band as a slice of the nodes and the weights of its nodes.  An
+    array ``t`` gives each y its own time, and a scalar is one run of columns
+    at one time.  Each run of columns that share a time adds the band from the
+    full-table logits of its smallest and its largest y alone; the call's band
+    runs from the first to the last node of these (see the module docstring).
+    A run's tilt ln w - u^2 t / 2 on the band is added to every column of the
+    run.  ``y`` must be non-empty.
     """
-    if isinstance(t, np.ndarray):
-        starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        tilt = _tilt(table, t[starts, None])
-        ext = np.stack([np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)])
-        ends = np.multiply.outer(ext, table.nodes)
+    if np.ndim(t) == 0:
+        starts, t_runs = np.zeros(1, dtype=np.intp), np.array([t])
     else:
-        tilt = _tilt(table, t)
-        ext = (y.min(), y.max())
-        ends = np.multiply.outer(ext, table.nodes)[:, None]
+        starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        t_runs = t[starts]
+    tilt = _tilt(table, t_runs[:, None])  # run x node
+    ext = np.array([np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)])
+    ends = np.multiply.outer(ext, table.nodes)
     ends += tilt  # [smallest, largest y] x run x node
     top = ends.max(axis=2)
     if not np.isfinite(top).all():
-        y_end = np.reshape(ext, top.shape)[~np.isfinite(top)][0]
+        y_end = ext[~np.isfinite(top)][0]
         raise PosteriorError(f"observation level y={float(y_end)!r} gives non-finite posterior weights")
     cut = top - _band_cut(table)
     runs = top.shape[1]
     first = int((ends[0] >= cut[0, :, None]).T.argmax()) // runs  # first node kept at a run's smallest y
     past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // runs  # past the last at its largest
     band = slice(first, past_last)
-    u = table.nodes[band]
-    w = np.multiply.outer(u, y)
-    if isinstance(t, np.ndarray):
-        tilt = np.multiply.outer(u, 0.5 * t)
-        tilt *= u[:, None]
-        np.subtract(table.log_weights[band, None], tilt, out=tilt)
-        w += tilt
-    else:
-        w += tilt[band, None]
+    w = np.multiply.outer(table.nodes[band], y)
+    run_tilt = tilt[:, band].T  # node x run
+    w += run_tilt if runs == 1 else np.repeat(run_tilt, np.diff(starts, append=y.size), axis=1)
     w -= w.max(axis=0)  # max shift: the largest exponent becomes 0, so every column sums to >= 1
     np.exp(w, out=w)
     w /= w.sum(axis=0)

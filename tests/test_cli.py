@@ -405,7 +405,7 @@ def test_malformed_perturbations_exit_2(bern_config, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("policy", "stop_at"), ("sim", 5), ("solver", [1]), ("cost_c", True)]
+    "key, value", [("policy", "stop_at"), ("sim", 5), ("solver", [1]), ("cost_c", True), ("output_dir", 5)]
 )
 def test_malformed_config_block_exits_2(bern_config, capsys, key, value):
     cfg_path, out, cfg = bern_config

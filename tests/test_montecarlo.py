@@ -279,7 +279,14 @@ def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_tabl
 
 
 def _reference_walk(table, policy, sim):
-    """Every path walked to its stop over full simulate_paths trajectories."""
+    """Every path walked to its stop over full simulate_paths trajectories; a
+    number is a deterministic time, met by the first step at or after it."""
+
+    def stops(t, x_hat):
+        if isinstance(policy, BoundaryCurve):
+            return policy.contains(t, x_hat)
+        return np.full(x_hat.shape, t >= policy - 1e-12)
+
     batch = simulate_paths(table, sim)
     psi2 = batch.psi * batch.psi
     n, n_steps = sim.n_paths, sim.n_steps
@@ -292,7 +299,7 @@ def _reference_walk(table, policy, sim):
             ref["integral_psi2"][live] += 0.5 * sim.dt * (psi2[live, k - 1] + psi2[live, k])
         if k >= 2:
             ref["second_diff_sum"][live] += np.abs(psi2[live, k] - 2.0 * psi2[live, k - 1] + psi2[live, k - 2])
-        stop = live & policy.contains(t_k, batch.x_hat[:, k])
+        stop = live & stops(t_k, batch.x_hat[:, k])
         if k == n_steps:
             ref["capped"] = live & ~stop
             stop = live.copy()
@@ -303,21 +310,57 @@ def _reference_walk(table, policy, sim):
     return ref
 
 
+def _assert_walks_match_reference(table, c, policy, shifts, sim, monkeypatch):
+    """Walk ``policy`` and its ``shifts`` several steps per kernel call and then one
+    step per call (a node-column budget of 1, the route a 128-node table takes on a
+    full chunk): every field of every rule must equal the reference walk's to the
+    last bit.  Returns the reference walks, the base rule's first."""
+    if isinstance(policy, BoundaryCurve):
+        rules = [policy] + [policy.shifted(s) for s in shifts]
+    else:
+        rules = [policy] + [max(policy + s, 0.0) for s in shifts]
+    refs = [_reference_walk(table, rule, sim) for rule in rules]
+    steps = []  # steps per kernel call, 0 for a scalar time
+    kernel = montecarlo.posterior_mean_var
+
+    def recorded(table, t, y):
+        steps.append(0 if np.ndim(t) == 0 else np.unique(t).size)
+        return kernel(table, t, y)
+
+    monkeypatch.setattr(montecarlo, "posterior_mean_var", recorded)
+    for node_columns in (montecarlo._NODE_COLUMNS, 1):
+        monkeypatch.setattr(montecarlo, "_NODE_COLUMNS", node_columns)
+        steps.clear()
+        est = evaluate_policy(table, c, policy, sim, shifts)
+        assert max(steps) > 1 if node_columns > 1 else set(steps) == {0}
+        for ref, stats in zip(refs, est.paths, strict=True):
+            for name, want in ref.items():
+                assert np.array_equal(getattr(stats, name), want), (node_columns, name)
+    return refs
+
+
 @pytest.mark.parametrize("chunk", [montecarlo._CHUNK, 256])
 def test_walk_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch, chunk):
     # at q = 2 the kernel's columns do not interact, so dropping stopped paths
-    # from the walk must leave every per-path result unchanged to the last bit;
-    # the short horizon caps some paths of every rule, and chunks of 256 split
-    # the 600 paths into three walks, the last one partial
+    # from the walk must leave every per-path result unchanged to the last bit,
+    # whether a kernel call covers several steps or one; the short horizon caps
+    # some paths of every rule, and chunks of 256 split the 600 paths into
+    # three walks, the last one partial
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     policy, shifts = _bernoulli_rule_and_shifts()
     sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=73)
-    est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
-    for rule, stats in zip([policy] + [policy.shifted(s) for s in shifts], est.paths):
-        ref = _reference_walk(bernoulli_table, rule, sim)
+    for ref in _assert_walks_match_reference(bernoulli_table, 0.25, policy, shifts, sim, monkeypatch):
         assert 0 < ref["capped"].sum() < sim.n_paths
-        for name, want in ref.items():
-            assert np.array_equal(getattr(stats, name), want), name
+
+
+def test_stop_at_walk_with_time_shifts_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch):
+    # a deterministic time's rule stops every path at one known step, and its
+    # shifts move the time: -0.8 clips it to 0, and +2.6 puts it past the 3.0
+    # horizon, where every path is capped
+    sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=79)
+    refs = _assert_walks_match_reference(bernoulli_table, 0.25, 0.5, (-0.8, 0.3, 2.6), sim, monkeypatch)
+    assert [np.unique(ref["tau"]).tolist() for ref in refs] == [[0.5], [0.0], [0.8], [3.0]]
+    assert [int(ref["capped"].sum()) for ref in refs] == [0, 0, 0, sim.n_paths]
 
 
 def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkeypatch):
