@@ -15,14 +15,17 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import closed_form
 from .csvio import format_row
-from .dispersion import InversionError, pde_residuals, psi_grid
+from .dispersion import InversionError, clamp_to_interior, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
 from .prior import PosteriorError, PriorSpec, build_quadrature
 from .stopping_solver import (
@@ -42,21 +45,60 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# the keys each block of a config may hold; any other key is refused
-BLOCK_KEYS = {
-    "solver": ("n_t", "n_x", "T_max", "x_lo", "x_hi"),
-    "sim": ("n_paths", "dt", "horizon", "seed", "export_paths"),
-    "policy": ("kind", "time", "a"),
+REQUIRED, DERIVED = "required", "derived"
+
+
+class Key(NamedTuple):
+    type: type
+    bounds: tuple = ()
+    default: object = REQUIRED
+
+
+# every key a config may hold, by block (None is the root), with its JSON type, its bounds as (operator, limit)
+# pairs, a string limit being another key of the block, and its default: a value, REQUIRED, or DERIVED (worked
+# out by ``_resolve``).  A policy key is required only by the kinds that read it.  Any other key is refused.
+CONFIG_KEYS = {
+    None: {
+        "prior": Key(dict),
+        "cost_c": Key(float, ((">", 0),)),
+        "quadrature_n": Key(int, ((">=", 2),), 128),
+        "solver": Key(dict, default={}),
+        "sim": Key(dict, default={}),
+        "policy": Key(dict, default={"kind": "solver_boundary"}),
+        "perturbations": Key(list, default=[-0.1, 0.1]),
+        "output_dir": Key(str, default="driftstop_out"),
+        # written to resolved_config.json so that it reruns; worked out again on every run
+        "horizon_scan_capped": Key(bool, default=DERIVED),
+    },
+    "solver": {
+        "n_t": Key(int, ((">=", 8),), 100),
+        "n_x": Key(int, ((">=", 8),), 201),
+        "T_max": Key(float, ((">", 0),), DERIVED),
+        "x_lo": Key(float, default=DERIVED),
+        "x_hi": Key(float, ((">", "x_lo"),), DERIVED),
+    },
+    "sim": {
+        "n_paths": Key(int, ((">=", 1),), 20_000),
+        "dt": Key(float, ((">", 0),), 0.01),
+        "horizon": Key(float, ((">=", "dt"),), DERIVED),
+        "seed": Key(int, ((">=", 0), ("<", 2**64)), 20260808),
+        "export_paths": Key(int, ((">=", 1), ("<=", "n_paths")), DERIVED),
+    },
+    "policy": {
+        "kind": Key(str, default="solver_boundary"),
+        "time": Key(float, ((">=", 0),)),
+        "a": Key(float, ((">=", 0),)),
+    },
 }
 
-# the keys each policy kind reads besides 'kind'; a missing or unused one is refused
-POLICY_KEYS = {"solver_boundary": (), "stop_at": ("time",), "symmetric_threshold": ("a",)}
+# the keys each policy kind requires besides 'kind'; a policy holds no other
+POLICY_KINDS = {"solver_boundary": (), "stop_at": ("time",), "symmetric_threshold": ("a",)}
 
-# the counts a config may set, by block (None is the root); each must be a JSON integer
-COUNT_KEYS = {None: ("quadrature_n",), "solver": ("n_t", "n_x"), "sim": ("n_paths", "seed", "export_paths")}
+CLOSED_FORM_FLAGS = ("m", "sigma2", "sigma", "beta", "c", "t", "y")
 
-# the real-valued keys a config may set, by block; each must be a finite JSON number
-NUMBER_KEYS = {"solver": ("T_max", "x_lo", "x_hi"), "sim": ("dt", "horizon"), "policy": ("time", "a")}
+_TYPES = {int: "an integer", float: "a finite number", list: "a list of finite numbers", str: "a string",
+          bool: "a boolean", dict: "a JSON object"}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class ConfigError(ValueError):
@@ -64,6 +106,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
+    """Parse a config and check the whole of it against ``CONFIG_KEYS``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -73,129 +116,101 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    if "prior" not in doc:
-        raise ConfigError("config is missing required key 'prior'")
-    if "cost_c" not in doc:
-        raise ConfigError("config is missing required key 'cost_c'")
-    c = doc["cost_c"]
-    if isinstance(c, bool) or not isinstance(c, (int, float)) or not c > 0:
-        raise ConfigError(f"config key 'cost_c' must be a positive number, got {c!r}")
-    if not isinstance(doc.get("output_dir", ""), str):
-        raise ConfigError(f"config key 'output_dir' must be a string, got {doc['output_dir']!r}")
-    for block, allowed in BLOCK_KEYS.items():
-        held = doc.get(block, {})
-        if not isinstance(held, dict):
-            raise ConfigError(f"config key {block!r} must be a JSON object, got {held!r}")
+    for block, keys in CONFIG_KEYS.items():  # the root first: each block is an object when walked
+        held = doc if block is None else doc.get(block, {})
+        where, allowed = ("the config root" if block is None else repr(block)), tuple(keys)
+        if block == "policy":
+            kind = held.get("kind", keys["kind"].default)
+            if not isinstance(kind, str) or kind not in POLICY_KINDS:
+                known = ", ".join(POLICY_KINDS)
+                raise ConfigError(f"key 'kind' in 'policy' names an unknown kind {kind!r}; known kinds: {known}")
+            where, allowed = f"'policy' of kind {kind!r}", ("kind", *POLICY_KINDS[kind])
+        for key, spec in keys.items():
+            if key not in held:
+                if spec.default == REQUIRED and key in allowed:
+                    raise ConfigError(f"config is missing required key {key!r} in {where}")
+            elif not _is(held[key], spec.type):
+                raise ConfigError(f"config key {_name(block, key)!r} must be {_TYPES[spec.type]}, got {held[key]!r}")
         unknown = sorted(set(held) - set(allowed))
         if unknown:
-            msg = f"unknown key {unknown[0]!r} in {block!r}; allowed keys: {', '.join(allowed)}"
+            msg = f"unknown key {unknown[0]!r} in {where}; allowed keys: {', '.join(allowed)}"
             if block == "solver":
                 msg += " (the solve starts from the stationary value; 'T_max' sets the window)"
             raise ConfigError(msg)
-    _check_types(doc, COUNT_KEYS, lambda v: isinstance(v, int), "an integer")
-    _check_types(doc, NUMBER_KEYS, lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")
-    _check_policy(doc.get("policy", {}))
+        _check_bounds(block, held, where if block == "policy" else "")
     return doc
 
 
-def _check_policy(policy: dict) -> None:
-    """Refuse an unknown policy kind, a key its kind needs but lacks or holds but does not use,
-    and a negative stopping time or threshold."""
-    kind = policy.get("kind", "solver_boundary")
-    if not isinstance(kind, str) or kind not in POLICY_KEYS:
-        known = ", ".join(POLICY_KEYS)
-        raise ConfigError(f"key 'kind' in 'policy' names an unknown kind {kind!r}; known kinds: {known}")
-    needed = POLICY_KEYS[kind]
-    for key in needed:
-        if key not in policy:
-            raise ConfigError(f"policy kind {kind!r} requires key {key!r} in 'policy'")
-    unused = sorted(set(policy) - {"kind", *needed})
-    if unused:
-        raise ConfigError(f"key {unused[0]!r} in 'policy' is not used by policy kind {kind!r}")
-    for key in needed:
-        if policy[key] < 0:
-            raise ConfigError(f"key {key!r} in 'policy' must be >= 0 for policy kind {kind!r}, got {policy[key]!r}")
+def _is(value, kind: type) -> bool:
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if kind is list:
+        return isinstance(value, list) and all(_is(v, float) for v in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _check_types(doc: dict, keys_by_block: dict, accepts, what: str) -> None:
-    """Refuse a boolean, or a value ``accepts`` rejects, under any of the listed keys."""
-    for block, keys in keys_by_block.items():
-        held = doc if block is None else doc.get(block, {})
-        for key in keys:
-            if key in held and (isinstance(held[key], bool) or not accepts(held[key])):
-                name = key if block is None else f"{block}.{key}"
-                raise ConfigError(f"config key {name!r} must be {what}, got {held[key]!r}")
+def _name(block: str | None, key: str) -> str:
+    return key if block is None else f"{block}.{key}"
+
+
+def _check_bounds(block: str | None, values: dict, where: str = "") -> None:
+    """Refuse a value outside a bound of its key; a bound on another key waits until that key has a value."""
+    for key, value in values.items():
+        for op, limit in CONFIG_KEYS[block][key].bounds:
+            shown = limit
+            if isinstance(limit, str):
+                if limit not in values:
+                    continue
+                shown, limit = f"{_name(block, limit)} = {values[limit]!r}", values[limit]
+            if not _OPS[op](value, limit):
+                named = f"key {key!r} in {where}" if where else f"config key {_name(block, key)!r}"
+                raise ConfigError(f"{named} must be {op} {shown}, got {value!r}")
+
+
+def _filled(doc: dict, block: str | None) -> dict:
+    """A block's given values, each number as a float, over its constant defaults."""
+    keys = CONFIG_KEYS[block]
+    given = doc if block is None else doc.get(block, {})
+    filled = {k: spec.default for k, spec in keys.items() if spec.default not in (REQUIRED, DERIVED)}
+    return filled | {k: float(v) if keys[k].type is float else v for k, v in given.items()}
 
 
 def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     """Fill defaults, build the table, and return the working objects."""
     prior = PriorSpec.from_dict(doc["prior"])
-    n_quad = doc.get("quadrature_n", 128)
-    table = build_quadrature(prior, n=n_quad)
-    c = float(doc["cost_c"])
+    root = _filled(doc, None)
+    table = build_quadrature(prior, n=root["quadrature_n"])
+    c = root["cost_c"]
 
-    solver_doc = dict(doc.get("solver", {}))
-    perturbations = doc.get("perturbations", [-0.1, 0.1])
-    if not (
-        isinstance(perturbations, list)
-        and all(isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s) for s in perturbations)
-    ):
-        raise ConfigError(f"config key 'perturbations' must be a list of finite numbers, got {perturbations!r}")
-    x_lo_d, x_hi_d = default_domain(table)
-    x_lo = float(solver_doc.get("x_lo", x_lo_d))
-    x_hi = float(solver_doc.get("x_hi", x_hi_d))
-    n_t = solver_doc.get("n_t", 100)
-    n_x = solver_doc.get("n_x", 201)
+    x_lo, x_hi = default_domain(table)
+    solver = {"x_lo": x_lo, "x_hi": x_hi, **_filled(doc, "solver")}
+    _check_bounds("solver", solver)
+    for key in ("x_lo", "x_hi"):
+        try:
+            clamp_to_interior(table, solver[key])
+        except ValueError as exc:
+            raise ConfigError(f"config key 'solver.{key}' is refused: {exc}") from exc
 
     capped = False
-    if "T_max" in solver_doc:
-        t_max = float(solver_doc["T_max"])
-    else:
-        x_scan = np.linspace(x_lo, x_hi, 41)
+    if "T_max" not in solver:
+        x_scan = np.linspace(solver["x_lo"], solver["x_hi"], 41)
         hz = choose_horizon(
-            lambda t: float(np.max(psi_grid(table, [t], x_scan, tol=1e-8).values ** 2)),
-            np.linspace(0.0, 50.0, 201),
-            c,
+            lambda t: float(np.max(psi_grid(table, [t], x_scan, tol=1e-8).values ** 2)), np.linspace(0.0, 50.0, 201), c
         )
         capped = hz.capped
-        t_max = hz.horizon if hz.horizon > 0.0 else 1.0
-        if capped:
-            t_max = 8.0
+        solver["T_max"] = 8.0 if capped else (hz.horizon if hz.horizon > 0.0 else 1.0)
+    config = SolverConfig(**solver)
 
-    config = SolverConfig(n_t=n_t, n_x=n_x, T_max=t_max, x_lo=x_lo, x_hi=x_hi)
+    sim_doc = _filled(doc, "sim")
+    sim_doc.setdefault("horizon", max(2.0 * config.T_max, 1.0))
+    sim_doc.setdefault("export_paths", min(sim_doc["n_paths"], 200))
+    _check_bounds("sim", sim_doc)
+    sim_doc["seed"] = sim_doc["seed"] if seed_override is None else seed_override
+    sim = SimConfig(**{k: v for k, v in sim_doc.items() if k != "export_paths"})
 
-    sim_doc = dict(doc.get("sim", {}))
-    seed = seed_override if seed_override is not None else sim_doc.get("seed", 20260808)
-    sim = SimConfig(
-        n_paths=sim_doc.get("n_paths", 20_000),
-        dt=float(sim_doc.get("dt", 0.01)),
-        horizon=float(sim_doc.get("horizon", max(2.0 * config.T_max, 1.0))),
-        seed=seed,
-    )
-    export_paths = sim_doc.get("export_paths", min(sim.n_paths, 200))
-    if not 1 <= export_paths <= sim.n_paths:
-        raise ConfigError(
-            f"config key 'sim.export_paths' must be between 1 and sim.n_paths = {sim.n_paths}, got {export_paths!r}"
-        )
-
-    out = Path(out_dir if out_dir is not None else doc.get("output_dir", "driftstop_out"))
-    resolved = {
-        "prior": prior.to_dict(),
-        "cost_c": c,
-        "quadrature_n": n_quad,
-        "solver": config.to_dict(),
-        "sim": {
-            "n_paths": sim.n_paths,
-            "dt": sim.dt,
-            "horizon": sim.horizon,
-            "seed": sim.seed,
-            "export_paths": export_paths,
-        },
-        "policy": doc.get("policy", {"kind": "solver_boundary"}),
-        "perturbations": perturbations,
-        "horizon_scan_capped": capped,
-        "output_dir": str(out),
-    }
+    out = Path(out_dir if out_dir is not None else root["output_dir"])
+    resolved = {**root, "prior": prior.to_dict(), "solver": config.to_dict(), "sim": sim_doc}
+    resolved.update(horizon_scan_capped=capped, output_dir=str(out))
     return prior, table, c, config, sim, out, resolved
 
 
@@ -222,8 +237,7 @@ def _prepare_out(out: Path, resolved: dict) -> None:
 
 
 def cmd_psi(args) -> int:
-    doc = _load_config(args.config)
-    prior, table, c, config, _, out, resolved = _resolve(doc, args.out, None)
+    prior, table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
     _prepare_out(out, resolved)
 
     grid = solver_psi_grid(table, config)
@@ -246,8 +260,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    doc = _load_config(args.config)
-    prior, table, c, config, _, out, resolved = _resolve(doc, args.out, None)
+    prior, table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
     _prepare_out(out, resolved)
 
     grid = solve_value(solver_psi_grid(table, config), c, config)
@@ -295,11 +308,10 @@ def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
 
 
 def cmd_verify(args) -> int:
-    doc = _load_config(args.config)
-    prior, table, c, config, sim, out, resolved = _resolve(doc, args.out, args.seed)
+    prior, table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
 
     policy_doc = resolved["policy"]
-    kind = policy_doc.get("kind", "solver_boundary")
+    kind = policy_doc.get("kind", CONFIG_KEYS["policy"]["kind"].default)
     if kind == "solver_boundary":
         policy = _solver_boundary(out, resolved)
     elif kind == "stop_at":
@@ -339,9 +351,7 @@ def cmd_verify(args) -> int:
             "warning": cost.warning,
         },
         "variance_identity": identity.to_dict(),
-        "optimality_gap": None
-        if gap_results is None
-        else [r._asdict() for r in gap_results],
+        "optimality_gap": None if gap_results is None else [r._asdict() for r in gap_results],
         "passed": bool(identity.passed and gaps_ok),
     }
     _write_json(out / "verify.json", report)
@@ -354,8 +364,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    names = ("m", "sigma2", "sigma", "beta", "c", "t", "y")
-    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    flags = {name: getattr(args, name) for name in CLOSED_FORM_FLAGS if getattr(args, name) is not None}
     for flag, value in flags.items():
         if not math.isfinite(value):
             raise ConfigError(f"--{flag} must be a finite number, got {value!r}")
@@ -419,12 +428,10 @@ def _closed_form_record(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
-    prior, table, c, config, sim, out, resolved = _resolve(doc, args.out, args.seed)
+    prior, table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
     _prepare_out(out, resolved)
     cap_paths = resolved["sim"]["export_paths"]
-    sim_small = SimConfig(n_paths=cap_paths, dt=sim.dt, horizon=sim.horizon, seed=sim.seed)
-    batch = simulate_paths(table, sim_small)
+    batch = simulate_paths(table, replace(sim, n_paths=cap_paths))
     batch.to_csv(out / "paths.csv")
     summary = {
         "n_paths": cap_paths,
@@ -446,38 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, text in (
+        ("psi", cmd_psi, "tabulate the dispersion surface and PDE residuals"),
+        ("solve", cmd_solve, "solve the stopping problem and extract regions"),
+        ("verify", cmd_verify, "Monte Carlo checks of a stopping policy"),
+        ("simulate", cmd_simulate, "export monitored sample paths"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-
-    p_psi = sub.add_parser("psi", help="tabulate the dispersion surface and PDE residuals")
-    add_common(p_psi)
-    p_psi.set_defaults(func=cmd_psi)
-
-    p_solve = sub.add_parser("solve", help="solve the stopping problem and extract regions")
-    add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="Monte Carlo checks of a stopping policy")
-    add_common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    p_verify.set_defaults(func=cmd_verify)
+        if func in (cmd_verify, cmd_simulate):
+            p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
+        p.set_defaults(func=func)
 
     p_cf = sub.add_parser("closed-form", help="closed-form records for the tractable families")
     p_cf.add_argument("--family", required=True, choices=["gaussian", "bernoulli", "half_normal", "mixture"])
-    p_cf.add_argument("--m", type=float, default=None)
-    p_cf.add_argument("--sigma2", type=float, default=None)
-    p_cf.add_argument("--sigma", type=float, default=None)
-    p_cf.add_argument("--beta", type=float, default=None)
-    p_cf.add_argument("--c", type=float, default=None)
-    p_cf.add_argument("--t", type=float, default=None)
-    p_cf.add_argument("--y", type=float, default=None)
+    for name in CLOSED_FORM_FLAGS:
+        p_cf.add_argument(f"--{name}", type=float, default=None)
     p_cf.set_defaults(func=cmd_closed_form)
-
-    p_sim = sub.add_parser("simulate", help="export monitored sample paths")
-    add_common(p_sim)
-    p_sim.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 

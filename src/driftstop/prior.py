@@ -58,13 +58,15 @@ __all__ = [
     "heat_residual_F",
 ]
 
-_FAMILIES = (
-    "discrete_atoms",
-    "gaussian",
-    "symmetric_gaussian_mixture",
-    "half_normal",
-    "tabulated_density",
-)
+# each family's fields besides 'kind', in the order its constructor takes them
+_FIELDS = {
+    "discrete_atoms": ("atoms",),
+    "gaussian": ("m", "sigma2"),
+    "symmetric_gaussian_mixture": ("m", "sigma"),
+    "half_normal": ("sigma2",),
+    "tabulated_density": ("grid", "density_values"),
+}
+_FAMILIES = tuple(_FIELDS)
 
 # Tail mass left outside the node range for truncated continuous families.
 # Posterior reweighting multiplies the tail by exp(u*y), so the cut must be
@@ -260,15 +262,7 @@ class PriorSpec:
         if kind not in _FAMILIES:
             raise PriorError(f"prior field 'kind' must be one of {_FAMILIES}, got {kind!r}")
         try:
-            if kind == "discrete_atoms":
-                return cls.discrete_atoms([(float(u), float(w)) for u, w in doc["atoms"]])
-            if kind == "gaussian":
-                return cls.gaussian(doc["m"], doc["sigma2"])
-            if kind == "symmetric_gaussian_mixture":
-                return cls.symmetric_gaussian_mixture(doc["m"], doc["sigma"])
-            if kind == "half_normal":
-                return cls.half_normal(doc["sigma2"])
-            return cls.tabulated_density(doc["grid"], doc["density_values"])
+            return getattr(cls, kind)(*(_numbers(doc[name], name, kind) for name in _FIELDS[kind]))
         except KeyError as exc:
             raise PriorError(f"prior of kind {kind!r} is missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
@@ -289,6 +283,15 @@ class PriorSpec:
         else:
             doc.update(grid=list(self.grid), density_values=list(self.density_values))
         return doc
+
+
+def _numbers(value, name: str, kind: str):
+    """A prior field's value, refused unless a number or a list of them (of lists, for atoms)."""
+    if isinstance(value, list):
+        return [_numbers(v, name, kind) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PriorError(f"prior field {name!r} of kind {kind!r} must hold numbers, got {value!r}")
+    return value
 
 
 def _tabulated_moment(g: np.ndarray, f: np.ndarray, k: int) -> float:
@@ -338,6 +341,9 @@ class QuadratureTable:
             raise PriorError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size < 2:
             raise PriorError("quadrature table needs at least two nodes")
+        bad_nodes, bad_weights = np.count_nonzero(~np.isfinite(nodes)), np.count_nonzero(~np.isfinite(weights))
+        if bad_nodes or bad_weights:
+            raise PriorError(f"quadrature table has {bad_nodes} non-finite nodes and {bad_weights} non-finite weights")
         if not np.all(np.diff(nodes) > 0.0):
             raise PriorError("quadrature nodes must be strictly increasing")
         if np.any(weights < 0.0):

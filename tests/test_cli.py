@@ -11,7 +11,7 @@ import pytest
 
 import driftstop
 from driftstop import BoundaryCurve, montecarlo
-from driftstop.cli import _resolve, main
+from driftstop.cli import CONFIG_KEYS, DERIVED, REQUIRED, _load_config, _resolve, main
 from driftstop.csvio import format_float, format_row
 
 
@@ -72,11 +72,42 @@ def test_missing_keys_exit_2(tmp_path, capsys):
     assert "cost_c" in capsys.readouterr().err
 
 
-def test_invalid_prior_field_exit_2(tmp_path, capsys):
+_BAD_PRIORS = [
+    ({"kind": "gaussian", "m": 0.0}, "sigma2"),
+    ({"kind": "gaussian", "m": "0", "sigma2": 1.0}, "m"),
+    ({"kind": "gaussian", "m": 0.0, "sigma2": True}, "sigma2"),
+    ({"kind": "discrete_atoms", "atoms": [[-1.0, 0.5], [1.0, "0.5"]]}, "atoms"),
+    ({"kind": "tabulated_density", "grid": [0.0, 1.0, "2"], "density_values": [1.0, 1.0, 1.0]}, "grid"),
+    ({"kind": "tabulated_density", "grid": [0.0, 1.0, 2.0], "density_values": [1.0, True, 1.0]}, "density_values"),
+]
+
+
+@pytest.mark.parametrize(
+    "prior, field",
+    _BAD_PRIORS,
+    ids=["missing-sigma2", "string-m", "boolean-sigma2", "string-atom-weight", "string-grid", "boolean-density"],
+)
+def test_invalid_prior_field_exit_2(tmp_path, capsys, prior, field):
+    # a missing field, or a boolean or a numeric string where a number belongs
+    # (float() would read true as 1 and "0" as 0), names the field
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"prior": {"kind": "gaussian", "m": 0.0}, "cost_c": 0.25}))
+    cfg.write_text(json.dumps({"prior": prior, "cost_c": 0.25, "output_dir": str(tmp_path / "out")}))
     assert main(["solve", "--config", str(cfg)]) == 2
-    assert "sigma2" in capsys.readouterr().err
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_quadrature_exits_2(tmp_path, capsys):
+    # numpy's Gauss-Hermite weights overflow to NaN at 400 nodes (with numpy's
+    # RuntimeWarnings on the way), and NaN passes every comparison
+    cfg = tmp_path / "c.json"
+    doc = {"prior": {"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, "cost_c": 0.25, "quadrature_n": 400}
+    cfg.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "quadrature" in err and "non-finite weights" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_writes_artifacts(bern_config):
@@ -405,7 +436,8 @@ def test_malformed_perturbations_exit_2(bern_config, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("policy", "stop_at"), ("sim", 5), ("solver", [1]), ("cost_c", True), ("output_dir", 5)]
+    "key, value",
+    [("policy", "stop_at"), ("sim", 5), ("solver", [1]), ("cost_c", True), ("output_dir", 5), ("cost_c", 1e400)],
 )
 def test_malformed_config_block_exits_2(bern_config, capsys, key, value):
     cfg_path, out, cfg = bern_config
@@ -467,6 +499,7 @@ def test_export_paths_above_n_paths_exits_2(bern_config, capsys):
 
 
 _UNKNOWN_KEYS = [
+    (None, "quadratur_n", 256),
     ("solver", "scheme", "implicit_psor"),
     ("solver", "bc", "dirichlet_zero"),
     ("solver", "obstacle_tol", 1e-10),
@@ -479,11 +512,11 @@ _UNKNOWN_KEYS = [
 def test_unknown_solver_key_exits_2(bern_config, capsys, block, key, value):
     # a misspelt key would otherwise fall back to its default without a word
     cfg_path, out, cfg = bern_config
-    cfg.setdefault(block, {})[key] = value
+    (cfg if block is None else cfg.setdefault(block, {}))[key] = value
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and repr(block) in err
+    assert repr(key) in err and (repr(block) if block else "the config root") in err
     assert not out.exists()
 
 
@@ -494,6 +527,7 @@ _POLICY_KEYS = [
     ({"kind": "symmetric_threshold", "a": 0.3, "time": 1.0}, "time"),
     ({"kind": "solver_boundary", "a": 0.3}, "a"),
     ({"kind": "stop_now", "time": 1.0}, "kind"),
+    ({"kind": ["stop_at"], "time": 1.0}, "kind"),
     ({"kind": "stop_at", "time": -1.0}, "time"),
     ({"kind": "symmetric_threshold", "a": -0.5}, "a"),
 ]
@@ -526,6 +560,18 @@ def test_removed_solver_key_names_replacement(bern_config, capsys, key):
     assert main(["solve", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and "stationary" in err and "T_max" in err
+
+
+@pytest.mark.parametrize("key, value", [("x_hi", 1.5), ("x_hi", 1.0), ("x_lo", -1.0)])
+def test_truncation_outside_the_support_exits_2(bern_config, capsys, key, value):
+    # atoms +-1: an end outside [-1, 1], or on a finite end of it, has no
+    # inverse; it is refused before anything is written
+    cfg_path, out, cfg = bern_config
+    cfg["solver"][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert f"'solver.{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("half_width", [0.5, 0.8])
@@ -585,6 +631,51 @@ def test_simulate_reruns_from_its_resolved_config(bern_config, tmp_path):
     rerun = tmp_path / "rerun"
     assert main(["simulate", "--config", str(resolved), "--out", str(rerun)]) == 0
     assert (rerun / "paths.csv").read_bytes() == (out / "paths.csv").read_bytes()
+
+
+def test_resolved_config_resolves_to_itself(bern_config):
+    # every key a run writes reads back to the same value (T_max is given, so
+    # the horizon scan does not run)
+    cfg_path, out, cfg = bern_config
+    cfg["sim"].update(n_paths=10)
+    cfg.update(quadrature_n=64, perturbations=[-0.2, 0.05], policy={"kind": "stop_at", "time": 0.5})
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    first = (out / "resolved_config.json").read_bytes()
+    assert main(["simulate", "--config", str(out / "resolved_config.json")]) == 0
+    assert (out / "resolved_config.json").read_bytes() == first
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_loads(tmp_path):
+    example = re.search(r"```json\n(.*?)```", _README.read_text(), re.S).group(1)
+    (tmp_path / "cfg.json").write_text(example)
+    resolved = _resolve(_load_config(str(tmp_path / "cfg.json")), str(tmp_path / "out"), None)[-1]
+    assert resolved["cost_c"] == json.loads(example)["cost_c"]
+
+
+def test_readme_config_table_matches_the_code():
+    # one row per key: `key` | type | default | bounds, as CONFIG_KEYS holds them
+    rows = re.findall(r"^\| `([\w.]+)` \|([^|]+)\|([^|]+)\|([^|]*)\|$", _README.read_text(), re.M)
+    types = {int: "integer", float: "number", list: "list of numbers", str: "string", bool: "boolean", dict: "object"}
+    want = {}
+    for block, keys in CONFIG_KEYS.items():
+        for key, spec in keys.items():
+            want[key if block is None else f"{block}.{key}"] = spec
+    assert [row[0] for row in rows] == list(want)
+    for name, type_, default, bounds in rows:
+        spec = want[name]
+        block = name.rpartition(".")[0]
+        assert type_.strip() == types[spec.type], name
+        if spec.default in (REQUIRED, DERIVED):
+            assert default.strip().startswith(spec.default), name
+        else:
+            assert default.strip() == f"`{json.dumps(spec.default)}`", name
+        for op, limit in spec.bounds:
+            shown = f"{block}.{limit}" if isinstance(limit, str) else limit
+            assert f"`{op} {shown}`" in bounds, name
 
 
 def test_python_dash_m_runs_the_cli():

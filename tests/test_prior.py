@@ -102,6 +102,14 @@ def test_from_dict_names_missing_field():
         PriorSpec.from_dict({"m": 0.0})
 
 
+def test_table_refuses_nonfinite_nodes_or_weights():
+    # NaN passes every comparison the other invariants make
+    with pytest.raises(PriorError, match="1 non-finite nodes and 0 non-finite weights"):
+        QuadratureTable(np.array([0.0, np.inf]), np.array([0.5, 0.5]), (0.0, np.inf))
+    with pytest.raises(PriorError, match="0 non-finite nodes and 2 non-finite weights"):
+        QuadratureTable(np.array([0.0, 1.0]), np.array([np.nan, np.nan]), (0.0, 1.0))
+
+
 def test_table_invariants_enforced():
     with pytest.raises(PriorError):
         QuadratureTable(np.array([0.0, 1.0]), np.array([0.5, 0.6]), (0.0, 1.0))
