@@ -205,7 +205,11 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     sim_doc.setdefault("horizon", max(2.0 * config.T_max, 1.0))
     sim_doc.setdefault("export_paths", min(sim_doc["n_paths"], 200))
     _check_bounds("sim", sim_doc)
-    sim_doc["seed"] = sim_doc["seed"] if seed_override is None else seed_override
+    if seed_override is not None:
+        for op, limit in CONFIG_KEYS["sim"]["seed"].bounds:
+            if not _OPS[op](seed_override, limit):
+                raise ConfigError(f"--seed must be {op} {limit}, got {seed_override!r}")
+        sim_doc["seed"] = seed_override
     sim = SimConfig(**{k: v for k, v in sim_doc.items() if k != "export_paths"})
 
     out = Path(out_dir if out_dir is not None else root["output_dir"])

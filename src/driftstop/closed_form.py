@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr
 
 __all__ = [
     "FilterAnalytics",
@@ -50,6 +49,7 @@ class FilterAnalytics(NamedTuple):
 
 def _mills(z: float) -> float:
     """phi(z) / Phi(z), computed through log_ndtr so both tails stay accurate."""
+    from scipy.special import log_ndtr  # imported here so that importing the CLI loads no scipy.special
     return math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
 
 
@@ -200,6 +200,8 @@ def halfnormal_analytics(sigma2: float, t: float, y: float) -> FilterAnalytics:
     sigma2*t) and z = sigma*y/sqrt(1 + sigma2*t), the truncated-normal moments
     give G = s(z + phi/Phi) and H = s^2 (1 - z phi/Phi - (phi/Phi)^2).
     """
+    from scipy.special import log_ndtr  # as in _mills
+
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)

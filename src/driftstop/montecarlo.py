@@ -19,19 +19,21 @@ time; over one step the kernel filters every working path anyway, and the
 estimate decides.
 
 Randomness is counter-based: each path owns the Philox stream of key
-(seed, path index) from counter 0, drawn lazily in blocks of Wiener steps.
-A Philox stream is fully defined by its key and counter, so one bit generator
-per chunk, re-keyed for each path, draws every path's stream.  Paths are walked
-in fixed chunks of consecutive indices.  Within a chunk the kernel runs only on
-the (step, path) cells some rule still needs, in one call per span of whole
-steps: as many steps as keep table nodes x cells within ``_NODE_COLUMNS``, at
-least one, so a small table covers several steps per call (one step per call
-where inverting the ends would cost more than the calls it saves, see
-``_END_COLUMNS``).  Reruns with the
-same SimConfig are bit-identical.  The kernel's per-column round-off can depend
-on which columns share a call (BLAS and summation order at large node counts,
-and the node band set by the call's extreme cells), so per-path values are not
-guaranteed to be independent of which paths are walked together.
+(seed, path index) from counter 0, drawn lazily in blocks of Wiener steps and
+never past the last step a rule can reach.  A Philox stream is fully defined
+by its key and counter, so one bit generator per chunk, re-keyed for each
+path, draws every path's stream, and a path that walks past its first block
+replays that block once instead of every path saving its position after it.
+Paths are walked in fixed chunks of consecutive indices.  Within a chunk the
+kernel runs only on the (step, path) cells some rule still needs, in one call
+per span of whole steps: as many steps as keep table nodes x cells within
+``_NODE_COLUMNS``, at least one, so a small table covers several steps per
+call (one step per call where inverting the ends would cost more than the
+calls it saves, see ``_END_COLUMNS``).  Reruns with the same SimConfig are
+bit-identical.  The kernel's per-column round-off can depend on which columns
+share a call (BLAS and summation order at large node counts, and the node band
+set by the call's extreme cells), so per-path values are not guaranteed to be
+independent of which paths are walked together.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ Policy = Union[float, BoundaryCurve]
 
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
-_NODE_COLUMNS = 2**15  # table nodes x columns of a kernel call that spans several steps
+_NODE_COLUMNS = 2**16  # table nodes x columns of a kernel call that spans several steps
 # table nodes x stopping-interval ends in y per step, past which the walk takes one step per call:
 # inverting the ends takes several kernel passes over them and then costs more than the calls it saves
 _END_COLUMNS = 2**11
@@ -119,57 +121,58 @@ class PathBatch:
                 fh.write("".join([f"{p},{tk},{yk!r},{xk!r},{sk!r}{tail}" for tk, yk, xk, sk in rows]))
 
 
-# where a path's Philox stream stands: its counter, four buffered 64-bit outputs,
-# the next of them to use, and a held half of one for 32-bit draws
-_POSITION = np.dtype(
-    [("counter", "u8", 4), ("buffer", "u8", 4), ("buffer_pos", "i4"), ("has_uint32", "i4"), ("uinteger", "u4")]
-)
-_START = ((0, 0, 0, 0), (0, 0, 0, 0), 4, 0, 0)  # counter 0 and an empty buffer
-
-
 class _Streams:
-    """The Philox streams of paths [start, start + count), drawn through one bit generator.
+    """The Philox streams of a chunk's paths, from index ``start`` on, drawn through one bit generator.
 
     Path ``i`` owns the stream of key (seed, start + i) from counter 0, the one
-    a fresh ``Generator(Philox(key=...))`` gives.  ``load`` re-keys the bit
-    generator through its public ``state`` setter, at the stream's start or at
-    a position ``save`` recorded in ``saved[i]``.
+    a fresh ``Generator(Philox(key=...))`` gives: the drift's uniform, the
+    normals of its first block of ``first`` steps, then those of its later
+    blocks.  ``load`` re-keys the bit generator through its public ``state``
+    setter, at the stream's start.  A path's position is kept only once it
+    walks past its first block: the first ``resume`` replays the stream from
+    counter 0 through that block, and ``saved[i]`` then holds the position
+    after each later block, so no path is replayed twice.
     """
 
-    def __init__(self, seed: int, start: int, count: int) -> None:
+    def __init__(self, seed: int, start: int, first: int) -> None:
         self.bits = np.random.Philox(0)  # re-keyed before every draw
         self.gen = np.random.Generator(self.bits)
         self.seed, self.start = seed, start
-        self.saved = np.empty(count, _POSITION)
+        self.replay = np.empty(first)  # scratch row for a replayed first block
+        self.saved: dict[int, dict] = {}
 
-    def load(self, i: int, position: tuple = _START) -> None:
-        counter, buffer, buffer_pos, has_uint32, uinteger = position
+    def load(self, i: int) -> None:
         self.bits.state = {
             "bit_generator": "Philox",
-            "state": {"counter": counter, "key": (self.seed, self.start + i)},
-            "buffer": buffer,
-            "buffer_pos": buffer_pos,
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
+            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, self.start + i)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # an empty buffer
+            "has_uint32": 0,
+            "uinteger": 0,
         }
 
-    def save(self, i: int) -> None:
-        st = self.bits.state
-        self.saved[i] = (st["state"]["counter"], st["buffer"], st["buffer_pos"], st["has_uint32"], st["uinteger"])
+    def resume(self, i: int) -> None:
+        """Load path i's stream where its last drawn block ended."""
+        if i in self.saved:
+            self.bits.state = self.saved[i]
+        else:
+            self.load(i)
+            self.gen.random()
+            self.gen.standard_normal(out=self.replay)
 
 
 def _path_streams(
-    table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float, keep: bool
+    table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray, _Streams]:
     """Drift draws for paths [start, start+count), their W over the first ``n_steps`` steps,
-    and their streams; when ``keep``, each path's position is saved where its next
-    block of W begins.
+    and their streams.
 
     A path's stream is its Philox key (seed, path index) at counter 0, loaded by
     re-keying the chunk's one bit generator.  It gives the drift's uniform first
-    and then the normals.  Positions are saved only when more blocks follow.
+    and then the normals.  No position is saved: most paths stop within this
+    block, and one that walks on replays it once (``_Streams.resume``).
     """
-    streams = _Streams(seed, start, count if keep else 0)
+    streams = _Streams(seed, start, n_steps)
     random, normals = streams.gen.random, streams.gen.standard_normal
     u = np.empty(count)
     z = np.empty((count, n_steps))
@@ -177,20 +180,24 @@ def _path_streams(
         streams.load(i)
         u[i] = random()
         normals(out=z[i])
-        if keep:
-            streams.save(i)
     drawn = np.minimum(np.searchsorted(np.cumsum(table.weights), u, side="right"), table.n - 1)
     return table.nodes[drawn], _cumulate(z, 0.0, dt), streams
 
 
 def _wiener_block(streams: _Streams, paths: np.ndarray, w_last: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """The next ``n_steps`` values of W for the chunk's ``paths``, which stand at ``w_last``."""
+    """The next ``n_steps`` values of W for the chunk's ``paths``, which stand at ``w_last``.
+
+    Each path's stream is resumed where its last block ended, replayed from
+    counter 0 the first time it walks past its first block, and its position
+    after these steps is saved for its next block.  Drawing thus stays linear
+    in the steps walked.
+    """
     normals = streams.gen.standard_normal
     z = np.empty((paths.size, n_steps))
     for row, i in enumerate(paths.tolist()):
-        streams.load(i, streams.saved[i].item())
+        streams.resume(i)
         normals(out=z[row])
-        streams.save(i)
+        streams.saved[i] = streams.bits.state
     return _cumulate(z, w_last, dt)
 
 
@@ -202,7 +209,7 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     cumulative sum over all steps.
     """
     z *= math.sqrt(dt)
-    z[:, 0] += w_last
+    z[:, :1] += np.reshape(w_last, (-1, 1))  # no column when no step is drawn
     return np.cumsum(z, axis=1, out=z)
 
 
@@ -427,10 +434,8 @@ def _walk_chunk(
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
-    n_first = min(_BLOCK, n_steps)
-    x, w_block, streams = _path_streams(
-        table, sim.seed, sl.start, sl.stop - sl.start, n_first, dt, keep=n_steps > n_first
-    )
+    reach = min(n_steps, max(getattr(rule, "step", n_steps) for rule in rules))  # the last step a rule can reach
+    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
     k0 = 1  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
@@ -442,7 +447,7 @@ def _walk_chunk(
     k = 0
     while True:
         if k - k0 == w_block.shape[1]:
-            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, n_steps + 1 - k), dt)
+            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt)
             k0, rows = k, np.arange(paths.size)
         if k == 0:
             span, y = 1, np.zeros((1, x.size))  # Y(0) = 0
@@ -525,7 +530,7 @@ def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
     y = np.empty((sim.n_paths, n_steps + 1))
     for start in range(0, sim.n_paths, _CHUNK):
         count = min(_CHUNK, sim.n_paths - start)
-        xt, w_paths, _ = _path_streams(table, sim.seed, start, count, n_steps, sim.dt, keep=False)
+        xt, w_paths, _ = _path_streams(table, sim.seed, start, count, n_steps, sim.dt)
         x_true[start : start + count] = xt
         y[start : start + count, 0] = 0.0
         y[start : start + count, 1:] = xt[:, None] * t[1:][None, :] + w_paths

@@ -44,7 +44,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfcinv
 
 __all__ = [
     "PosteriorError",
@@ -72,6 +71,7 @@ _FAMILIES = tuple(_FIELDS)
 # Posterior reweighting multiplies the tail by exp(u*y), so the cut must be
 # far deeper than the target quadrature accuracy.
 _TAIL_MASS = 1e-26
+_TAIL_Z = 7.567197358098901  # erfcinv(_TAIL_MASS): the half-normal's cut is sigma sqrt(2) times this
 
 # a parametric family's table must match its analytic mean and variance to
 # this relative tolerance
@@ -415,7 +415,7 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
 
     elif prior.kind == "half_normal":
         sigma = math.sqrt(prior.sigma2)
-        u_max = sigma * math.sqrt(2.0) * erfcinv(_TAIL_MASS)
+        u_max = sigma * math.sqrt(2.0) * _TAIL_Z
         x, w = leggauss(n)
         nodes = 0.5 * (x + 1.0) * u_max
         dens = math.sqrt(2.0 / (math.pi * prior.sigma2)) * np.exp(-(nodes**2) / (2.0 * prior.sigma2))

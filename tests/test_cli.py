@@ -498,6 +498,18 @@ def test_export_paths_above_n_paths_exits_2(bern_config, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("seed, bound", [(-1, ">= 0"), (2**64, f"< {2**64}")])
+def test_seed_flag_out_of_range_exits_2(bern_config, capsys, command, seed, bound):
+    # the flag overrides sim.seed after the config is checked, so it is checked on its own, and named
+    cfg_path, out, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path), "--seed", str(seed)]) == 2
+    assert f"--seed must be {bound}, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _UNKNOWN_KEYS = [
     (None, "quadratur_n", 256),
     ("solver", "scheme", "implicit_psor"),

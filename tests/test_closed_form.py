@@ -153,12 +153,23 @@ def test_bernoulli_closed_forms_match_quadrature(beta):
             assert sol.u(-x) == sol.u(x)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def _cli_import_loads(module: str) -> bool:
+    """Does a fresh interpreter that imports driftstop.cli load ``module``?"""
     src = Path(driftstop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, driftstop.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, driftstop.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    assert not _cli_import_loads("scipy.integrate")
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # the half-normal closed forms import log_ndtr where they call it, and the
+    # half-normal quadrature's tail cut is a constant
+    assert not _cli_import_loads("scipy.special")
 
 
 def test_bernoulli_analytics_match_quadrature(bernoulli_table):

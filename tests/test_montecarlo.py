@@ -1,5 +1,7 @@
+import collections
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -410,6 +412,59 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
     assert np.array_equal(t_got[after_0], t_want) and np.array_equal(y_got[after_0], y_want)
 
 
+def _count_draws(monkeypatch):
+    """Count, per path index, the normals drawn from its stream and the times it
+    is loaded at counter 0 (its first draw, then a replay of its first block)."""
+    normals, starts = collections.Counter(), collections.Counter()
+    streams = montecarlo._Streams
+
+    class Counted(streams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            gen, bits = self.gen, self.bits
+
+            def standard_normal(out):
+                normals[int(bits.state["state"]["key"][1])] += out.size
+                return gen.standard_normal(out=out)
+
+            self.gen = SimpleNamespace(random=gen.random, standard_normal=standard_normal)
+
+        def load(self, i):
+            starts[self.start + i] += 1
+            super().load(i)
+
+    monkeypatch.setattr(montecarlo, "_Streams", Counted)
+    return normals, starts
+
+
+def test_walk_replays_each_path_first_block_at_most_once(bernoulli_table, monkeypatch):
+    # threshold 1.5 lies past the atoms +-1, so every path walks to the 3,000-step
+    # horizon: each draws its first block, replays it once when it first walks
+    # past it, and then draws every later step once.  Replaying at every block
+    # would draw nearly seven times the steps walked
+    normals, starts = _count_draws(monkeypatch)
+    sim = SimConfig(n_paths=4096, dt=0.01, horizon=30.0, seed=7)
+    est = evaluate_policy(bernoulli_table, 0.25, BoundaryCurve.symmetric_threshold(1.5), sim)
+    assert est.cap_fraction == 1.0
+    assert set(starts) == set(normals) == set(range(sim.n_paths))
+    assert set(starts.values()) == {2}
+    assert set(normals.values()) == {sim.n_steps + montecarlo._BLOCK}
+
+
+@pytest.mark.parametrize("time, shifts, reach", [(0.5, (-0.3, 0.2), 35), (0.0, (), 0), (6.0, (), 300)])
+def test_stop_at_walk_draws_no_normal_past_its_last_rule_step(bernoulli_table, monkeypatch, time, shifts, reach):
+    # deterministic times 0.2, 0.5 and 0.7 stop at steps 10, 25 and 35 of 150,
+    # so no path draws past step 35; a time of 0 draws no normal at all, and a
+    # time past the first block replays it once and stops drawing at its step
+    normals, starts = _count_draws(monkeypatch)
+    sim = SimConfig(n_paths=300, dt=0.02, horizon=3.0 if reach < 150 else 8.0, seed=11)
+    est = evaluate_policy(bernoulli_table, 0.25, time, sim, shifts)
+    assert max(np.rint(stats.tau / sim.dt).max() for stats in est.paths) == reach
+    replays = 1 if reach > montecarlo._BLOCK else 0
+    assert list(starts.values()) == [1 + replays] * sim.n_paths
+    assert list(normals.values()) == [reach + replays * montecarlo._BLOCK] * sim.n_paths
+
+
 def _solver_boundary(table, c, t_max):
     lo, hi = default_domain(table)
     cfg = SolverConfig(n_t=60, n_x=101, T_max=t_max, x_lo=lo, x_hi=hi)
@@ -440,7 +495,7 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
     # y = 19, which stops 491 of the 500 paths before the horizon.  The prior
     # centred at 2000 has logits near 1e6 by t = 6, and so a kernel round-off
     # far above its span's.  At q = 128 the walk takes several steps per call
-    # only once at most 128 paths are left, so these cases reach the y ends;
+    # only once at most 256 paths are left, so these cases reach the y ends;
     # with two shifts of the two-sided mixture boundary, inverting them would
     # cost more than it saves, and x_hat decides every step of every rule
     shifts = ()

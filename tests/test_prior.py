@@ -13,7 +13,7 @@ from driftstop import (
     posterior_mean_var,
     widder_F,
 )
-from driftstop.prior import _band_cut, _tilt, _weight_matrix
+from driftstop.prior import _TAIL_MASS, _TAIL_Z, _band_cut, _tilt, _weight_matrix
 
 EPS = np.finfo(float).eps
 
@@ -52,6 +52,13 @@ def test_half_normal_mean_matches_analytic():
     # analytic mean of |N(0, sigma^2)| is sigma * sqrt(2/pi)
     table = build_quadrature(PriorSpec.half_normal(1.0), n=128)
     assert abs(table.mean() - math.sqrt(2.0 / math.pi)) <= 1e-6
+
+
+def test_half_normal_tail_cut_is_erfcinv_of_the_tail_mass():
+    # the constant stands in for scipy.special.erfcinv, bit for bit
+    from scipy.special import erfcinv
+
+    assert _TAIL_Z == erfcinv(_TAIL_MASS) and _TAIL_Z.hex() == float(erfcinv(1e-26)).hex()
 
 
 def test_mixture_moments():
