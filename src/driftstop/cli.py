@@ -300,7 +300,10 @@ def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
         raise ConfigError(f"boundary file not found: {path}; run the solve command first")
     policy = BoundaryCurve.from_csv(path)
     meta_path = out / "solver_meta.json"
-    have = json.loads(meta_path.read_text()).get("problem_hash") if meta_path.exists() else None
+    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path} must hold a JSON object, got {type(meta).__name__}")
+    have = meta.get("problem_hash")
     want = _problem_hash(resolved)
     if have != want:
         raise ConfigError(
@@ -325,11 +328,8 @@ def cmd_verify(args) -> int:
     _prepare_out(out, resolved)
 
     # a shift moves only finite interval ends, so a rule without one has no gap to measure
-    with_gaps = (
-        isinstance(policy, BoundaryCurve)
-        and policy.shape in ("two_sided_symmetric", "one_sided_lower")
-        and any(math.isfinite(end) for segs in policy.intervals for seg in segs for end in seg)
-    )
+    shapes = ("two_sided_symmetric", "one_sided_lower")
+    with_gaps = isinstance(policy, BoundaryCurve) and policy.shape in shapes and policy.has_finite_end
     shifts = resolved["perturbations"] if with_gaps else ()
     cost = evaluate_policy(table, c, policy, sim, shifts)
     identity = verify_variance_identity(table, cost)
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, InversionError, PosteriorError, OverflowError) as exc:

@@ -6,17 +6,21 @@ posterior mean at every monitored time from the pair (t, Y(t)) directly; there
 is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
-Stops over several steps are decided in y.  G(t, .) is strictly increasing,
-so each stopping interval of the estimate is an interval of the observation: a
-comparison of the drawn Y with every rule's interval ends, inverted into y at
-each monitoring step, gives each rule's stop step before any filtering (a
-deterministic time's step is known in advance).  A Y inside a guard band
-around an end, sized by the inversion tolerance and a bound on the kernel's
-round-off, is decided on the kernel's estimate there, so every stop is the one
-the estimate's interval containment gives.  The ends are inverted a block of
-steps at a time, only when a walk first scans the block several steps at a
-time; over one step the kernel filters every working path anyway, and the
-estimate decides.
+Every rule is a BoundaryCurve: a deterministic time is the curve with no
+stopping interval before its first monitored step and the whole line from that
+step on, and the last step a rule can reach is read off the curves as the step
+from which every one stops everywhere.  Stops over several steps are decided
+in y.  G(t, .) is strictly increasing, so each stopping interval of the
+estimate is an interval of the observation: a comparison of the drawn Y with
+every rule's interval ends, inverted into y at each monitoring step, gives each
+rule's stop step before any filtering.  A Y inside a guard band around an end,
+sized by the inversion tolerance and a bound on the kernel's round-off, is
+decided on the kernel's estimate there, so every stop is the one the
+estimate's interval containment gives.  The ends are inverted a block of steps
+at a time, only when a walk first scans the block several steps at a time;
+over one step the kernel filters every working path anyway, and the estimate
+decides.  A rule without a finite end needs no inversion: its ends are
+infinite in y as in the estimate, so y decides it exactly over any span.
 
 Randomness is counter-based: each path owns the Philox stream of key
 (seed, path index) from counter 0, drawn lazily in blocks of Wiener steps and
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +65,6 @@ __all__ = [
     "verify_variance_identity",
     "policy_optimality_gap",
 ]
-
-Policy = Union[float, BoundaryCurve]
 
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
@@ -237,34 +239,33 @@ def _roundoff(table: QuadratureTable, t: float) -> float:
 
 
 class _EndTable:
-    """Every BoundaryCurve's stopping intervals at each monitored step, in x_hat and in y.
+    """The walk's rules: every BoundaryCurve's stopping intervals at each monitored step, in x_hat and in y.
 
     Steps come in the walk's blocks: step 0 with the ``_BLOCK`` steps after it,
     then ``_BLOCK`` steps at a time.  A block's intervals are looked up when a
     walk first reaches it, padded to one width with empty ones (+inf, -inf);
     their ends in y are inverted only when a walk first scans the block several
-    steps at a time.  Blocks are kept for the chunks walked after.
+    steps at a time.  Blocks are kept for the chunks walked after.  ``reach`` is
+    the last step a rule can reach: the step from which every curve stops
+    everywhere, or the horizon's.
 
     For an end x, with eps = ``_roundoff`` at the block's last time, the
     inversion runs at tolerance tol = 4 eps and the guard band is m = 2 (tol +
     eps) wide on each side.  G(t, .) increases in y, so every y at or past the
     inversion of x + m has kernel x_hat >= x + m - tol - 2 eps > x, and every
     y at or before the inversion of x - m has x_hat < x.  A point at or beyond
-    an extreme node has no finite inverse and maps to +-inf.
+    an extreme node has no finite inverse and maps to +-inf, so a curve without
+    a finite end has the same ends in y as in x_hat and needs no inversion.
     """
 
     def __init__(self, table: QuadratureTable, curves: list[BoundaryCurve], times: np.ndarray) -> None:
         self.table, self.curves, self.times = table, curves, times
         width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
-        self.padded = []
-        for curve in curves:
-            padded = np.empty((len(curve.intervals), width, 2))
-            padded[...] = (math.inf, -math.inf)
-            for i, segs in enumerate(curve.intervals):
-                if segs:
-                    padded[i, : len(segs)] = segs
-            self.padded.append(padded)
-        self.several = 4 * len(curves) * width * table.n <= _END_COLUMNS  # may a walk scan several steps?
+        pad = [(math.inf, -math.inf)] * width  # empty intervals
+        self.padded = [np.array([[*segs, *pad[len(segs) :]] for segs in curve.intervals]) for curve in curves]
+        self.finite = [curve.has_finite_end for curve in curves]
+        self.several = 4 * sum(self.finite) * width * table.n <= _END_COLUMNS  # may a walk scan several steps?
+        self.reach = max((_all_stop_step(curve, times) for curve in curves), default=times.size - 1)
         self.x: list[np.ndarray] = []  # per block: step x [lo, hi] x curve x interval
         self.y: list[np.ndarray | None] = []  # per block: step x [in_lo, in_hi, out_lo, out_hi] x curve x interval
 
@@ -302,36 +303,27 @@ class _EndTable:
             self.y[b] = y
         return self.y[b]
 
-
-class _Ends(NamedTuple):
-    """Curve ``c`` of an end table, as a rule of the walk.
-
-    At each step a y in [in_lo, in_hi] of an interval stops for sure and a y
-    outside [out_lo, out_hi] of every interval surely does not; a y between
-    the two lies in the guard band of an end, and the kernel's x_hat there
-    decides against the interval's x_hat ends.
-    """
-
-    table: _EndTable
-    c: int
-
-    @property
-    def several(self) -> bool:
-        return self.table.several
-
-    def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def scan(self, c: int, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each path's first row of ``y`` (observations at steps k, k + 1, ...) that
-        stops for sure or lies in a guard band, ``len(y)`` if none, and whether
-        that row lies in a guard band.
+        curve ``c`` stops for sure or that lies in a guard band, ``len(y)`` if
+        none, and whether that row lies in a guard band.
 
-        Over one row the kernel filters every path anyway: each is unsure at
-        row 0, nothing is inverted, and x_hat decides.
+        At each step a y in [in_lo, in_hi] of an interval stops for sure and a
+        y outside [out_lo, out_hi] of every interval surely does not; a y
+        between the two lies in the guard band of an end, and ``contains``
+        decides it on the kernel's x_hat.  Over one row the kernel filters
+        every path anyway, so a curve with a finite end inverts nothing there:
+        each path is unsure, and x_hat decides.
         """
         span = y.shape[0]
-        if span == 1:
+        b, row = self.block(k)
+        if not self.finite[c]:
+            x = self.x[b][row : row + span, :, c]
+            ends = np.concatenate([x, x], axis=1)  # exact: every end is infinite
+        elif span == 1:
             return np.zeros(y.shape[1], dtype=np.intp), np.ones(y.shape[1], dtype=bool)
-        b, row = self.table.block(k)
-        ends = self.table.y_ends(b)[row : row + span, :, self.c]
+        else:
+            ends = self.y_ends(b)[row : row + span, :, c]
         maybe = np.zeros(y.shape, dtype=bool)  # a sure stop lies inside [out_lo, out_hi] too
         for j in range(ends.shape[2]):
             maybe |= (y >= ends[:, 2, j, None]) & (y <= ends[:, 3, j, None])
@@ -346,31 +338,31 @@ class _Ends(NamedTuple):
             first[hit], unsure[hit] = at, ~sure
         return first, unsure
 
-    def contains(self, k: int, j: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-        """Is each x_hat, at step k + j (one j per x_hat), in a stopping interval of that step?"""
-        b, row = self.table.block(k)
-        ends = self.table.x[b][row + j, :, self.c]
+    def contains(self, c: int, k: int, j: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+        """Is each x_hat, at step k + j (one j per x_hat), in a stopping interval of curve ``c`` at that step?"""
+        b, row = self.block(k)
+        ends = self.x[b][row + j, :, c]
         out = np.zeros(x_hat.shape, dtype=bool)
         for i in range(ends.shape[-1]):
             out |= (x_hat >= ends[..., 0, i]) & (x_hat <= ends[..., 1, i])
         return out
 
 
-class _Time(NamedTuple):
-    """A deterministic stopping time, known as a step before any path is drawn."""
+def _all_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
+    """The first step from which ``curve`` stops everywhere, the last step if none."""
+    everywhere = np.array([segs == [(-math.inf, math.inf)] for segs in curve.intervals])
+    goes_on = np.flatnonzero(~everywhere[curve.slice_index(times)])  # steps where some x does not stop
+    return min(int(goes_on[-1]) + 1, times.size - 1) if goes_on.size else 0
 
-    step: int  # the first step at or after the time; past the horizon if none
-    several = True  # a walk may scan several steps at a time
 
-    @classmethod
-    def of(cls, time: float, times: np.ndarray) -> "_Time":
-        hit = np.flatnonzero(times >= time - 1e-12)
-        return cls(int(hit[0]) if hit.size else times.size)
-
-    def scan(self, k: int, y: np.ndarray) -> tuple[np.ndarray, None]:
-        """Every path's stop row in ``y`` (observations at steps k, k + 1, ...), ``len(y)`` if
-        none; no stop is unsure."""
-        return np.full(y.shape[1], min(self.step - k, y.shape[0])), None
+def _time_curve(time: float, times: np.ndarray) -> BoundaryCurve:
+    """A deterministic time as a rule: no stopping interval before the first monitored step at
+    or after it, the whole line from that step on; never a stop past the horizon."""
+    hit = np.flatnonzero(times >= time - 1e-12)
+    start = float(times[hit[0]]) if hit.size else math.inf
+    if start == 0.0:
+        return BoundaryCurve(np.zeros(1), [[(-math.inf, math.inf)]], "all_stop")
+    return BoundaryCurve(np.array([0.0, start]), [[], [(-math.inf, math.inf)]], "general")
 
 
 @dataclass(frozen=True)
@@ -413,9 +405,7 @@ def _running_sum(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _walk_chunk(
-    table: QuadratureTable, sim: SimConfig, sl: slice, rules: list[_Ends | _Time], out: list[PathStats]
-) -> None:
+def _walk_chunk(table: QuadratureTable, sim: SimConfig, sl: slice, rules: _EndTable, out: list[PathStats]) -> None:
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
     The walk takes a span of whole steps at a time, as many as keep table
@@ -423,7 +413,7 @@ def _walk_chunk(
     0, where Y = 0, is a span of its own.  Each rule scans the working set's
     observations over the span for its first sure or unsure stop; the span
     ends early at the first unsure one, which the kernel's x_hat then decides.
-    Over one step every path of a stopping-interval rule is unsure, so x_hat
+    Over one step every path of a rule with a finite end is unsure, so x_hat
     decides each, as a step-by-step walk does.  One kernel call filters every
     (step, path) cell some rule still needs, step by step in path order, with
     a scalar time when the span is one step, and the path integrals are summed
@@ -434,20 +424,19 @@ def _walk_chunk(
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
-    reach = min(n_steps, max(getattr(rule, "step", n_steps) for rule in rules))  # the last step a rule can reach
-    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
+    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, rules.reach), dt)
     k0 = 1  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
-    live = np.ones((len(rules), x.size), dtype=bool)
+    live = np.ones((len(rules.curves), x.size), dtype=bool)
     integral_psi2 = np.zeros(x.size)
     second_diff_sum = np.zeros(x.size)
     psi2_prev2 = psi2_prev = np.zeros(x.size)  # Psi^2 two steps and one step back
-    budget = _NODE_COLUMNS // table.n if all(rule.several for rule in rules) else 0
+    budget = _NODE_COLUMNS // table.n if rules.several else 0
     k = 0
     while True:
         if k - k0 == w_block.shape[1]:
-            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt)
+            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, rules.reach + 1 - k), dt)
             k0, rows = k, np.arange(paths.size)
         if k == 0:
             span, y = 1, np.zeros((1, x.size))  # Y(0) = 0
@@ -459,13 +448,13 @@ def _walk_chunk(
 
         # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
         scans = []
-        for rule, lv in zip(rules, live):
-            first, unsure = rule.scan(k, y)
-            sure = first < full if unsure is None else (first < full) & ~unsure
+        for c, lv in enumerate(live):
+            first, unsure = rules.scan(c, k, y)
+            sure = (first < full) & ~unsure
             if k + full - 1 == n_steps:
                 first = np.minimum(first, full - 1)
             first = np.where(lv, first, -1)
-            if unsure is not None and (lv & unsure).any():
+            if (lv & unsure).any():
                 span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
             scans.append((first, sure, unsure))
         last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
@@ -482,15 +471,15 @@ def _walk_chunk(
         inc[: max(1 - k, 0)], d2[: max(2 - k, 0)] = 0.0, 0.0  # the trapezoid starts at step 1, d2 at step 2
         integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
 
-        for (first, sure, unsure), lv, rule, stats in zip(scans, live, rules, out):
+        for c, ((first, sure, unsure), lv, stats) in enumerate(zip(scans, live, out)):
             idx = np.flatnonzero((first >= 0) & (first < span))
             if idx.size == 0:
                 continue
             j = first[idx]
             hit = sure[idx]
-            if unsure is not None:
-                ask = unsure[idx]
-                hit[ask] = rule.contains(k, j[ask], g[j[ask], idx[ask]])
+            ask = unsure[idx]
+            if ask.any():
+                hit[ask] = rules.contains(c, k, j[ask], g[j[ask], idx[ask]])
             horizon = k + j == n_steps  # force-stop whatever is left at the horizon
             stop = hit | horizon
             idx, j = idx[stop], j[stop]
@@ -543,7 +532,9 @@ def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
     return PathBatch(t=t, x_true=x_true, y=y, x_hat=x_hat, psi=psi)
 
 
-def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimConfig, shifts=()) -> CostEstimate:
+def evaluate_policy(
+    table: QuadratureTable, c: float, policy: float | BoundaryCurve, sim: SimConfig, shifts=()
+) -> CostEstimate:
     """Expected cost of a stopping rule (squared estimation error plus c * tau),
     from one pass that also walks its shifted versions on the same paths.
 
@@ -556,11 +547,11 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
     shifts = tuple(float(s) for s in shifts)
+    times = sim.times()
     if isinstance(policy, BoundaryCurve):
-        shifted: list[Policy] = [policy.shifted(s) for s in shifts]
+        curves = [policy, *(policy.shifted(s) for s in shifts)]
     else:
-        shifted = [max(float(policy) + s, 0.0) for s in shifts]
-    policies = [policy, *shifted]
+        curves = [_time_curve(t, times) for t in (float(policy), *(max(float(policy) + s, 0.0) for s in shifts))]
     n = sim.n_paths
     paths = [
         PathStats(
@@ -571,13 +562,9 @@ def evaluate_policy(table: QuadratureTable, c: float, policy: Policy, sim: SimCo
             capped=np.zeros(n, dtype=bool),
             second_diff_sum=np.zeros(n),
         )
-        for _ in policies
+        for _ in curves
     ]
-    times = sim.times()
-    curves = [p for p in policies if isinstance(p, BoundaryCurve)]
-    end_table = _EndTable(table, curves, times)
-    ends = iter([_Ends(end_table, c) for c in range(len(curves))])
-    rules = [next(ends) if isinstance(p, BoundaryCurve) else _Time.of(p, times) for p in policies]
+    rules = _EndTable(table, curves, times)
     for start in range(0, n, _CHUNK):
         _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, paths)
     base = paths[0]

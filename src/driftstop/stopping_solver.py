@@ -426,6 +426,12 @@ class BoundaryCurve:
         b_of = dict(zip(("empty", "full"), _B_EMPTY_FULL[self.shape]))
         return np.array([b_of.get(kind, b) for kind, b in map(_slice_kind, self.intervals)])
 
+    @property
+    def has_finite_end(self) -> bool:
+        """Does some stopping interval have a finite end?  A rule without one stops
+        nowhere or everywhere at each time, whatever x is, and a shift leaves it as it is."""
+        return any(math.isfinite(end) for segs in self.intervals for seg in segs for end in seg)
+
     def slice_index(self, t):
         """The slice in force at time t, or at each of an array of times: the last one
         starting at or before t + 1e-15, and the first one before it starts."""
@@ -481,6 +487,12 @@ class BoundaryCurve:
                 intervals.append([(float(lo), float(hi)) for lo, hi in pairs])
         except ValueError as exc:
             raise ValueError(f"malformed row in {path}: {exc}") from exc
+        if not (np.all(np.isfinite(t_nodes)) and np.all(np.diff(t_nodes) > 0.0)):
+            raise ValueError(f"the t column of {path} must be finite and strictly increasing")
+        for t, segs in zip(t_nodes, intervals):
+            ends = [end for seg in segs for end in seg]
+            if not all(a <= b for a, b in zip(ends, ends[1:])):  # no end is nan either
+                raise ValueError(f"the intervals at t = {t!r} in {path} must each have lo <= hi and be in order")
         return cls(t_nodes, intervals, shape)
 
 

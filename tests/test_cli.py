@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import driftstop
-from driftstop import BoundaryCurve, montecarlo
+from driftstop import BoundaryCurve, cli, montecarlo
 from driftstop.cli import CONFIG_KEYS, DERIVED, REQUIRED, _load_config, _resolve, main
 from driftstop.csvio import format_float, format_row
 
@@ -306,6 +307,59 @@ def test_verify_refuses_boundary_without_solver_meta(bern_config, capsys):
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert "problem_hash" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
+
+
+def test_verify_refuses_malformed_boundary_before_writing(bern_config, capsys):
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    resolved = (out / "resolved_config.json").read_bytes()
+    rows = "0,two_sided_symmetric,1,-inf:-1;1:inf\n0.5,two_sided_symmetric,1,2:1\n"  # lo > hi
+    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert str(out / "boundary.csv") in capsys.readouterr().err
+    assert (out / "resolved_config.json").read_bytes() == resolved
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_refuses_solver_meta_that_is_not_an_object(bern_config, capsys):
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    (out / "solver_meta.json").write_text("[1]")
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert str(out / "solver_meta.json") in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_key_error_in_a_command_is_not_an_input_error(bern_config, monkeypatch):
+    # every input path checks its keys first, so a KeyError is a defect: it
+    # propagates rather than exiting 2 as "input error"
+    cfg_path, _, cfg = bern_config
+    cfg["policy"] = {"kind": "stop_at", "time": 0.5}
+    cfg_path.write_text(json.dumps(cfg))
+
+    def broken(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli, "evaluate_policy", broken)
+    with pytest.raises(KeyError, match="defect"):
+        main(["verify", "--config", str(cfg_path)])
+
+
+def test_core_modules_never_import_the_cli():
+    # only the ``python -m driftstop`` entry point may import the command line
+    importers = set()
+    for path in Path(driftstop.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                named = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name in (".cli", "driftstop.cli") for name in named):
+                importers.add(path.name)
+    assert importers == {"__main__.py"}
 
 
 def test_psi_outputs_are_deterministic(bern_config, tmp_path):

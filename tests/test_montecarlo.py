@@ -465,10 +465,43 @@ def test_stop_at_walk_draws_no_normal_past_its_last_rule_step(bernoulli_table, m
     assert list(normals.values()) == [reach + replays * montecarlo._BLOCK] * sim.n_paths
 
 
+def test_time_rules_inverting_nothing_keep_several_steps_per_call(mixture_table, monkeypatch):
+    # five deterministic times have no finite end, so they neither invert an
+    # end into y nor count against _END_COLUMNS: at q = 128 a call of 200
+    # paths still covers two steps, and each rule stops at its own step
+    steps_per_call, inverted = [], []
+    kernel = montecarlo.posterior_mean_var
+
+    def counted(table, t, y):
+        steps_per_call.append(np.unique(t).size)
+        return kernel(table, t, y)
+
+    monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
+    monkeypatch.setattr(montecarlo, "_invert_array", lambda *args: inverted.append(args))
+    sim = SimConfig(n_paths=200, dt=0.02, horizon=2.0, seed=17)
+    est = evaluate_policy(mixture_table, 0.04, 0.5, sim, (-0.3, -0.1, 0.1, 0.3))
+    assert [set(np.rint(stats.tau / sim.dt)) for stats in est.paths] == [{25}, {10}, {20}, {30}, {40}]
+    assert max(steps_per_call) == 2 and not inverted
+
+
 def _solver_boundary(table, c, t_max):
     lo, hi = default_domain(table)
     cfg = SolverConfig(n_t=60, n_x=101, T_max=t_max, x_lo=lo, x_hi=hi)
     return extract_regions(solve_value(solver_psi_grid(table, cfg), c, cfg))
+
+
+def test_curve_walk_draws_no_normal_past_its_first_all_stop_step(gaussian_table, monkeypatch):
+    # the Gaussian rule at c = 0.25 stops nowhere before tau* = 1 and everywhere
+    # from the row at t = 1 on, step 50 of the 200 the horizon allows, so every
+    # path stops there and none draws a normal past it
+    curve = _solver_boundary(gaussian_table, 0.25, 2.0)
+    assert curve.intervals[-1] == [(-math.inf, math.inf)]
+    normals, starts = _count_draws(monkeypatch)
+    sim = SimConfig(n_paths=300, dt=0.02, horizon=4.0, seed=13)
+    est = evaluate_policy(gaussian_table, 0.25, curve, sim)
+    assert np.all(np.rint(est.paths[0].tau / sim.dt) == 50) and est.cap_fraction == 0.0
+    assert list(starts.values()) == [1] * sim.n_paths
+    assert list(normals.values()) == [50] * sim.n_paths
 
 
 def _offset_table():

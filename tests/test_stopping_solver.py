@@ -345,6 +345,29 @@ def test_rule_is_its_intervals(example_rules, tmp_path, name):
     assert back.b.tobytes() == curve.b.tobytes()
 
 
+_BAD_RULES = {
+    "nan_end": "0,general,nan,-inf:-1;nan:inf\n",
+    "lo_above_hi": "0,general,nan,2:1\n",
+    "out_of_order": "0,general,nan,1:inf;-inf:-1\n",
+    "overlapping": "0,general,nan,-inf:1;0:inf\n",
+    "t_decreasing": "1,general,nan,-inf:-1;1:inf\n0,general,nan,nan:-1;2:1\n",
+    "t_repeated": "0,general,nan,-inf:-1\n0,general,nan,1:inf\n",
+    "t_nan": "nan,general,nan,-inf:-1\n",
+}
+
+
+@pytest.mark.parametrize("rows", _BAD_RULES.values(), ids=_BAD_RULES.keys())
+def test_from_csv_refuses_malformed_rules(tmp_path, rows):
+    # every interval must have lo <= hi and start at or after the previous one
+    # ends, and the t rows must increase strictly, as slice_index assumes
+    path = tmp_path / "boundary.csv"
+    path.write_text("t,shape,b,intervals\n" + rows)
+    with pytest.raises(ValueError, match="boundary.csv"):
+        BoundaryCurve.from_csv(path)
+    path.write_text("t,shape,b,intervals\n0,general,nan,-inf:0;0:0;0:inf\n0.5,general,nan,\n")
+    assert BoundaryCurve.from_csv(path).intervals == [[(-math.inf, 0.0), (0.0, 0.0), (0.0, math.inf)], []]
+
+
 def test_stop_runs_at_the_window_edge_are_unbounded(example_rules, halfnormal_table):
     # the Gaussian rule stops nowhere before tau* = 1 and everywhere after it,
     # on the whole line rather than on the solved window only
