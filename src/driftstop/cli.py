@@ -300,7 +300,10 @@ def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
         raise ConfigError(f"boundary file not found: {path}; run the solve command first")
     policy = BoundaryCurve.from_csv(path)
     meta_path = out / "solver_meta.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    try:
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{meta_path} is not valid JSON ({exc}); it must hold the JSON object solve writes") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{meta_path} must hold a JSON object, got {type(meta).__name__}")
     have = meta.get("problem_hash")

@@ -105,17 +105,15 @@ def _invert_point(table: QuadratureTable, t: float, x: float, tol: float) -> tup
 
 def _invert_array(
     table: QuadratureTable,
-    t: float | np.ndarray,
+    t: float,
     x: np.ndarray,
     tol: float,
     y0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized inversion of G(t, .) at many x; returns y and H(t, y).
 
-    ``t`` is one time, or an array of times matching ``x`` that inverts each
-    point at its own time.  The first kernel call is at ``y0`` (zeros when not
-    given).  Every call narrows a per-point bracket, begun at (-inf, +inf), by
-    the sign of G - x.
+    The first kernel call is at ``y0`` (zeros when not given).  Every call
+    narrows a per-point bracket, begun at (-inf, +inf), by the sign of G - x.
     A Newton step (dG/dy = H) is taken when it lands inside the bracket and
     within +-_Y_LIMIT; otherwise a finite bracket is bisected and an open one
     expanded from the current point by a step that doubles each time.  An x
@@ -128,10 +126,9 @@ def _invert_array(
     hi = np.full(x.size, np.inf)
     reach = np.ones(x.size)
     act = np.arange(x.size)
-    at = (lambda j: t) if np.ndim(t) == 0 else (lambda j: t[j])  # the time of point j, or of the call's points
     for _ in range(400):
         ya = y[act]
-        g, ha = posterior_mean_var(table, at(act), ya)
+        g, ha = posterior_mean_var(table, t, ya)
         h[act] = ha
         f = g - x[act]
         live = np.abs(f) > tol
@@ -145,7 +142,7 @@ def _invert_array(
         collapsed = ua - la <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ya))
         if collapsed.any():
             j = int(act[np.argmax(collapsed)])
-            raise InversionError(f"bracket collapsed at x={x[j]!r} (t={float(at(j))!r}) without meeting tol={tol!r}")
+            raise InversionError(f"bracket collapsed at x={x[j]!r} (t={t!r}) without meeting tol={tol!r}")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = ya - f / ha
         inside = (newton > la) & (newton < ua) & (np.abs(newton) <= _Y_LIMIT)
@@ -156,9 +153,9 @@ def _invert_array(
         lost = grow & (np.abs(y[act]) > _Y_LIMIT)
         if lost.any():
             j = int(act[np.argmax(lost)])
-            raise InversionError(f"could not bracket x={x[j]!r} at t={float(at(j))!r}: G(t, y) - x keeps one sign")
+            raise InversionError(f"could not bracket x={x[j]!r} at t={t!r}: G(t, y) - x keeps one sign")
         reach[act] = np.where(grow, 2.0 * reach[act], reach[act])
-    raise InversionError(f"vectorized inversion did not converge at t={float(at(act[0]))!r}")
+    raise InversionError(f"vectorized inversion did not converge at t={t!r}")
 
 
 def stationary_psi(table: QuadratureTable, x) -> np.ndarray:

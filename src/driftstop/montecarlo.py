@@ -9,18 +9,10 @@ through the stopping-time grid and the trapezoid rule on path integrals.
 Every rule is a BoundaryCurve: a deterministic time is the curve with no
 stopping interval before its first monitored step and the whole line from that
 step on, and the last step a rule can reach is read off the curves as the step
-from which every one stops everywhere.  Stops over several steps are decided
-in y.  G(t, .) is strictly increasing, so each stopping interval of the
-estimate is an interval of the observation: a comparison of the drawn Y with
-every rule's interval ends, inverted into y at each monitoring step, gives each
-rule's stop step before any filtering.  A Y inside a guard band around an end,
-sized by the inversion tolerance and a bound on the kernel's round-off, is
-decided on the kernel's estimate there, so every stop is the one the
-estimate's interval containment gives.  The ends are inverted a block of steps
-at a time, only when a walk first scans the block several steps at a time;
-over one step the kernel filters every working path anyway, and the estimate
-decides.  A rule without a finite end needs no inversion: its ends are
-infinite in y as in the estimate, so y decides it exactly over any span.
+from which every one stops everywhere.  A rule stops a path at the first
+monitored step where the filtered estimate lies in one of its stopping
+intervals, the containment ``BoundaryCurve.contains`` tests, so the kernel's
+estimate decides every stop.
 
 Randomness is counter-based: each path owns the Philox stream of key
 (seed, path index) from counter 0, drawn lazily in blocks of Wiener steps and
@@ -29,12 +21,10 @@ by its key and counter, so one bit generator per chunk, re-keyed for each
 path, draws every path's stream, and a path that walks past its first block
 replays that block once instead of every path saving its position after it.
 Paths are walked in fixed chunks of consecutive indices.  Within a chunk the
-kernel runs only on the (step, path) cells some rule still needs, in one call
-per span of whole steps: as many steps as keep table nodes x cells within
+kernel runs only on the paths some rule still needs, in one call per span of
+whole steps: as many steps as keep table nodes x cells within
 ``_NODE_COLUMNS``, at least one, so a small table covers several steps per
-call (one step per call where inverting the ends would cost more than the
-calls it saves, see ``_END_COLUMNS``).  Reruns with the same SimConfig are
-bit-identical.  The kernel's per-column round-off can depend on which columns
+call.  Reruns with the same SimConfig are bit-identical.  The kernel's per-column round-off can depend on which columns
 share a call (BLAS and summation order at large node counts, and the node band
 set by the call's extreme cells), so per-path values are not guaranteed to be
 independent of which paths are walked together.
@@ -44,13 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import _invert_array
-from .prior import QuadratureTable, _band_cut, posterior_mean_var
+from .prior import QuadratureTable, posterior_mean_var
 from .stopping_solver import BoundaryCurve
 
 __all__ = [
@@ -69,9 +57,6 @@ __all__ = [
 _CHUNK = 4096
 _BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
 _NODE_COLUMNS = 2**16  # table nodes x columns of a kernel call that spans several steps
-# table nodes x stopping-interval ends in y per step, past which the walk takes one step per call:
-# inverting the ends takes several kernel passes over them and then costs more than the calls it saves
-_END_COLUMNS = 2**11
 
 
 @dataclass(frozen=True)
@@ -215,139 +200,6 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     return np.cumsum(z, axis=1, out=z)
 
 
-def _roundoff(table: QuadratureTable, t: float) -> float:
-    """A bound on the kernel's round-off in G, at any y and any time up to t.
-
-    Each log weight u y + ln w - u^2 t / 2 is rounded to within 2^-52 of the
-    sizes of its terms, and relative errors in the kept weights move G by at
-    most their largest times the node span.  Past |y| = Y, where every other
-    node's log weight lies more than the band cut below the extreme node's, a
-    column keeps that node alone; so |u y| <= max|u| Y bounds the terms that
-    matter.  The bound doubles that first-order sum and adds the dot product's
-    own rounding.  It grows with the size of the nodes, not only their span, so
-    it holds for a prior far from 0.
-    """
-    held = table.weights > 0.0
-    u, log_w = table.nodes[held], table.log_weights[held]
-    big = float(np.abs(u).max())
-    cut = _band_cut(table)
-    rise = (cut + log_w[:-1] - log_w[-1]) / (u[-1] - u[:-1]) + 0.5 * t * (u[-1] + u[:-1])  # y past which u[-1] alone
-    fall = (cut + log_w[1:] - log_w[0]) / (u[1:] - u[0]) - 0.5 * t * (u[0] + u[1:])  # -y past which u[0] alone
-    y_one = max(float(rise.max(initial=0.0)), float(fall.max(initial=0.0)))
-    terms = big * y_one + t * big * big + float(np.abs(log_w).max()) + cut
-    return 2.0**-50 * (float(u[-1] - u[0]) * terms + table.n * big)
-
-
-class _EndTable:
-    """The walk's rules: every BoundaryCurve's stopping intervals at each monitored step, in x_hat and in y.
-
-    Steps come in the walk's blocks: step 0 with the ``_BLOCK`` steps after it,
-    then ``_BLOCK`` steps at a time.  A block's intervals are looked up when a
-    walk first reaches it, padded to one width with empty ones (+inf, -inf);
-    their ends in y are inverted only when a walk first scans the block several
-    steps at a time.  Blocks are kept for the chunks walked after.  ``reach`` is
-    the last step a rule can reach: the step from which every curve stops
-    everywhere, or the horizon's.
-
-    For an end x, with eps = ``_roundoff`` at the block's last time, the
-    inversion runs at tolerance tol = 4 eps and the guard band is m = 2 (tol +
-    eps) wide on each side.  G(t, .) increases in y, so every y at or past the
-    inversion of x + m has kernel x_hat >= x + m - tol - 2 eps > x, and every
-    y at or before the inversion of x - m has x_hat < x.  A point at or beyond
-    an extreme node has no finite inverse and maps to +-inf, so a curve without
-    a finite end has the same ends in y as in x_hat and needs no inversion.
-    """
-
-    def __init__(self, table: QuadratureTable, curves: list[BoundaryCurve], times: np.ndarray) -> None:
-        self.table, self.curves, self.times = table, curves, times
-        width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
-        pad = [(math.inf, -math.inf)] * width  # empty intervals
-        self.padded = [np.array([[*segs, *pad[len(segs) :]] for segs in curve.intervals]) for curve in curves]
-        self.finite = [curve.has_finite_end for curve in curves]
-        self.several = 4 * sum(self.finite) * width * table.n <= _END_COLUMNS  # may a walk scan several steps?
-        self.reach = max((_all_stop_step(curve, times) for curve in curves), default=times.size - 1)
-        self.x: list[np.ndarray] = []  # per block: step x [lo, hi] x curve x interval
-        self.y: list[np.ndarray | None] = []  # per block: step x [in_lo, in_hi, out_lo, out_hi] x curve x interval
-
-    def _steps(self, b: int) -> tuple[int, int]:
-        return (0 if b == 0 else 1 + b * _BLOCK), min(1 + (b + 1) * _BLOCK, self.times.size)
-
-    def block(self, k: int) -> tuple[int, int]:
-        """The block of step k, looked up if no walk reached it before, and k's row in it."""
-        b = max(k - 1, 0) // _BLOCK
-        while len(self.x) <= b:
-            start, stop = self._steps(len(self.x))
-            steps = self.times[start:stop]
-            x = np.stack([padded[curve.slice_index(steps)] for curve, padded in zip(self.curves, self.padded)], axis=1)
-            self.x.append(np.moveaxis(x, 3, 1))
-            self.y.append(None)
-        return b, k - self._steps(b)[0]
-
-    def y_ends(self, b: int) -> np.ndarray:
-        """Block b's guard-band ends in y, inverted the first time they are asked for."""
-        if self.y[b] is None:
-            table, nodes = self.table, self.table.nodes
-            start, stop = self._steps(b)
-            eps = _roundoff(table, float(self.times[stop - 1]))
-            tol, m = 4.0 * eps, 10.0 * eps
-            lo, hi = self.x[b][:, 0], self.x[b][:, 1]
-            x = np.stack([lo + m, hi - m, lo - m, hi + m], axis=1)  # in step order, so in time order
-            y = np.where(x <= nodes[0], -math.inf, math.inf)
-            at = np.flatnonzero((x > nodes[0]) & (x < nodes[-1]))
-            t = np.repeat(self.times[start:stop], x[0].size)[at]
-            x_at, y_flat = x.reshape(-1)[at], y.reshape(-1)
-            size = max(_CHUNK, _NODE_COLUMNS // table.n)  # no larger than the walk's own calls
-            for i in range(0, at.size, size):
-                part = slice(i, i + size)
-                y_flat[at[part]] = _invert_array(table, t[part], x_at[part], tol)[0]
-            self.y[b] = y
-        return self.y[b]
-
-    def scan(self, c: int, k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each path's first row of ``y`` (observations at steps k, k + 1, ...) that
-        curve ``c`` stops for sure or that lies in a guard band, ``len(y)`` if
-        none, and whether that row lies in a guard band.
-
-        At each step a y in [in_lo, in_hi] of an interval stops for sure and a
-        y outside [out_lo, out_hi] of every interval surely does not; a y
-        between the two lies in the guard band of an end, and ``contains``
-        decides it on the kernel's x_hat.  Over one row the kernel filters
-        every path anyway, so a curve with a finite end inverts nothing there:
-        each path is unsure, and x_hat decides.
-        """
-        span = y.shape[0]
-        b, row = self.block(k)
-        if not self.finite[c]:
-            x = self.x[b][row : row + span, :, c]
-            ends = np.concatenate([x, x], axis=1)  # exact: every end is infinite
-        elif span == 1:
-            return np.zeros(y.shape[1], dtype=np.intp), np.ones(y.shape[1], dtype=bool)
-        else:
-            ends = self.y_ends(b)[row : row + span, :, c]
-        maybe = np.zeros(y.shape, dtype=bool)  # a sure stop lies inside [out_lo, out_hi] too
-        for j in range(ends.shape[2]):
-            maybe |= (y >= ends[:, 2, j, None]) & (y <= ends[:, 3, j, None])
-        hit = np.flatnonzero(maybe.any(axis=0))
-        first = np.full(y.shape[1], span)
-        unsure = np.zeros(y.shape[1], dtype=bool)
-        if hit.size:
-            at = maybe[:, hit].argmax(axis=0)
-            y_at, sure = y[at, hit], np.zeros(hit.size, dtype=bool)
-            for j in range(ends.shape[2]):
-                sure |= (y_at >= ends[at, 0, j]) & (y_at <= ends[at, 1, j])
-            first[hit], unsure[hit] = at, ~sure
-        return first, unsure
-
-    def contains(self, c: int, k: int, j: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-        """Is each x_hat, at step k + j (one j per x_hat), in a stopping interval of curve ``c`` at that step?"""
-        b, row = self.block(k)
-        ends = self.x[b][row + j, :, c]
-        out = np.zeros(x_hat.shape, dtype=bool)
-        for i in range(ends.shape[-1]):
-            out |= (x_hat >= ends[..., 0, i]) & (x_hat <= ends[..., 1, i])
-        return out
-
-
 def _all_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
     """The first step from which ``curve`` stops everywhere, the last step if none."""
     everywhere = np.array([segs == [(-math.inf, math.inf)] for segs in curve.intervals])
@@ -405,38 +257,44 @@ def _running_sum(start: np.ndarray, inc: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _walk_chunk(table: QuadratureTable, sim: SimConfig, sl: slice, rules: _EndTable, out: list[PathStats]) -> None:
+def _walk_chunk(
+    table: QuadratureTable,
+    sim: SimConfig,
+    sl: slice,
+    rules: list[tuple[BoundaryCurve, np.ndarray]],
+    reach: int,
+    out: list[PathStats],
+) -> None:
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
-    The walk takes a span of whole steps at a time, as many as keep table
-    nodes x working paths x steps within ``_NODE_COLUMNS``, at least one; step
-    0, where Y = 0, is a span of its own.  Each rule scans the working set's
-    observations over the span for its first sure or unsure stop; the span
-    ends early at the first unsure one, which the kernel's x_hat then decides.
-    Over one step every path of a rule with a finite end is unsure, so x_hat
-    decides each, as a step-by-step walk does.  One kernel call filters every
-    (step, path) cell some rule still needs, step by step in path order, with
-    a scalar time when the span is one step, and the path integrals are summed
-    along the span from their carried values (the trapezoid from step 1, the
-    second difference from step 2).  Only the working set, the paths still live
-    in some rule, is drawn and filtered: it shrinks as paths stop, and the walk
-    ends when it is empty.
+    Each rule is a curve with its intervals padded to one width (slice x
+    interval x [lo, hi]); no rule walks past step ``reach``.  The walk takes a
+    span of whole steps at a time, as many as keep table nodes x working paths
+    x steps within ``_NODE_COLUMNS``, at least one; step 0, where Y = 0, is a
+    span of its own.  One kernel call filters every working path on every step
+    of the span, step by step in path order, with a scalar time when the span
+    is one step, and the path integrals are summed along the span from their
+    carried values (the trapezoid from step 1, the second difference from step
+    2).  Each live rule then stops a path at the first step of the span where
+    its x_hat lies in a stopping interval, or at the horizon.  Only the working
+    set, the paths still live in some rule, is drawn and filtered: it shrinks
+    as paths stop, and the walk ends when it is empty.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
-    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, rules.reach), dt)
+    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
     k0 = 1  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
-    live = np.ones((len(rules.curves), x.size), dtype=bool)
+    live = np.ones((len(rules), x.size), dtype=bool)
     integral_psi2 = np.zeros(x.size)
     second_diff_sum = np.zeros(x.size)
     psi2_prev2 = psi2_prev = np.zeros(x.size)  # Psi^2 two steps and one step back
-    budget = _NODE_COLUMNS // table.n if rules.several else 0
+    budget = _NODE_COLUMNS // table.n
     k = 0
     while True:
         if k - k0 == w_block.shape[1]:
-            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, rules.reach + 1 - k), dt)
+            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt)
             k0, rows = k, np.arange(paths.size)
         if k == 0:
             span, y = 1, np.zeros((1, x.size))  # Y(0) = 0
@@ -444,26 +302,9 @@ def _walk_chunk(table: QuadratureTable, sim: SimConfig, sl: slice, rules: _EndTa
             span = min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
             w = w_block[:, k - k0 : k - k0 + span]
             y = np.multiply.outer(times[k : k + span], x) + (w if rows.size == w.shape[0] else w[rows]).T
-        full = span
-
-        # each live rule's first sure or unsure stop in the span (the horizon, if the span reaches it)
-        scans = []
-        for c, lv in enumerate(live):
-            first, unsure = rules.scan(c, k, y)
-            sure = (first < full) & ~unsure
-            if k + full - 1 == n_steps:
-                first = np.minimum(first, full - 1)
-            first = np.where(lv, first, -1)
-            if (lv & unsure).any():
-                span = min(span, int(first[lv & unsure].min()) + 1)  # x_hat decides; the span ends there
-            scans.append((first, sure, unsure))
-        last = np.minimum(reduce(np.maximum, [first for first, _, _ in scans]), span - 1)
-
-        cells = np.arange(span)[:, None] <= last  # (step, path) cells some rule needs
-        t_cells = times[k] if span == 1 else np.repeat(times[k : k + span], cells.sum(axis=1))
-        g_cells, h_cells = posterior_mean_var(table, t_cells, y[:span][cells])
-        g, h = np.zeros(cells.shape), np.zeros(cells.shape)
-        g[cells], h[cells] = g_cells, h_cells
+        t_span = times[k : k + span]
+        g, h = posterior_mean_var(table, t_span[0] if span == 1 else np.repeat(t_span, x.size), y.reshape(-1))
+        g, h = g.reshape(y.shape), h.reshape(y.shape)
         psi2 = h * h
         back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
         inc = 0.5 * dt * (back[1:-1] + back[2:])
@@ -471,25 +312,23 @@ def _walk_chunk(table: QuadratureTable, sim: SimConfig, sl: slice, rules: _EndTa
         inc[: max(1 - k, 0)], d2[: max(2 - k, 0)] = 0.0, 0.0  # the trapezoid starts at step 1, d2 at step 2
         integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
 
-        for c, ((first, sure, unsure), lv, stats) in enumerate(zip(scans, live, out)):
-            idx = np.flatnonzero((first >= 0) & (first < span))
-            if idx.size == 0:
-                continue
-            j = first[idx]
-            hit = sure[idx]
-            ask = unsure[idx]
-            if ask.any():
-                hit[ask] = rules.contains(c, k, j[ask], g[j[ask], idx[ask]])
-            horizon = k + j == n_steps  # force-stop whatever is left at the horizon
-            stop = hit | horizon
-            idx, j = idx[stop], j[stop]
+        for (curve, padded), lv, stats in zip(rules, live, out):
+            idx = np.flatnonzero(lv)
+            ends = padded[curve.slice_index(t_span)]  # step x interval x [lo, hi]
+            g_lv = g[:, idx]
+            inside = np.zeros(g_lv.shape, dtype=bool)
+            for i in range(ends.shape[1]):
+                inside |= (g_lv >= ends[:, i, 0, None]) & (g_lv <= ends[:, i, 1, None])
+            hit = inside.any(axis=0)
+            stop = hit | (k + span - 1 == n_steps)  # force-stop whatever is left at the horizon
+            idx, j, capped = idx[stop], np.where(hit, inside.argmax(axis=0), span - 1)[stop], ~hit[stop]
             at = sl.start + paths[idx]
             stats.tau[at] = times[k + j]
             stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
             stats.psi_at_stop[at] = h[j, idx]
             stats.integral_psi2[at] = integral[j, idx]
             stats.second_diff_sum[at] = second_diff[j, idx]
-            stats.capped[at] = horizon[stop] & ~hit[stop]
+            stats.capped[at] = capped
             lv[idx] = False
         psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
         psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
@@ -538,11 +377,15 @@ def evaluate_policy(
     """Expected cost of a stopping rule (squared estimation error plus c * tau),
     from one pass that also walks its shifted versions on the same paths.
 
-    The rule stops at the first monitored time its condition holds (a
-    BoundaryCurve containment or a deterministic time), capped at the horizon
-    with a cap-fraction diagnostic; a warning is attached above 1% capping.
-    Each shift moves a BoundaryCurve outward by ``shift`` (negative pulls it
-    inward); for a deterministic-time rule the stopping time itself is shifted.
+    Every rule is walked as a BoundaryCurve, a deterministic time as the curve
+    that stops everywhere from its first monitored step on.  A rule stops at
+    the first monitored time where the filtered estimate x_hat lies in one of
+    its stopping intervals, capped at the horizon with a cap-fraction
+    diagnostic; a warning is attached above 1% capping.  Each shift moves a
+    BoundaryCurve outward by ``shift`` (negative pulls it inward); for a
+    deterministic-time rule the stopping time itself is shifted.  The curves'
+    intervals are padded to one width for the walk, and the draws end at the
+    step from which every curve stops everywhere.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
@@ -564,9 +407,12 @@ def evaluate_policy(
         )
         for _ in curves
     ]
-    rules = _EndTable(table, curves, times)
+    width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
+    pad = [(math.inf, -math.inf)] * width  # empty intervals
+    rules = [(curve, np.array([[*segs, *pad[len(segs) :]] for segs in curve.intervals])) for curve in curves]
+    reach = max(_all_stop_step(curve, times) for curve in curves)
     for start in range(0, n, _CHUNK):
-        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, paths)
+        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, reach, paths)
     base = paths[0]
     mean, se = _mean_se(base.sq_err + c * base.tau)
     cap_fraction = float(np.mean(base.capped))

@@ -476,6 +476,9 @@ class BoundaryCurve:
         rows = [line.split(",", 3) for line in lines[1:]]
         if not rows or any(len(row) != 4 for row in rows):
             raise ValueError(f"{path} needs one or more rows of four fields {_CSV_HEADER}")
+        shapes = {row[1] for row in rows}
+        if len(shapes) > 1:
+            raise ValueError(f"the rows of {path} disagree on the shape: {sorted(shapes)}")
         shape = rows[0][1]
         if shape not in _B_EMPTY_FULL:
             raise ValueError(f"unknown boundary shape {shape!r} in {path}")

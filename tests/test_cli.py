@@ -330,6 +330,28 @@ def test_verify_refuses_solver_meta_that_is_not_an_object(bern_config, capsys):
     assert not (out / "verify.json").exists()
 
 
+def test_verify_refuses_solver_meta_that_is_not_json(bern_config, capsys):
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    (out / "solver_meta.json").write_text("{bad")
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "solver_meta.json") in err and "JSON object" in err
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_refuses_boundary_rows_that_disagree_on_shape(bern_config, capsys):
+    # read with the first row's shape, this rule would pick the one-sided gap pass
+    cfg_path, out, _ = bern_config
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    rows = "0,one_sided_lower,-1,-inf:-1\n0.5,one_sided_upper,1,1:inf\n"
+    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "boundary.csv") in err and "shape" in err
+    assert not (out / "verify.json").exists()
+
+
 def test_key_error_in_a_command_is_not_an_input_error(bern_config, monkeypatch):
     # every input path checks its keys first, so a KeyError is a defect: it
     # propagates rather than exiting 2 as "input error"

@@ -87,29 +87,6 @@ def test_invert_array_unbracketable_point_raises(all_tables, monkeypatch, name, 
         assert 0 < len(seen) <= 200
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "half_normal", "mixture"])
-def test_invert_array_with_array_times_matches_per_time_inversion(all_tables, name):
-    # one call inverts every point at its own time; on atoms +-1 the kernel's
-    # columns do not interact, so the result has the bits of one inversion per
-    # time, and elsewhere it meets the same tolerance at the same level
-    table = all_tables[name]
-    lo, hi = table.nodes[0], table.nodes[-1]
-    times = np.array([0.0, 0.3, 2.0, 11.0])
-    x = np.linspace(lo, hi, 23)[1:-1]
-    tol = 1e-13
-    t_all = np.repeat(times, x.size)
-    y, h = _invert_array(table, t_all, np.tile(x, times.size), tol)
-    for i, tk in enumerate(times.tolist()):
-        y_k, h_k = _invert_array(table, tk, x, tol)
-        row = slice(i * x.size, (i + 1) * x.size)
-        g, _ = posterior_mean_var(table, tk, y[row])
-        assert np.all(np.abs(g - x) <= tol)
-        if name == "bernoulli":
-            assert np.array_equal(y[row], y_k) and np.array_equal(h[row], h_k)
-        else:
-            assert np.allclose(y[row], y_k, rtol=1e-9, atol=1e-9)
-
-
 @pytest.mark.parametrize(
     "prior",
     [

@@ -18,7 +18,6 @@ from driftstop import (
     extract_regions,
     gaussian_tau_star,
     policy_optimality_gap,
-    posterior_mean_var,
     simulate_paths,
     solve_value,
     solver_psi_grid,
@@ -212,26 +211,37 @@ def _bernoulli_rule_and_shifts():
     return BoundaryCurve.symmetric_threshold(bernoulli_solve(1.0, 0.25).boundary_a), [-0.05, 0.05]
 
 
+def _spans(calls, dt, chunk):
+    """Each recorded kernel call's first path index, first step and step count;
+    the call at t = 0 starts the walk of the next chunk of paths."""
+    start = -chunk
+    for t, _ in calls:
+        k = int(np.rint(np.min(t) / dt))
+        start += chunk * (k == 0)
+        yield start, k, np.unique(t).size
+
+
 def test_walk_filters_only_paths_some_rule_still_needs(bernoulli_table, monkeypatch):
-    # a path is needed at step k while k <= its latest stop over the rules, so
-    # the kernel sees exactly sum over paths of (latest stop step + 1) columns,
-    # although at q = 2 one call covers several steps
+    # a path is needed at step k while k <= its latest stop over the rules, and a
+    # call filters every needed path at its span's first step on each step of the
+    # span, although at q = 2 one call covers several steps
     policy, shifts = _bernoulli_rule_and_shifts()
     sim = SimConfig(n_paths=5000, dt=0.02, horizon=20.0, seed=67)
-    columns = []
-    steps_per_call = []
+    calls = []
     kernel = montecarlo.posterior_mean_var
 
     def counted(table, t, y):
-        columns.append(np.size(y))
-        steps_per_call.append(np.unique(t).size)
+        calls.append((np.asarray(t), np.size(y)))
         return kernel(table, t, y)
 
     monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
     est = evaluate_policy(bernoulli_table, 0.25, policy, sim, shifts)
     last_step = np.max([np.rint(stats.tau / sim.dt) for stats in est.paths], axis=0)
-    assert sum(columns) == int(np.sum(last_step + 1))
-    assert max(steps_per_call) > 1
+    for (start, k, span), (_, columns) in zip(_spans(calls, sim.dt, montecarlo._CHUNK), calls):
+        chunk = last_step[start : start + montecarlo._CHUNK]
+        assert columns == span * int(np.sum(chunk >= k))
+    assert sum(columns for _, columns in calls) == 633_182
+    assert max(np.unique(t).size for t, _ in calls) > 1
 
 
 def test_walk_memory_does_not_grow_with_the_horizon(bernoulli_table):
@@ -249,26 +259,17 @@ def test_walk_memory_does_not_grow_with_the_horizon(bernoulli_table):
 
 
 @pytest.mark.parametrize("case", ["solver_boundary_and_shifts", "threshold_to_the_horizon"])
-def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_table, mixture_table, case, monkeypatch):
-    # the stopping-interval ends are looked up, and inverted into y, a block of
-    # steps at a time as the walk reaches it, in kernel calls no larger than the
-    # walk's own: inverting every step of a 40-unit horizon at once took 16 MB
-    # on the solver boundary (ends inside the nodes up to t = 10) and 36 MB on
-    # the threshold, whose capped paths walk to the horizon
+def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_table, mixture_table, case):
+    # the stopping intervals are looked up a span of steps at a time as the walk
+    # reaches it, and the Wiener values drawn a block at a time, so neither the
+    # solver boundary over a 100-unit horizon nor the threshold, whose capped
+    # paths walk a 40-unit horizon to its end, holds a value per path and step
     if case == "solver_boundary_and_shifts":
         table, policy, shifts = halfnormal_table, _solver_boundary(halfnormal_table, 0.01, 100.0), (-0.05, 0.05)
         sim = SimConfig(n_paths=400, dt=0.01, horizon=100.0, seed=5)
     else:
         table, policy, shifts = mixture_table, BoundaryCurve.symmetric_threshold(1.5), ()
         sim = SimConfig(n_paths=100, dt=0.01, horizon=40.0, seed=5)
-    inverted = []
-    y_ends = montecarlo._EndTable.y_ends
-
-    def recorded(end_table, b):
-        inverted.append(b)
-        return y_ends(end_table, b)
-
-    monkeypatch.setattr(montecarlo._EndTable, "y_ends", recorded)
     tracemalloc.start()
     try:
         est = evaluate_policy(table, 0.01, policy, sim, shifts)
@@ -277,7 +278,7 @@ def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_tabl
         tracemalloc.stop()
     assert peak < 8 * 2**20
     if case == "threshold_to_the_horizon":
-        assert est.cap_fraction > 0.3 and len(set(inverted)) == -(-sim.n_steps // montecarlo._BLOCK)
+        assert est.cap_fraction > 0.3
 
 
 def _reference_walk(table, policy, sim):
@@ -370,9 +371,9 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
     # drift from its first uniform, then W from its normals in order.  Chunks of
     # 64 put the 150 paths in three walks, and blocks of 16 steps make every
     # path that walks past step 16 resume its stream lazily, a block at a time,
-    # after others have stopped; the kernel sees the cell (t, y = x t + W) of
-    # each needed path at each step, step by step in path order, whether a call
-    # covers one step or several
+    # after others have stopped; a call sees the cell (t, y = x t + W) of each
+    # path needed at its first step, on every step it covers, step by step in
+    # path order, whether it covers one step or several
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     policy, _ = _bernoulli_rule_and_shifts()
@@ -399,11 +400,11 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
         w[i] = np.cumsum(gen.standard_normal(sim.n_steps) * math.sqrt(sim.dt))
 
     want = []
-    for start in range(0, sim.n_paths, 64):
+    for start, k, span in _spans(calls, sim.dt, 64):
         chunk = np.arange(start, min(start + 64, sim.n_paths))
-        for k in range(1, last_step[chunk].max() + 1):
-            at = chunk[last_step[chunk] >= k]
-            want.append((k * sim.dt, x[at] * (k * sim.dt) + w[at, k - 1]))
+        at = chunk[last_step[chunk] >= k]
+        for step in range(max(k, 1), k + span):
+            want.append((step * sim.dt, x[at] * (step * sim.dt) + w[at, step - 1]))
     assert any(np.unique(t).size > 1 for t, _ in calls)
     t_got, y_got = (np.concatenate(cells) for cells in zip(*calls))
     after_0 = t_got > 0.0
@@ -466,10 +467,9 @@ def test_stop_at_walk_draws_no_normal_past_its_last_rule_step(bernoulli_table, m
 
 
 def test_time_rules_inverting_nothing_keep_several_steps_per_call(mixture_table, monkeypatch):
-    # five deterministic times have no finite end, so they neither invert an
-    # end into y nor count against _END_COLUMNS: at q = 128 a call of 200
-    # paths still covers two steps, and each rule stops at its own step
-    steps_per_call, inverted = [], []
+    # five deterministic times stop on x_hat like any curve: at q = 128 a call
+    # of 200 paths covers two steps, and each rule stops at its own step
+    steps_per_call = []
     kernel = montecarlo.posterior_mean_var
 
     def counted(table, t, y):
@@ -477,11 +477,10 @@ def test_time_rules_inverting_nothing_keep_several_steps_per_call(mixture_table,
         return kernel(table, t, y)
 
     monkeypatch.setattr(montecarlo, "posterior_mean_var", counted)
-    monkeypatch.setattr(montecarlo, "_invert_array", lambda *args: inverted.append(args))
     sim = SimConfig(n_paths=200, dt=0.02, horizon=2.0, seed=17)
     est = evaluate_policy(mixture_table, 0.04, 0.5, sim, (-0.3, -0.1, 0.1, 0.3))
     assert [set(np.rint(stats.tau / sim.dt)) for stats in est.paths] == [{25}, {10}, {20}, {30}, {40}]
-    assert max(steps_per_call) == 2 and not inverted
+    assert max(steps_per_call) == 2
 
 
 def _solver_boundary(table, c, t_max):
@@ -518,19 +517,16 @@ def _offset_boundary():
 @pytest.mark.parametrize(
     "case", ["half_normal", "mixture", "atoms_at_extreme_node", "gaussian_at_2000", "mixture_with_shifts"]
 )
-def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table, monkeypatch):
-    # the walk decides stops on y against the ends of each interval inverted
-    # per step, and on the kernel's x_hat inside a guard band around them; the
-    # reference applies BoundaryCurve.contains to x_hat at every step.  The
-    # half-normal boundary is one-sided, the mixture one stops nowhere early
-    # and everywhere late, and the end of |x| >= 1 on atoms +-1 sits on an
-    # extreme node: x_hat reaches it only as floating point rounds to 1.0 near
-    # y = 19, which stops 491 of the 500 paths before the horizon.  The prior
-    # centred at 2000 has logits near 1e6 by t = 6, and so a kernel round-off
-    # far above its span's.  At q = 128 the walk takes several steps per call
-    # only once at most 256 paths are left, so these cases reach the y ends;
-    # with two shifts of the two-sided mixture boundary, inverting them would
-    # cost more than it saves, and x_hat decides every step of every rule
+def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table):
+    # the walk decides each span's stops on the x_hat of one kernel call over
+    # its steps; the reference applies BoundaryCurve.contains to x_hat at every
+    # step.  The half-normal boundary is one-sided, the mixture one stops
+    # nowhere early and everywhere late, and the end of |x| >= 1 on atoms +-1
+    # sits on an extreme node: x_hat reaches it only as floating point rounds
+    # to 1.0 near y = 19, which stops 491 of the 500 paths before the horizon.
+    # The prior centred at 2000 has logits near 1e6 by t = 6, and so a kernel
+    # round-off far above its span's.  At q = 128 a call covers several steps
+    # once at most 256 paths are left
     shifts = ()
     if case == "half_normal":
         table, policy = halfnormal_table, _solver_boundary(halfnormal_table, 0.1, 3.0)
@@ -547,16 +543,7 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
     else:
         table, policy, shifts = mixture_table, _solver_boundary(mixture_table, 0.04, 5.5), (-0.05, 0.05)
         sim = SimConfig(n_paths=150, dt=0.02, horizon=8.0, seed=101)
-    scanned = []
-    y_ends = montecarlo._EndTable.y_ends
-
-    def recorded(end_table, b):
-        scanned.append(b)
-        return y_ends(end_table, b)
-
-    monkeypatch.setattr(montecarlo._EndTable, "y_ends", recorded)
     est = evaluate_policy(table, 0.25, policy, sim, shifts)
-    assert bool(scanned) == (case != "mixture_with_shifts")
     for shift, stats in zip(shifts, est.paths[1:]):
         ref = _reference_walk(table, policy.shifted(shift), sim)
         assert np.array_equal(stats.tau, ref["tau"]) and np.array_equal(stats.capped, ref["capped"])
@@ -570,32 +557,3 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
     else:
         assert stopped > 0
         assert np.array_equal(est.paths[0].tau, ref["tau"]) and np.array_equal(est.paths[0].capped, ref["capped"])
-
-
-@pytest.mark.parametrize(
-    "name", ["bernoulli", "gaussian", "half_normal", "mixture", "gaussian_at_2000", "atoms_at_1000"]
-)
-def test_kernel_roundoff_within_the_walk_guard(all_tables, name):
-    # the guard band around each end assumes the kernel's G is within
-    # montecarlo._roundoff(table, t) of the exact posterior mean at every y,
-    # taken here in long double on every node from the same float64 inputs.
-    # The y reach from the prior mean's path out to where one node holds the
-    # column; the last two priors sit far from 0, where the logits are large
-    if name == "gaussian_at_2000":
-        table = _offset_table()
-    elif name == "atoms_at_1000":
-        table = build_quadrature(PriorSpec.discrete_atoms([(999.0, 0.5), (1001.0, 0.5)]))
-    else:
-        table = all_tables[name]
-    u = table.nodes.astype(np.longdouble)[:, None]
-    log_w = table.log_weights.astype(np.longdouble)[:, None]
-    mean = float(table.nodes @ table.weights)
-    for t in (0.0, 0.5, 3.0, 30.0, 100.0):
-        near = np.linspace(-40.0, 40.0, 801) * (1.0 + t)
-        far = np.geomspace(1e2, 1e7, 60) * (1.0 + t)
-        y = mean * t + np.concatenate([near, far, -far])
-        g, _ = posterior_mean_var(table, t, y)
-        logits = u * y.astype(np.longdouble) + log_w - np.longdouble(0.5) * np.longdouble(t) * u * u
-        w = np.exp(logits - logits.max(axis=0))
-        g_ref = (w * u).sum(axis=0) / w.sum(axis=0)
-        assert np.max(np.abs(g - g_ref)) <= montecarlo._roundoff(table, t) / 8.0

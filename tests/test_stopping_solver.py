@@ -353,13 +353,15 @@ _BAD_RULES = {
     "t_decreasing": "1,general,nan,-inf:-1;1:inf\n0,general,nan,nan:-1;2:1\n",
     "t_repeated": "0,general,nan,-inf:-1\n0,general,nan,1:inf\n",
     "t_nan": "nan,general,nan,-inf:-1\n",
+    "shape_disagrees": "0,one_sided_lower,-1,-inf:-1\n1,one_sided_upper,1,1:inf\n",
 }
 
 
 @pytest.mark.parametrize("rows", _BAD_RULES.values(), ids=_BAD_RULES.keys())
 def test_from_csv_refuses_malformed_rules(tmp_path, rows):
     # every interval must have lo <= hi and start at or after the previous one
-    # ends, and the t rows must increase strictly, as slice_index assumes
+    # ends, the t rows must increase strictly, as slice_index assumes, and every
+    # row must name the one shape the curve is read with
     path = tmp_path / "boundary.csv"
     path.write_text("t,shape,b,intervals\n" + rows)
     with pytest.raises(ValueError, match="boundary.csv"):
