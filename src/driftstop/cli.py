@@ -61,7 +61,7 @@ CONFIG_KEYS = {
     None: {
         "prior": Key(dict),
         "cost_c": Key(float, ((">", 0),)),
-        "quadrature_n": Key(int, ((">=", 2),), 128),
+        "quadrature_n": Key(int, ((">=", 2), ("<=", 1024)), 128),
         "solver": Key(dict, default={}),
         "sim": Key(dict, default={}),
         "policy": Key(dict, default={"kind": "solver_boundary"}),

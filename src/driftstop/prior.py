@@ -5,7 +5,9 @@ X a random drift with prior distribution mu.  Conditioning on the observation
 level Y(t) = y reweights mu by exp(u*y - u^2*t/2); every quantity in this
 module is an integral against that exponentially tilted measure, computed on a
 discrete quadrature table with max-shifted (log-sum-exp) exponents so that no
-intermediate overflows.
+intermediate overflows.  The kernel keeps the shifted weights unnormalised
+(each column's largest is exactly 1) and divides each column's sums by the
+column's total once, after summing.
 
 The classical filtering objects:
 
@@ -500,9 +502,11 @@ def _band_cut(table: QuadratureTable) -> float:
 
 
 def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.ndarray]:
-    """Normalized posterior weights on the node band the call can reach, one column per y.
+    """Max-shifted posterior weights on the node band the call can reach, one column per y.
 
-    Returns the band as a slice of the nodes and the weights of its nodes.  An
+    Returns the band as a slice of the nodes and the weights of its nodes,
+    unnormalised: each column's largest weight is exactly 1, so its sum lies
+    in [1, band width], and the caller divides its sums by that sum.  An
     array ``t`` gives each y its own time, and a scalar is one run of columns
     at one time.  Each run of columns that share a time adds the band from the
     full-table logits of its smallest and its largest y alone; the call's band
@@ -531,9 +535,8 @@ def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.
     w = np.multiply.outer(table.nodes[band], y)
     run_tilt = tilt[:, band].T  # node x run
     w += run_tilt if runs == 1 else np.repeat(run_tilt, np.diff(starts, append=y.size), axis=1)
-    w -= w.max(axis=0)  # max shift: the largest exponent becomes 0, so every column sums to >= 1
+    w -= w.max(axis=0)  # max shift: each column's largest weight is exactly 1
     np.exp(w, out=w)
-    w /= w.sum(axis=0)
     return band, w
 
 
@@ -541,7 +544,9 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     """Vectorized posterior mean and variance over an array of y values.
 
     ``t`` is one time for every y, or an array of times of the shape of ``y``
-    that gives each y its own.
+    that gives each y its own.  With the band's max-shifted weights w of a
+    column and their sum S0, G = sum(w u) / S0 and H = sum(w (u - G)^2) / S0:
+    the weights are never normalised one by one.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)
@@ -549,12 +554,15 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
         return np.empty(0), np.empty(0)
     band, w = _weight_matrix(table, t, y_arr)
     u = table.nodes[band]
+    s0 = w.sum(axis=0)
     g = u @ w
-    # centred two-pass variance: raw moments about a fixed centre cancel badly
-    # when the posterior sits on an edge node
+    g /= s0  # in place, as h below: one column-length temporary fewer
+    # centred two-pass variance, its square fused into the sum: raw moments
+    # about a fixed centre cancel badly when the posterior sits on an edge node
     d = u[:, None] - g
-    d *= d
-    return g, np.einsum("ij,ij->j", w, d)
+    h = np.einsum("ij,ij,ij->j", w, d, d)
+    h /= s0
+    return g, h
 
 
 def widder_F(table: QuadratureTable, t: float, y: float) -> WidderValue:

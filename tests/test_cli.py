@@ -111,6 +111,22 @@ def test_nonfinite_quadrature_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [1025, 100_000_000])
+def test_huge_quadrature_n_exits_2_before_any_table_is_built(tmp_path, capsys, monkeypatch, value):
+    # numpy builds n Gauss nodes from an n x n matrix, so without the bound
+    # 1e8 nodes exit 1 on a memory error
+    def refuse(n):
+        raise AssertionError(f"built a {n}-node table")
+
+    monkeypatch.setattr("driftstop.prior.hermgauss", refuse)
+    cfg = tmp_path / "c.json"
+    doc = {"prior": {"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, "cost_c": 0.25, "quadrature_n": value}
+    cfg.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "'quadrature_n' must be <= 1024" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_writes_artifacts(bern_config):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0

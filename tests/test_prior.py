@@ -19,9 +19,11 @@ EPS = np.finfo(float).eps
 
 
 def _full_weights(table, t, y):
-    """The kernel's band weights padded to every node, after checking each node
-    outside the band lies more than ``_band_cut`` below its column's largest."""
+    """The kernel's band weights, normalised per column and padded to every node,
+    after checking each node outside the band lies more than ``_band_cut`` below
+    its column's largest."""
     band, w = _weight_matrix(table, t, y)
+    w = w / w.sum(axis=0)
     logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
     outside = np.ones(table.n, dtype=bool)
     outside[band] = False
@@ -221,10 +223,17 @@ def test_posterior_var_positive(all_tables):
 
 
 def test_posterior_expectation_normalization(all_tables):
-    # E[1 | t, y] = 1: the posterior weights of one observation level sum to one
+    # E[1 | t, y] = 1 once divided by the column sum S0: the kernel leaves the
+    # weights max-shifted, so the largest is exactly 1, S0 lies in [1, band
+    # width], and S0 times e^(largest logit) is the normalizing integral F(t, y)
+    t, y = 1.3, 0.4
     for table in all_tables.values():
-        w = _full_weights(table, 1.3, np.array([0.4]))
-        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        band, w = _weight_matrix(table, t, np.array([y]))
+        logits = table.nodes * y + _tilt(table, t)
+        assert w.max() == 1.0 and w.argmax() == logits.argmax() - band.start
+        s0 = float(w.sum())
+        assert 1.0 <= s0 <= band.stop - band.start
+        assert math.log(s0) + logits.max() == pytest.approx(widder_F(table, t, y).log_value, rel=1e-14, abs=1e-14)
 
 
 def test_posterior_expectation_second_moment(gaussian_table):
@@ -296,10 +305,17 @@ def test_posterior_measure_composes_additively(mixture_table):
 
 
 def test_posterior_weights_normalized_on_lattice(all_tables):
+    # every column's largest weight is exactly 1, at its largest logit, and the
+    # column sums to between 1 and the band width
+    y = np.linspace(-5, 5, 7)
     for table in all_tables.values():
         for t in [0.0, 0.5, 2.0, 10.0]:
-            w = _full_weights(table, t, np.linspace(-5, 5, 7))
-            assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-12
+            band, w = _weight_matrix(table, t, y)
+            logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
+            assert np.all(w.max(axis=0) == 1.0)
+            assert np.array_equal(w.argmax(axis=0) + band.start, logits.argmax(axis=0))
+            s0 = w.sum(axis=0)
+            assert np.all((s0 >= 1.0) & (s0 <= band.stop - band.start))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +377,31 @@ def test_band_matches_full_table_extended_precision(name):
         assert np.all(np.abs(h - h_ref) <= 1e-15 + 16.0 * EPS * h_ref)
 
 
+@pytest.mark.parametrize("name", ["coin", "wide_atoms"])
+def test_late_time_discrete_posterior_keeps_relative_accuracy(name):
+    # late on a discrete prior the posterior sits on one atom and h falls to
+    # 1e-135, where an absolute term would hide any error; the reference shares
+    # the float64 logits, so what is left is the kernel's float64 max shift,
+    # which rounds a logit gap of a few hundred by up to 128 eps (the worst
+    # column here is off by 64.5 eps)
+    prior = PriorSpec.bernoulli(1.0, 0.3) if name == "coin" else BAND_PRIORS[name][0]
+    table = build_quadrature(prior)
+    u = table.nodes.astype(np.longdouble)[:, None]
+    smallest = math.inf
+    for t in (0.5, 5.0, 20.0, 50.0):
+        y = np.linspace(-(3.0 * t + 5.0), 3.0 * t + 5.0, 2001)
+        g, h = posterior_mean_var(table, t, y)
+        logits = (np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]).astype(np.longdouble)
+        w = np.exp(logits - logits.max(axis=0))
+        w /= w.sum(axis=0)
+        g_ref = (w * u).sum(axis=0)
+        h_ref = (w * (u - g_ref) ** 2).sum(axis=0)
+        assert np.all(np.abs(g - g_ref) <= 16.0 * EPS * (w * abs(u)).sum(axis=0))
+        assert np.all(np.abs(h - h_ref) <= 128.0 * EPS * h_ref)
+        smallest = min(smallest, float(h_ref.min()))
+    assert smallest < 1e-90
+
+
 def test_full_band_is_bit_identical_to_unbanded_arithmetic(bernoulli_table):
     # on atoms +-1 the two logits differ by 2|y|, far inside the cut for |y| <= 15
     rng = np.random.default_rng(3)
@@ -374,13 +415,12 @@ def test_full_band_is_bit_identical_to_unbanded_arithmetic(bernoulli_table):
         w += (bernoulli_table.log_weights - 0.5 * t * u * u)[:, None]
         w -= w.max(axis=0)
         np.exp(w, out=w)
-        w /= w.sum(axis=0)
-        g_full = u @ w
+        s0 = w.sum(axis=0)
+        g_full = (u @ w) / s0
         d = u[:, None] - g_full
-        d *= d
         g, h = posterior_mean_var(bernoulli_table, t, y)
         assert np.array_equal(g, g_full)
-        assert np.array_equal(h, np.einsum("ij,ij->j", w, d))
+        assert np.array_equal(h, np.einsum("ij,ij,ij->j", w, d, d) / s0)
 
 
 def _random_cells(seed, count=50):
