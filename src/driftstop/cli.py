@@ -27,7 +27,7 @@ from . import closed_form
 from .csvio import format_row
 from .dispersion import InversionError, clamp_to_interior, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
-from .prior import PosteriorError, PriorSpec, build_quadrature
+from .prior import MAX_NODES, PosteriorError, PriorSpec, build_quadrature
 from .stopping_solver import (
     BoundaryCurve,
     SolverConfig,
@@ -61,13 +61,13 @@ CONFIG_KEYS = {
     None: {
         "prior": Key(dict),
         "cost_c": Key(float, ((">", 0),)),
-        "quadrature_n": Key(int, ((">=", 2), ("<=", 1024)), 128),
+        "quadrature_n": Key(int, ((">=", 2), ("<=", MAX_NODES)), 128),
         "solver": Key(dict, default={}),
         "sim": Key(dict, default={}),
         "policy": Key(dict, default={"kind": "solver_boundary"}),
         "perturbations": Key(list, default=[-0.1, 0.1]),
         "output_dir": Key(str, default="driftstop_out"),
-        # written to resolved_config.json so that it reruns; worked out again on every run
+        # written to resolved_config.json so that it reruns: carried when solver.T_max is given, else scanned again
         "horizon_scan_capped": Key(bool, default=DERIVED),
     },
     "solver": {
@@ -191,7 +191,7 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
         except ValueError as exc:
             raise ConfigError(f"config key 'solver.{key}' is refused: {exc}") from exc
 
-    capped = False
+    capped = root.get("horizon_scan_capped", False)
     if "T_max" not in solver:
         x_scan = np.linspace(solver["x_lo"], solver["x_hi"], 41)
         hz = choose_horizon(

@@ -151,8 +151,8 @@ class _Streams:
 def _path_streams(
     table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray, _Streams]:
-    """Drift draws for paths [start, start+count), their W over the first ``n_steps`` steps,
-    and their streams.
+    """Drift draws for paths [start, start+count), their W at steps 0 to ``n_steps``
+    (column k holds W at step k, so column 0 holds W(0) = 0), and their streams.
 
     A path's stream is its Philox key (seed, path index) at counter 0, loaded by
     re-keying the chunk's one bit generator.  It gives the drift's uniform first
@@ -162,11 +162,11 @@ def _path_streams(
     streams = _Streams(seed, start, n_steps)
     random, normals = streams.gen.random, streams.gen.standard_normal
     u = np.empty(count)
-    z = np.empty((count, n_steps))
+    z = np.zeros((count, n_steps + 1))
     for i in range(count):
         streams.load(i)
         u[i] = random()
-        normals(out=z[i])
+        normals(out=z[i, 1:])
     drawn = np.minimum(np.searchsorted(np.cumsum(table.weights), u, side="right"), table.n - 1)
     return table.nodes[drawn], _cumulate(z, 0.0, dt), streams
 
@@ -189,14 +189,15 @@ def _wiener_block(streams: _Streams, paths: np.ndarray, w_last: np.ndarray, n_st
 
 
 def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarray:
-    """W from standard normal increments ``z`` (one row per path) continuing from ``w_last``, in place.
+    """W from standard normal increments ``z`` (one row per path, at least one column)
+    continuing from ``w_last``, in place.
 
     A stream drawn in blocks gives the same normals as in one call, and the sum
     runs left to right from ``w_last``, so every W(t) has the bits of one
     cumulative sum over all steps.
     """
     z *= math.sqrt(dt)
-    z[:, :1] += np.reshape(w_last, (-1, 1))  # no column when no step is drawn
+    z[:, 0] += w_last
     return np.cumsum(z, axis=1, out=z)
 
 
@@ -272,18 +273,18 @@ def _walk_chunk(
     span of whole steps at a time, as many as keep table nodes x working paths
     x steps within ``_NODE_COLUMNS``, at least one; step 0, where Y = 0, is a
     span of its own.  One kernel call filters every working path on every step
-    of the span, step by step in path order, with a scalar time when the span
-    is one step, and the path integrals are summed along the span from their
-    carried values (the trapezoid from step 1, the second difference from step
-    2).  Each live rule then stops a path at the first step of the span where
-    its x_hat lies in a stopping interval, or at the horizon.  Only the working
-    set, the paths still live in some rule, is drawn and filtered: it shrinks
-    as paths stop, and the walk ends when it is empty.
+    of the span, a step x path block of levels with one time per row, and the
+    path integrals are summed along the span from their carried values (the
+    trapezoid from step 1, the second difference from step 2).  Each live rule
+    then stops a path at the first step of the span where its x_hat lies in a
+    stopping interval, or at the horizon.  Only the working set, the paths still
+    live in some rule, is drawn and filtered: it shrinks as paths stop, and the
+    walk ends when it is empty.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
     x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
-    k0 = 1  # w_block[:, k - k0] holds W at step k
+    k0 = 0  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
     live = np.ones((len(rules), x.size), dtype=bool)
@@ -296,15 +297,10 @@ def _walk_chunk(
         if k - k0 == w_block.shape[1]:
             w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt)
             k0, rows = k, np.arange(paths.size)
-        if k == 0:
-            span, y = 1, np.zeros((1, x.size))  # Y(0) = 0
-        else:
-            span = min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
-            w = w_block[:, k - k0 : k - k0 + span]
-            y = np.multiply.outer(times[k : k + span], x) + (w if rows.size == w.shape[0] else w[rows]).T
-        t_span = times[k : k + span]
-        g, h = posterior_mean_var(table, t_span[0] if span == 1 else np.repeat(t_span, x.size), y.reshape(-1))
-        g, h = g.reshape(y.shape), h.reshape(y.shape)
+        span = 1 if k == 0 else min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
+        t_span, w = times[k : k + span], w_block[:, k - k0 : k - k0 + span]
+        y = np.multiply.outer(t_span, x) + (w if rows.size == w.shape[0] else w[rows]).T
+        g, h = posterior_mean_var(table, t_span[:, None], y)
         psi2 = h * h
         back = np.concatenate([psi2_prev2[None], psi2_prev[None], psi2])
         inc = 0.5 * dt * (back[1:-1] + back[2:])
@@ -360,8 +356,7 @@ def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
         count = min(_CHUNK, sim.n_paths - start)
         xt, w_paths, _ = _path_streams(table, sim.seed, start, count, n_steps, sim.dt)
         x_true[start : start + count] = xt
-        y[start : start + count, 0] = 0.0
-        y[start : start + count, 1:] = xt[:, None] * t[1:][None, :] + w_paths
+        y[start : start + count] = xt[:, None] * t + w_paths
     x_hat = np.empty_like(y)
     psi = np.empty_like(y)
     for k in range(n_steps + 1):

@@ -30,11 +30,13 @@ kernel's own round-off.  The kept weights are computed exactly as on the
 whole table; a column's last bits can still depend on the extreme columns
 that share its call, since they set the band the sums run over.
 
-A call may also pair each y with its own time.  Each run of consecutive
-columns at one time then gives a band from its smallest and its largest y as
-above, and the call's band runs from the first to the last node of these, so
-it still holds every node any column keeps; a column's weights are the ones a
-call at its time alone computes, so on the same band it gets the same bits.
+A call may also give each row of a 2-d y its own time, an array of shape
+(rows, 1), as the Monte Carlo walk does with its blocks of steps x paths.
+Each row then gives a band from its smallest and its largest y as above, and
+the call's band runs from the first to the last node of these, so it still
+holds every node any column keeps; a column's weights are the ones a call at
+its row's time alone computes, so on the same band it gets the same bits.  A
+scalar time is one time for every row, on the same code path.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ _FAMILIES = tuple(_FIELDS)
 # far deeper than the target quadrature accuracy.
 _TAIL_MASS = 1e-26
 _TAIL_Z = 7.567197358098901  # erfcinv(_TAIL_MASS): the half-normal's cut is sigma sqrt(2) times this
+
+# the most nodes a table may ask for: numpy builds a Gauss rule of n nodes from
+# an n x n matrix, so a huge count would run out of memory
+MAX_NODES = 1024
 
 # a parametric family's table must match its analytic mean and variance to
 # this relative tolerance
@@ -379,16 +385,16 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
     prior : PriorSpec
         Validated prior specification.
     n : int
-        Target node count for continuous families (>= 2).  Discrete priors
-        pass through exactly regardless of ``n``.
+        Target node count for continuous families, 2 to ``MAX_NODES``.
+        Discrete priors pass through exactly regardless of ``n``.
 
     Node placement: Gauss-Hermite transformed to the family's location/scale
     for gaussian and mixture priors (moment-exact); Gauss-Legendre weighted by
     the density on a tail-truncated interval for the half-normal; midpoint
     atoms with trapezoid masses for tabulated densities.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise PriorError(f"node count n must be an integer >= 2, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= MAX_NODES:
+        raise PriorError(f"node count n must be an integer from 2 to {MAX_NODES}, got {n!r}")
 
     if prior.kind == "discrete_atoms":
         pts = np.array([u for u, _ in prior.atoms], dtype=float)
@@ -449,17 +455,9 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
 
 
 def _merge_duplicate_nodes(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if np.all(np.diff(nodes) > 0.0):
-        return nodes, weights
-    out_n: list[float] = []
-    out_w: list[float] = []
-    for u, w in zip(nodes, weights):
-        if out_n and u == out_n[-1]:
-            out_w[-1] += w
-        else:
-            out_n.append(u)
-            out_w.append(w)
-    return np.array(out_n), np.array(out_w)
+    """Sorted ``nodes`` without repeats, each carrying the sum of its copies' weights."""
+    nodes, first = np.unique(nodes, return_index=True)
+    return nodes, np.add.reduceat(weights, first)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +474,8 @@ def _check_time(t: float) -> float:
 
 def _check_times(t, shape: tuple) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if t.shape != shape:
-        raise ValueError(f"times of shape {t.shape} do not match observations of shape {shape}")
+    if len(shape) != 2 or t.shape != (shape[0], 1):
+        raise ValueError(f"times of shape {t.shape} do not match observations of shape {shape}: need one per row")
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise ValueError(f"time must be finite and >= 0, got {float(t[bad][0])!r}")
@@ -505,53 +503,50 @@ def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.
     """Max-shifted posterior weights on the node band the call can reach, one column per y.
 
     Returns the band as a slice of the nodes and the weights of its nodes,
-    unnormalised: each column's largest weight is exactly 1, so its sum lies
-    in [1, band width], and the caller divides its sums by that sum.  An
-    array ``t`` gives each y its own time, and a scalar is one run of columns
-    at one time.  Each run of columns that share a time adds the band from the
-    full-table logits of its smallest and its largest y alone; the call's band
-    runs from the first to the last node of these (see the module docstring).
-    A run's tilt ln w - u^2 t / 2 on the band is added to every column of the
-    run.  ``y`` must be non-empty.
+    one column per element of ``y`` in its order, unnormalised: each column's
+    largest weight is exactly 1, so its sum lies in [1, band width], and the
+    caller divides its sums by that sum.  ``y`` is read as rows along its last
+    axis (a 1-d ``y`` is one row), and ``t`` is one time for every row or,
+    for a 2-d ``y``, one per row, of shape ``(rows, 1)``.  Each row adds the
+    band from the full-table logits of its smallest and its largest y alone;
+    the call's band runs from the first to the last node of these (see the
+    module docstring), and each row's tilt ln w - u^2 t / 2 on the band is
+    added to its columns through a node x row x column view.  ``y`` must be
+    non-empty.
     """
-    if np.ndim(t) == 0:
-        starts, t_runs = np.zeros(1, dtype=np.intp), np.array([t])
-    else:
-        starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        t_runs = t[starts]
-    tilt = _tilt(table, t_runs[:, None])  # run x node
-    ext = np.array([np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)])
+    y = y.reshape(-1, y.shape[-1])  # row x column
+    tilt = _tilt(table, np.array(t, ndmin=2))  # row x node, one row for a scalar time
+    ext = np.array([y.min(axis=1), y.max(axis=1)])
     ends = np.multiply.outer(ext, table.nodes)
-    ends += tilt  # [smallest, largest y] x run x node
+    ends += tilt  # [smallest, largest y] x row x node
     top = ends.max(axis=2)
     if not np.isfinite(top).all():
         y_end = ext[~np.isfinite(top)][0]
         raise PosteriorError(f"observation level y={float(y_end)!r} gives non-finite posterior weights")
     cut = top - _band_cut(table)
-    runs = top.shape[1]
-    first = int((ends[0] >= cut[0, :, None]).T.argmax()) // runs  # first node kept at a run's smallest y
-    past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // runs  # past the last at its largest
+    rows = top.shape[1]
+    first = int((ends[0] >= cut[0, :, None]).T.argmax()) // rows  # first node kept at a row's smallest y
+    past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // rows  # past the last at its largest
     band = slice(first, past_last)
-    w = np.multiply.outer(table.nodes[band], y)
-    run_tilt = tilt[:, band].T  # node x run
-    w += run_tilt if runs == 1 else np.repeat(run_tilt, np.diff(starts, append=y.size), axis=1)
+    w = np.multiply.outer(table.nodes[band], y)  # node x row x column
+    w += tilt[:, band].T[:, :, None]
     w -= w.max(axis=0)  # max shift: each column's largest weight is exactly 1
     np.exp(w, out=w)
-    return band, w
+    return band, w.reshape(w.shape[0], -1)
 
 
 def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior mean and variance over an array of y values.
+    """Vectorized posterior mean and variance over an array of y values, in the shape of ``y``.
 
-    ``t`` is one time for every y, or an array of times of the shape of ``y``
-    that gives each y its own.  With the band's max-shifted weights w of a
-    column and their sum S0, G = sum(w u) / S0 and H = sum(w (u - G)^2) / S0:
-    the weights are never normalised one by one.
+    ``t`` is one time for every y, or one time per row of a 2-d ``y``, of
+    shape ``(rows, 1)``.  With the band's max-shifted weights w of a column
+    and their sum S0, G = sum(w u) / S0 and H = sum(w (u - G)^2) / S0: the
+    weights are never normalised one by one.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)
     if y_arr.size == 0:
-        return np.empty(0), np.empty(0)
+        return np.empty(y_arr.shape), np.empty(y_arr.shape)
     band, w = _weight_matrix(table, t, y_arr)
     u = table.nodes[band]
     s0 = w.sum(axis=0)
@@ -562,7 +557,7 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     d = u[:, None] - g
     h = np.einsum("ij,ij,ij->j", w, d, d)
     h /= s0
-    return g, h
+    return g.reshape(y_arr.shape), h.reshape(y_arr.shape)
 
 
 def widder_F(table: QuadratureTable, t: float, y: float) -> WidderValue:

@@ -750,6 +750,20 @@ def test_resolved_config_resolves_to_itself(bern_config):
     assert (out / "resolved_config.json").read_bytes() == first
 
 
+def test_capped_resolved_config_resolves_to_itself(tmp_path):
+    # on atoms +-1 at c = 0.25 the horizon scan is capped; the resolved config
+    # then gives T_max, so solving from it keeps the flag instead of resetting it
+    cfg = {"prior": {"kind": "discrete_atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "cost_c": 0.25}
+    cfg["solver"] = {"n_t": 20, "n_x": 41}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    first = (out / "resolved_config.json").read_bytes()
+    assert json.loads(first)["horizon_scan_capped"] is True
+    assert main(["solve", "--config", str(out / "resolved_config.json"), "--out", str(out)]) == 0
+    assert (out / "resolved_config.json").read_bytes() == first
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -13,7 +13,9 @@ from driftstop import (
     posterior_mean_var,
     widder_F,
 )
-from driftstop.prior import _TAIL_MASS, _TAIL_Z, _band_cut, _tilt, _weight_matrix
+from driftstop import prior as prior_module
+from driftstop.cli import CONFIG_KEYS
+from driftstop.prior import MAX_NODES, _TAIL_MASS, _TAIL_Z, _band_cut, _merge_duplicate_nodes, _tilt, _weight_matrix
 
 EPS = np.finfo(float).eps
 
@@ -86,6 +88,49 @@ def test_one_point_priors_rejected():
         PriorSpec.discrete_atoms([(0.5, 0.5), (0.5, 0.5)])  # same point twice
     with pytest.raises(PriorError):
         build_quadrature(PriorSpec.bernoulli(1.0), n=1)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [PriorSpec.gaussian(0.0, 1.0), PriorSpec.symmetric_gaussian_mixture(1.0, 1.0), PriorSpec.half_normal(1.0)],
+    ids=["gaussian", "mixture", "half_normal"],
+)
+def test_too_many_nodes_refused_before_any_gauss_rule(prior, monkeypatch):
+    # numpy builds a Gauss rule of n nodes from an n x n matrix, so the count
+    # is refused first; the CLI's quadrature_n bound is the same constant
+    def no_rule(n):
+        raise AssertionError(f"a Gauss rule of {n} nodes was built")
+
+    monkeypatch.setattr(prior_module, "hermgauss", no_rule)
+    monkeypatch.setattr(prior_module, "leggauss", no_rule)
+    for n in (MAX_NODES + 1, 10**8):
+        with pytest.raises(PriorError, match=f"node count n must be an integer from 2 to 1024, got {n}"):
+            build_quadrature(prior, n=n)
+    assert ("<=", MAX_NODES) in CONFIG_KEYS[None]["quadrature_n"].bounds
+
+
+def test_repeated_atoms_merge_into_one_node():
+    table = build_quadrature(PriorSpec.discrete_atoms([(0.5, 0.3), (-1.0, 0.5), (0.5, 0.2)]))
+    assert table.nodes.tolist() == [-1.0, 0.5]
+    assert table.weights.tolist() == [0.5, 0.5]
+    # against the running sum over sorted nodes: a node's copies after the
+    # first are summed pairwise before they are added to it, so a pair keeps
+    # the running sum's bits and more copies stay within an ulp per copy
+    rng = np.random.default_rng(8)
+    nodes = np.sort(rng.integers(0, 40, 100)).astype(float)
+    weights = rng.uniform(0.0, 1.0, nodes.size)
+    want_n, want_w = [], []
+    for u, w in zip(nodes.tolist(), weights.tolist()):
+        if want_n and u == want_n[-1]:
+            want_w[-1] += w
+        else:
+            want_n.append(u)
+            want_w.append(w)
+    got_n, got_w = _merge_duplicate_nodes(nodes, weights)
+    copies = np.unique(nodes, return_counts=True)[1]
+    assert got_n.tolist() == want_n and np.array_equal(got_w[copies <= 2], np.array(want_w)[copies <= 2])
+    assert np.all(np.abs(got_w - want_w) <= copies * EPS * np.array(want_w))
+    assert copies.max() > 4 and np.sum(copies == 2) > 5
 
 
 def test_bad_atom_weights_rejected():
@@ -423,12 +468,12 @@ def test_full_band_is_bit_identical_to_unbanded_arithmetic(bernoulli_table):
         assert np.array_equal(h, np.einsum("ij,ij,ij->j", w, d, d) / s0)
 
 
-def _random_cells(seed, count=50):
-    """Observation arrays whose columns carry their own times, a few columns per time."""
+def _random_rows(seed, count=50):
+    """Observation blocks of one to four rows, each row at its own time (rows may share one)."""
     rng = np.random.default_rng(seed)
     for t, y in _random_calls(seed, count):
-        times = rng.choice([t, t + 0.5, 2.0 * t + 1.0], y.size)
-        yield times, y
+        times = rng.choice([t, t + 0.5, 2.0 * t + 1.0], (int(rng.integers(1, 5)), 1))
+        yield times, y + rng.normal(0.0, 10.0 ** rng.uniform(-1.0, 1.0), (times.size, y.size))
 
 
 @pytest.mark.parametrize("name", sorted(BAND_PRIORS))
@@ -436,10 +481,11 @@ def test_array_time_band_holds_every_node_a_column_keeps(name):
     prior, n = BAND_PRIORS[name]
     table = build_quadrature(prior, n=n)
     cut = _band_cut(table)
-    for t, y in _random_cells(4):
+    for t, y in _random_rows(4):
         band, w = _weight_matrix(table, t, y)
-        logits = np.multiply.outer(table.nodes, y) + (table.log_weights[:, None] - 0.5 * t * table.nodes[:, None] ** 2)
-        kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=1))
+        u = table.nodes[:, None, None]  # node x row x column
+        logits = u * y + (table.log_weights[:, None, None] - 0.5 * t * u**2)
+        kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=(1, 2)))
         assert band == slice(kept[0], kept[-1] + 1)
         assert w.shape == (band.stop - band.start, y.size)
 
@@ -448,24 +494,22 @@ def test_array_time_band_holds_every_node_a_column_keeps(name):
     "prior", [PriorSpec.bernoulli(1.0, 0.3), PriorSpec.discrete_atoms([(-1.5, 0.2), (0.0, 0.5), (2.0, 0.3)])]
 )
 def test_array_times_match_scalar_calls_bit_for_bit(prior):
-    # where every call's band is the whole table, a call with one time per
-    # column gives each column the bits that a call at its time gives it, as
-    # the walk's calls over several steps must (a call of one column takes
-    # other summation paths, so every time here has several)
+    # where every call's band is the whole table, a call with one time per row
+    # gives each row the bits that a call at its time gives it, as the walk's
+    # calls over several steps must (a call of one column takes other
+    # summation paths, so every row here has several)
     table = build_quadrature(prior)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        times = rng.uniform(0.0, 8.0, int(rng.integers(1, 6)))
-        t = np.repeat(times, rng.integers(2, 60, times.size))
-        rng.shuffle(t)
-        y = rng.uniform(-4.0, 4.0, t.size)
-        assert _weight_matrix(table, t, y)[0] == slice(0, table.n)
-        g, h = posterior_mean_var(table, t, y)
-        for tk in times.tolist():
-            at = t == tk
-            assert _weight_matrix(table, tk, y[at])[0] == slice(0, table.n)
-            g1, h1 = posterior_mean_var(table, tk, y[at])
-            assert np.array_equal(g[at], g1) and np.array_equal(h[at], h1)
+        times = rng.uniform(0.0, 8.0, (int(rng.integers(1, 6)), 1))
+        y = rng.uniform(-4.0, 4.0, (times.size, int(rng.integers(2, 60))))
+        assert _weight_matrix(table, times, y)[0] == slice(0, table.n)
+        g, h = posterior_mean_var(table, times, y)
+        assert g.shape == h.shape == y.shape
+        for tk, yk, gk, hk in zip(times[:, 0].tolist(), y, g, h):
+            assert _weight_matrix(table, tk, yk)[0] == slice(0, table.n)
+            g1, h1 = posterior_mean_var(table, tk, yk)
+            assert np.array_equal(gk, g1) and np.array_equal(hk, h1)
 
 
 @pytest.mark.parametrize(
@@ -473,29 +517,41 @@ def test_array_times_match_scalar_calls_bit_for_bit(prior):
     [PriorSpec.gaussian(0.0, 1.0), PriorSpec.half_normal(1.0), PriorSpec.symmetric_gaussian_mixture(1.0, 1.0)],
 )
 def test_scalar_time_is_one_run_of_array_times(prior):
-    # a scalar t is one run of columns at one time: on 128-node tables a call
-    # with the time repeated for every column gets the same band and the same
-    # bits, and over 80 of the 200 calls get a band narrower than the table
+    # a scalar t is one time for every row: on 128-node tables a call with the
+    # time given once per row gets the same band and the same bits, for a 1-d
+    # y as one row and for a block of two rows, and over 80 of the 200 calls
+    # get a band narrower than the table
     table = build_quadrature(prior, n=128)
     narrow = 0
     for t, y in _random_calls(6):
         band, w = _weight_matrix(table, t, y)
-        band_run, w_run = _weight_matrix(table, np.full(y.shape, t), y)
-        assert band_run == band and np.array_equal(w_run, w)
+        band_row, w_row = _weight_matrix(table, np.full((1, 1), t), y[None])
+        assert band_row == band and np.array_equal(w_row, w)
         g, h = posterior_mean_var(table, t, y)
-        g_run, h_run = posterior_mean_var(table, np.full(y.shape, t), y)
-        assert np.array_equal(g_run, g) and np.array_equal(h_run, h)
+        g_row, h_row = posterior_mean_var(table, np.full((1, 1), t), y[None])
+        assert np.array_equal(g_row, g[None]) and np.array_equal(h_row, h[None])
+        block = np.stack([y, -y])
+        assert _weight_matrix(table, np.full((2, 1), t), block)[0] == _weight_matrix(table, t, block)[0]
+        g_rows, h_rows = posterior_mean_var(table, np.full((2, 1), t), block)
+        g_block, h_block = posterior_mean_var(table, t, block)
+        assert np.array_equal(g_rows, g_block) and np.array_equal(h_rows, h_block)
         narrow += band != slice(0, table.n)
     assert narrow >= 80
 
 
 def test_array_times_are_checked(bernoulli_table):
-    with pytest.raises(ValueError, match="time must be finite"):
-        posterior_mean_var(bernoulli_table, np.array([0.5, -1.0]), np.array([0.0, 1.0]))
+    y = np.array([[0.0, 1.0], [2.0, 3.0]])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            posterior_mean_var(bernoulli_table, np.array([[0.5], [bad]]), y)
+    # one time per column, or a row count that differs, is refused
+    for t in (np.array([0.5, 1.0]), np.array([[0.5, 1.0]]), np.array([[0.5], [1.0], [1.5]])):
+        with pytest.raises(ValueError, match="do not match"):
+            posterior_mean_var(bernoulli_table, t, y)
     with pytest.raises(ValueError, match="do not match"):
-        posterior_mean_var(bernoulli_table, np.array([0.5, 1.0]), np.array([0.0, 1.0, 2.0]))
+        posterior_mean_var(bernoulli_table, np.array([0.5, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(PosteriorError, match="non-finite"):
-        posterior_mean_var(bernoulli_table, np.array([0.5, 1.0]), np.array([0.0, math.inf]))
+        posterior_mean_var(bernoulli_table, np.array([[0.5], [1.0]]), np.array([[0.0, 1.0], [2.0, math.inf]]))
 
 
 def test_empty_observation_array_gives_empty_moments(gaussian_table):

@@ -7,6 +7,7 @@ from driftstop import (
     BoundaryCurve,
     HorizonResult,
     PriorSpec,
+    QuadratureTable,
     SolverConfig,
     bernoulli_comparison_check,
     bernoulli_solve,
@@ -318,6 +319,21 @@ _EXAMPLE_RULES = {
     "half_normal": (0.25, 2.0, "one_sided_lower"),
     "mixture": (0.04, 5.34, "two_sided_symmetric"),
 }
+
+
+def test_reflected_half_normal_stops_above_a_mirrored_boundary(halfnormal_table):
+    # X -> -X maps the half-normal onto a prior on (-inf, 0], and the stopping
+    # problem onto its mirror image: the value grid mirrors and the rule, which
+    # stops at and below b(t) for the half-normal, stops at and above -b(t)
+    reflected = QuadratureTable(-halfnormal_table.nodes[::-1], halfnormal_table.weights[::-1], (-math.inf, 0.0))
+    grid, _ = _solve(halfnormal_table, 0.25, n_t=40, n_x=81, T_max=3.0)
+    grid_r, _ = _solve(reflected, 0.25, n_t=40, n_x=81, T_max=3.0)
+    assert np.max(np.abs(grid_r.values - grid.values[:, ::-1])) <= 1e-14
+    rule, rule_r = extract_regions(grid), extract_regions(grid_r)
+    assert (rule.shape, rule_r.shape) == ("one_sided_lower", "one_sided_upper")
+    finite = np.isfinite(rule.b)
+    assert finite.any() and np.array_equal(np.isfinite(rule_r.b), finite)
+    assert np.max(np.abs(rule_r.b[finite] + rule.b[finite])) <= 1e-12
 
 
 @pytest.fixture(scope="module")
