@@ -499,40 +499,49 @@ def _band_cut(table: QuadratureTable) -> float:
     return math.log(table.n * (1.0 + span * span)) + 53.0 * math.log(2.0)
 
 
+_FIRST_COLUMN = np.zeros(1, dtype=np.intp)
+
+
 def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.ndarray]:
     """Max-shifted posterior weights on the node band the call can reach, one column per y.
 
-    Returns the band as a slice of the nodes and the weights of its nodes,
-    one column per element of ``y`` in its order, unnormalised: each column's
-    largest weight is exactly 1, so its sum lies in [1, band width], and the
-    caller divides its sums by that sum.  ``y`` is read as rows along its last
-    axis (a 1-d ``y`` is one row), and ``t`` is one time for every row or,
-    for a 2-d ``y``, one per row, of shape ``(rows, 1)``.  Each row adds the
-    band from the full-table logits of its smallest and its largest y alone;
-    the call's band runs from the first to the last node of these (see the
-    module docstring), and each row's tilt ln w - u^2 t / 2 on the band is
-    added to its columns through a node x row x column view.  ``y`` must be
-    non-empty.
+    Returns the band as a slice of the nodes and a pair of band x column
+    matrices: the weights of its nodes, one column per element of ``y`` in
+    its order, and an uninitialised one of the same shape for the caller's
+    scratch.  The two share one allocation: two separate ones of this size
+    can make the heap top shrink and grow back on every call, and the call
+    then spends its time faulting in fresh pages.  The weights are
+    unnormalised: each column's largest is exactly 1, so its sum lies in
+    [1, band width], and the caller divides its sums by that sum.  ``y`` is
+    read as rows along its last axis (a 1-d ``y`` is one row), and ``t`` is
+    one time for every row or, for a 2-d ``y``, one per row, of shape
+    ``(rows, 1)``.  Each row adds the band from the full-table logits of its
+    smallest and its largest y alone; the call's band runs from the first to
+    the last node of these (see the module docstring), and each row's tilt
+    ln w - u^2 t / 2 on the band is added to its columns through a node x row
+    x column view.  ``y`` must be non-empty.
     """
     y = y.reshape(-1, y.shape[-1])  # row x column
     tilt = _tilt(table, np.array(t, ndmin=2))  # row x node, one row for a scalar time
-    ext = np.array([y.min(axis=1), y.max(axis=1)])
-    ends = np.multiply.outer(ext, table.nodes)
+    # [smallest, largest y] x row x 1: a reduceat from column 0 is the cheapest row reduction
+    ext = np.array([np.minimum.reduceat(y, _FIRST_COLUMN, axis=1), np.maximum.reduceat(y, _FIRST_COLUMN, axis=1)])
+    ends = ext * table.nodes
     ends += tilt  # [smallest, largest y] x row x node
     top = ends.max(axis=2)
     if not np.isfinite(top).all():
-        y_end = ext[~np.isfinite(top)][0]
+        y_end = ext[~np.isfinite(top)][0, 0]
         raise PosteriorError(f"observation level y={float(y_end)!r} gives non-finite posterior weights")
     cut = top - _band_cut(table)
     rows = top.shape[1]
     first = int((ends[0] >= cut[0, :, None]).T.argmax()) // rows  # first node kept at a row's smallest y
     past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // rows  # past the last at its largest
     band = slice(first, past_last)
-    w = np.multiply.outer(table.nodes[band], y)  # node x row x column
+    pair = np.empty((2, past_last - first) + y.shape)
+    w = np.multiply.outer(table.nodes[band], y, out=pair[0])  # node x row x column
     w += tilt[:, band].T[:, :, None]
     w -= w.max(axis=0)  # max shift: each column's largest weight is exactly 1
     np.exp(w, out=w)
-    return band, w.reshape(w.shape[0], -1)
+    return band, pair.reshape(2, w.shape[0], -1)
 
 
 def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.ndarray]:
@@ -547,14 +556,14 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)
     if y_arr.size == 0:
         return np.empty(y_arr.shape), np.empty(y_arr.shape)
-    band, w = _weight_matrix(table, t, y_arr)
+    band, (w, d) = _weight_matrix(table, t, y_arr)
     u = table.nodes[band]
     s0 = w.sum(axis=0)
     g = u @ w
     g /= s0  # in place, as h below: one column-length temporary fewer
     # centred two-pass variance, its square fused into the sum: raw moments
     # about a fixed centre cancel badly when the posterior sits on an edge node
-    d = u[:, None] - g
+    np.subtract(u[:, None], g, out=d)
     h = np.einsum("ij,ij,ij->j", w, d, d)
     h /= s0
     return g.reshape(y_arr.shape), h.reshape(y_arr.shape)

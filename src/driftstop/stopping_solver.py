@@ -13,10 +13,12 @@ v_inf is exact for two-point priors and zero once sup_x Psi(T)^2 <= c.  The
 march is second order in t: each row is a BDF2 step from the two rows above
 it, except the first row below T_max, which takes one implicit Euler step
 from v_inf.  The stationary problem and every step are tridiagonal linear
-complementarity problems solved exactly by policy iteration with direct
-banded solves; both lateral boundaries reflect.  Repeating the march on every
-second row estimates the time error, and on every second node the space
-error.  Stopping regions are read off the solved grid and classified.
+complementarity problems solved exactly by policy iteration; each iteration
+sets the stopped rows to 0 and solves every run of continuation rows with a
+Thomas sweep, in Python floats, so no solve needs a linear-algebra library.
+Both lateral boundaries reflect.  Repeating the march on every second row
+estimates the time error, and on every second node the space error.
+Stopping regions are read off the solved grid and classified.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .closed_form import bernoulli_solve
 from .csvio import format_float, write_table_csv
@@ -195,11 +196,47 @@ def _step_operator(psi_row: np.ndarray, dt: float, dx: float):
     return lower, diag, upper
 
 
-def _neighbor_terms(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[1:] += lower[1:] * v[:-1]
-    out[:-1] += upper[:-1] * v[1:]
-    return out
+def _sweep_runs(lower: list, diag: list, upper: list, rhs: list, edges: list) -> list:
+    """Solve the rows of every run of continuation rows by a Thomas sweep; other rows read 0.
+
+    ``edges`` alternates each run's first row and the row past its last.  A
+    stopped row reads v = 0, so the coefficients that couple a run to its
+    stopped neighbours drop out and each run is its own tridiagonal system.
+    Elimination does not pivot: every step matrix is strictly diagonally
+    dominant, and the stationary one is an M-matrix, nonsingular on a run
+    with a stopped neighbour.  So a pivot that is not finite, or not above
+    1e-12 x its diagonal, is a singular or broken operator: it raises
+    ``SolverError`` naming its row.
+    """
+    v = [0.0] * len(diag)
+    for a, e in zip(edges[::2], edges[1::2]):
+        p, r = diag[a], rhs[a]
+        if not 1e-12 * p < p < math.inf:
+            raise _pivot_error(p, a, p)
+        pivots, sums = [p], [r]
+        for lo, d, up, b in zip(lower[a + 1 : e], diag[a + 1 : e], upper[a : e - 1], rhs[a + 1 : e]):
+            f = lo / p
+            p = d - f * up
+            if not 1e-12 * d < p < math.inf:
+                raise _pivot_error(p, a + len(pivots), d)
+            r = b - f * r
+            pivots.append(p)
+            sums.append(r)
+        x = r / p
+        run = [x]
+        for p, r, up in zip(pivots[-2::-1], sums[-2::-1], reversed(upper[a : e - 1])):
+            x = (r - up * x) / p
+            run.append(x)
+        run.reverse()
+        v[a:e] = run
+    return v
+
+
+def _pivot_error(pivot: float, row: int, diag: float) -> SolverError:
+    return SolverError(
+        f"singular or non-finite step operator in policy iteration: pivot {pivot!r} at row {row} "
+        f"is not a finite number above 1e-12 x its diagonal {diag!r}"
+    )
 
 
 def _policy_step(
@@ -210,21 +247,30 @@ def _policy_step(
     stopped: np.ndarray,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact LCP solve by policy iteration over the stopped set."""
+    """Exact LCP solve by policy iteration over the stopped set.
+
+    Each iteration sets v = 0 on the stopped rows and solves the continuation
+    rows exactly, one run of adjacent rows at a time (``_sweep_runs``); the
+    runs are where the stopped set, padded with a stopped row past each edge,
+    changes.  A stopped row stays stopped while its residual is >= 0 and a
+    continuation row stops once v > 0; the iteration ends when the set
+    settles.  The sweep reads the coefficients and rhs as Python floats,
+    converted once per call, not once per iteration.
+    """
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
+    rows = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    padded = np.ones(rhs.size + 2, dtype=bool)  # a stopped row beyond each edge closes every run
     for it in range(1, max_iter + 1):
-        # a stopped row reads v = 0: unit diagonal, no neighbours, zero rhs
-        lo = np.where(stopped, 0.0, lower)
-        up = np.where(stopped, 0.0, upper)
-        d = np.where(stopped, 1.0, diag)
-        b = np.where(stopped, 0.0, rhs)
-        _, _, _, v, info = dgtsv(lo[1:], d, up[:-1], b)
-        if info > 0:  # an exactly zero pivot
-            raise SolverError(f"singular step operator in policy iteration (zero pivot at row {info - 1})")
-        # residual of the *original* rows decides admissibility of stopping
-        resid = rhs - (diag * v + _neighbor_terms(v, lower, upper))
+        padded[1:-1] = stopped
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        v = np.fromiter(_sweep_runs(*rows, edges), float, rhs.size)
+        # residual of the *original* rows decides admissibility of stopping; only
+        # a stopped row's is read, and there v = 0: rhs less its neighbour terms
+        resid = rhs.copy()
+        resid[1:] -= lower[1:] * v[:-1]
+        resid[:-1] -= upper[:-1] * v[1:]
         new_stopped = np.where(stopped, resid >= -slack, v > slack)
-        if np.array_equal(new_stopped, stopped):
+        if (new_stopped == stopped).all():
             return np.minimum(v, 0.0), stopped, it
         stopped = new_stopped
     raise SolverError(f"policy iteration did not settle in {max_iter} iterations")

@@ -802,3 +802,26 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "driftstop", "--help"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "verify" in proc.stdout
+
+
+@pytest.mark.parametrize("prior", [{"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, {"kind": "half_normal", "sigma2": 1.0}])
+def test_solve_then_verify_loads_no_scipy(tmp_path, prior):
+    cfg = {
+        "prior": prior,
+        "cost_c": 0.25,
+        "solver": {"n_t": 20, "n_x": 41},
+        "sim": {"n_paths": 300, "dt": 0.02, "horizon": 3.0},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    src = str(Path(driftstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from driftstop.cli import main\n"
+        "for sub in ('solve', 'verify'):\n"
+        "    assert main([sub, '--config', 'config.json', '--out', 'out']) == 0, sub\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -154,12 +154,18 @@ def test_bernoulli_closed_forms_match_quadrature(beta):
 
 
 def _cli_import_loads(module: str) -> bool:
-    """Does a fresh interpreter that imports driftstop.cli load ``module``?"""
+    """Does a fresh interpreter that imports driftstop.cli load ``module`` or a submodule of it?"""
     src = Path(driftstop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = f"import sys, driftstop.cli; print({module!r} in sys.modules)"
+    code = f"import sys, driftstop.cli; print(any(k == {module!r} or k.startswith({module + '.'!r}) for k in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy():
+    # the obstacle solver's tridiagonal sweep is in-house, so no command's
+    # start-up pays for scipy's package init
+    assert not _cli_import_loads("scipy")
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -24,7 +24,7 @@ def _full_weights(table, t, y):
     """The kernel's band weights, normalised per column and padded to every node,
     after checking each node outside the band lies more than ``_band_cut`` below
     its column's largest."""
-    band, w = _weight_matrix(table, t, y)
+    band, (w, _) = _weight_matrix(table, t, y)
     w = w / w.sum(axis=0)
     logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
     outside = np.ones(table.n, dtype=bool)
@@ -273,7 +273,7 @@ def test_posterior_expectation_normalization(all_tables):
     # width], and S0 times e^(largest logit) is the normalizing integral F(t, y)
     t, y = 1.3, 0.4
     for table in all_tables.values():
-        band, w = _weight_matrix(table, t, np.array([y]))
+        band, (w, _) = _weight_matrix(table, t, np.array([y]))
         logits = table.nodes * y + _tilt(table, t)
         assert w.max() == 1.0 and w.argmax() == logits.argmax() - band.start
         s0 = float(w.sum())
@@ -355,7 +355,7 @@ def test_posterior_weights_normalized_on_lattice(all_tables):
     y = np.linspace(-5, 5, 7)
     for table in all_tables.values():
         for t in [0.0, 0.5, 2.0, 10.0]:
-            band, w = _weight_matrix(table, t, y)
+            band, (w, _) = _weight_matrix(table, t, y)
             logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
             assert np.all(w.max(axis=0) == 1.0)
             assert np.array_equal(w.argmax(axis=0) + band.start, logits.argmax(axis=0))
@@ -392,7 +392,7 @@ def test_band_holds_every_node_a_column_keeps(name):
     table = build_quadrature(prior, n=n)
     cut = _band_cut(table)
     for t, y in _random_calls(1):
-        band, w = _weight_matrix(table, t, y)
+        band, (w, _) = _weight_matrix(table, t, y)
         logits = np.multiply.outer(table.nodes, y) + _tilt(table, t)[:, None]
         kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=1))
         assert band.start <= kept[0] and kept[-1] < band.stop
@@ -482,7 +482,7 @@ def test_array_time_band_holds_every_node_a_column_keeps(name):
     table = build_quadrature(prior, n=n)
     cut = _band_cut(table)
     for t, y in _random_rows(4):
-        band, w = _weight_matrix(table, t, y)
+        band, (w, _) = _weight_matrix(table, t, y)
         u = table.nodes[:, None, None]  # node x row x column
         logits = u * y + (table.log_weights[:, None, None] - 0.5 * t * u**2)
         kept = np.flatnonzero((logits >= logits.max(axis=0) - cut).any(axis=(1, 2)))
@@ -524,8 +524,8 @@ def test_scalar_time_is_one_run_of_array_times(prior):
     table = build_quadrature(prior, n=128)
     narrow = 0
     for t, y in _random_calls(6):
-        band, w = _weight_matrix(table, t, y)
-        band_row, w_row = _weight_matrix(table, np.full((1, 1), t), y[None])
+        band, (w, _) = _weight_matrix(table, t, y)
+        band_row, (w_row, _) = _weight_matrix(table, np.full((1, 1), t), y[None])
         assert band_row == band and np.array_equal(w_row, w)
         g, h = posterior_mean_var(table, t, y)
         g_row, h_row = posterior_mean_var(table, np.full((1, 1), t), y[None])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from driftstop import (
     BoundaryCurve,
@@ -22,8 +23,9 @@ from driftstop import (
     psi_grid,
     solve_value,
     solver_psi_grid,
+    stopping_solver,
 )
-from driftstop.stopping_solver import SolverError, _policy_step, _step_operator
+from driftstop.stopping_solver import SolverError, _policy_step, _step_operator, _sweep_runs
 
 
 def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, x_lo=None, x_hi=None):
@@ -533,9 +535,122 @@ def test_locally_good(bern_grid, gaussian_table):
 
 
 def test_singular_step_operator_is_a_solver_error():
-    # LAPACK's gtsv reports a zero pivot through info > 0; a singular operator
-    # is a numerical failure (exit 3), not bad input (exit 2)
+    # an exactly zero pivot fails the sweep's pivot test, like any pivot not
+    # above 1e-12 x its diagonal; a singular operator is a numerical failure
+    # (exit 3), not bad input (exit 2)
     n = 5
     zeros = np.zeros(n)
     with pytest.raises(SolverError, match="singular"):
         _policy_step(np.ones(n), zeros, zeros, zeros, np.zeros(n, dtype=bool))
+
+
+def test_stationary_operator_without_a_stopped_row_is_a_solver_error():
+    # with both edges reflecting and no stopped row the stationary operator's
+    # rows sum to zero, so it is singular; elimination leaves a last pivot of
+    # round-off size, and a solve that took it would return v ~ -5.9e15 as settled
+    psi = np.linspace(0.5, 1.0, 41)
+    lower, diag, upper = _step_operator(psi, 1.0, 0.1)
+    with pytest.raises(SolverError, match="at row 40"):
+        _policy_step(np.full(41, -1.0), lower, diag - 1.0, upper, np.zeros(41, dtype=bool))
+
+
+def test_nan_in_the_step_operator_is_a_solver_error():
+    # unchecked, a NaN diagonal entry would come back as an all-NaN v, reported as settled
+    psi = np.linspace(0.5, 1.0, 41)
+    lower, diag, upper = _step_operator(psi, 0.01, 0.1)
+    diag[7] = math.nan
+    with pytest.raises(SolverError, match="pivot nan at row 7"):
+        _policy_step(0.25 - psi**2, lower, diag, upper, np.zeros(41, dtype=bool))
+
+
+def _dgtsv_masked(rhs, lower, diag, upper, stopped):
+    """The policy step's linear solve as LAPACK does it: stopped rows become identity rows."""
+    lo = np.where(stopped, 0.0, lower)
+    up = np.where(stopped, 0.0, upper)
+    d = np.where(stopped, 1.0, diag)
+    b = np.where(stopped, 0.0, rhs)
+    *_, v, info = dgtsv(lo[1:], d, up[:-1], b)
+    assert info == 0
+    return v
+
+
+def _policy_step_dgtsv(rhs, lower, diag, upper, stopped, max_iter=100):
+    """Policy iteration with LAPACK's banded solve: the reference for the sweep."""
+    slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
+    for it in range(1, max_iter + 1):
+        v = _dgtsv_masked(rhs, lower, diag, upper, stopped)
+        resid = rhs - diag * v
+        resid[1:] -= lower[1:] * v[:-1]
+        resid[:-1] -= upper[:-1] * v[1:]
+        new_stopped = np.where(stopped, resid >= -slack, v > slack)
+        if np.array_equal(new_stopped, stopped):
+            return np.minimum(v, 0.0), stopped, it
+        stopped = new_stopped
+    raise AssertionError("reference policy iteration did not settle")
+
+
+def _run_edges(stopped):
+    return np.flatnonzero(np.diff(np.concatenate(([True], stopped, [True])))).tolist()
+
+
+def _random_operators(rng, n):
+    """Implicit Euler, BDF2 and stationary operators on a random dispersion row."""
+    psi = rng.uniform(0.2, 1.5, n)
+    dx = rng.uniform(0.01, 0.2)
+    lower, diag, upper = _step_operator(psi, rng.uniform(0.001, 0.5), dx)
+    s_lower, s_diag, s_upper = _step_operator(psi, 1.0, dx)
+    return {
+        "euler": (lower, diag, upper),
+        "bdf2": (lower, diag + 0.5, upper),
+        "stationary": (s_lower, s_diag - 1.0, s_upper),
+    }
+
+
+def _oracle_masks(rng, n):
+    rows = np.arange(n)
+    middle = (rows >= n // 3) & (rows < 2 * n // 3)
+    return {
+        "none_stopped": np.zeros(n, dtype=bool),
+        "all_stopped": np.ones(n, dtype=bool),
+        # single-node runs; one of the two touches each edge, whatever the parity of n
+        "odd_rows_stopped": rows % 2 == 1,
+        "even_rows_stopped": rows % 2 == 0,
+        "middle_stopped": middle,  # a run at each reflecting edge
+        "edges_stopped": ~middle,
+        "random": rng.random(n) < 0.4,
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_sweep_matches_lapack_on_the_masked_system(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 90))
+    for op_name, (lower, diag, upper) in _random_operators(rng, n).items():
+        rhs = rng.normal(size=n) * rng.uniform(0.01, 10.0)
+        for mask_name, stopped in _oracle_masks(rng, n).items():
+            if op_name == "stationary" and not stopped.any():
+                continue  # singular: see the test above
+            v = np.array(_sweep_runs(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist(), _run_edges(stopped)))
+            ref = _dgtsv_masked(rhs, lower, diag, upper, stopped)
+            assert np.all(v[stopped] == 0.0), (op_name, mask_name)
+            assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref)), (op_name, mask_name)
+
+
+def test_policy_steps_match_the_lapack_reference(all_tables, monkeypatch):
+    # every policy step of real solves, the stationary one included, settles
+    # in as many iterations on the same stopped set as with LAPACK's solve
+    seen = []
+    policy_step = stopping_solver._policy_step
+
+    def compared(rhs, lower, diag, upper, stopped, max_iter=100):
+        out = policy_step(rhs, lower, diag, upper, stopped, max_iter)
+        ref = _policy_step_dgtsv(rhs, lower, diag, upper, stopped, max_iter)
+        assert out[2] == ref[2] and np.array_equal(out[1], ref[1])
+        assert np.max(np.abs(out[0] - ref[0])) <= 1e-13 * max(1.0, float(np.max(np.abs(ref[0]))))
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(stopping_solver, "_policy_step", compared)
+    for name, c in (("bernoulli", 0.25), ("gaussian", 0.25), ("half_normal", 0.25), ("mixture", 0.04)):
+        _solve(all_tables[name], c, n_t=24, n_x=61, T_max=2.0)
+    assert len(seen) > 100 and max(seen) > 1
