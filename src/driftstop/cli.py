@@ -420,7 +420,14 @@ def _closed_form_record(args) -> dict:
     elif family == "half_normal":
         if args.sigma2 is None:
             raise ConfigError("half_normal requires --sigma2")
-        fa = closed_form.halfnormal_analytics(args.sigma2, t, y)
+        try:
+            fa = closed_form.halfnormal_analytics(args.sigma2, t, y)
+        except ModuleNotFoundError as exc:
+            if not (exc.name or "").startswith("scipy"):
+                raise
+            raise ConfigError(
+                "half_normal needs scipy (scipy.special), which is not installed: pip install 'driftstop[half_normal]'"
+            ) from None
         rec.update(t=t, y=y, F=fa.F, G=fa.G, H=fa.H)
         rec["H_limit_large_y"] = args.sigma2 / (1.0 + args.sigma2 * t)
     elif family == "mixture":

@@ -211,15 +211,12 @@ def psi_grid(
     t_nodes,
     x_nodes,
     tol: float = 1e-10,
-    t_offset: float = 0.0,
 ) -> PsiGrid:
     """Tabulate Psi over a (t, x) lattice, warm-starting inversions row by row.
 
     Row i starts from 2 y_{i-1} - y_{i-2} (row 1 from y_0, row 0 from 0): exact
     for Gaussian priors, whose inverse is linear in t, and O(dt^2) off otherwise
     on uniform rows.  The values are the H that ``_invert_array`` returns.
-    ``t_offset`` shifts the evaluation times (Psi is computed at t + offset but
-    the grid keeps the unshifted labels); used for time-shift comparisons.
     """
     t_arr = np.asarray(t_nodes, dtype=float)
     x_arr = np.asarray(x_nodes, dtype=float)
@@ -238,7 +235,7 @@ def psi_grid(
     y_nodes = np.empty_like(values)
     y_start: np.ndarray | None = None
     for i, ti in enumerate(t_arr):
-        y_nodes[i], values[i] = _invert_array(table, float(ti + t_offset), x_eval, tol, y0=y_start)
+        y_nodes[i], values[i] = _invert_array(table, float(ti), x_eval, tol, y0=y_start)
         y_start = y_nodes[i] if i == 0 else 2.0 * y_nodes[i] - y_nodes[i - 1]
     return PsiGrid(
         t_nodes=t_arr,
@@ -246,7 +243,7 @@ def psi_grid(
         values=values,
         y_nodes=y_nodes,
         stationary=stationary_psi(table, x_eval),
-        meta={"tol": tol, "t_offset": t_offset, "clamped_points": clamped},
+        meta={"tol": tol, "clamped_points": clamped},
     )
 
 

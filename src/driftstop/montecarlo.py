@@ -14,20 +14,24 @@ monitored step where the filtered estimate lies in one of its stopping
 intervals, the containment ``BoundaryCurve.contains`` tests, so the kernel's
 estimate decides every stop.
 
-Randomness is counter-based: each path owns the Philox stream of key
-(seed, path index) from counter 0, drawn lazily in blocks of Wiener steps and
-never past the last step a rule can reach.  A Philox stream is fully defined
-by its key and counter, so one bit generator per chunk, re-keyed for each
-path, draws every path's stream, and a path that walks past its first block
-replays that block once instead of every path saving its position after it.
-Paths are walked in fixed chunks of consecutive indices.  Within a chunk the
-kernel runs only on the paths some rule still needs, in one call per span of
-whole steps: as many steps as keep table nodes x cells within
-``_NODE_COLUMNS``, at least one, so a small table covers several steps per
-call.  Reruns with the same SimConfig are bit-identical.  The kernel's per-column round-off can depend on which columns
-share a call (BLAS and summation order at large node counts, and the node band
-set by the call's extreme cells), so per-path values are not guaranteed to be
-independent of which paths are walked together.
+Randomness is counter-based.  Path i's Wiener steps come in blocks of
+``_BLOCK``: block b holds steps b * _BLOCK + 1 to (b + 1) * _BLOCK and is the
+Philox stream of key (seed, i) from counter (0, 0, b, 0).  Block 0, from
+counter 0, gives the drift's uniform first and then its normals.  A Philox
+stream is fully defined by its key and counter, so one bit generator per
+chunk, re-keyed once per path and block, draws every block with no stream
+position kept between blocks and nothing drawn twice; blocks are drawn lazily
+and never past the last step a rule can reach.  ``_BLOCK`` is thus part of the
+stream layout: changing it changes every path past its first block.  Paths are
+walked in fixed chunks of consecutive indices.  Within a chunk the kernel runs
+only on the paths some rule still needs, in one call per span of whole steps:
+as many steps as keep table nodes x cells within ``_NODE_COLUMNS``, at least
+one, so a small table covers several steps per call.  Reruns with the same
+SimConfig are bit-identical, and a path's draws depend neither on its chunk
+nor on the horizon.  The kernel's per-column round-off can depend on which
+columns share a call (BLAS and summation order at large node counts, and the
+node band set by the call's extreme cells), so per-path values are not
+guaranteed to be independent of which paths are walked together.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-_BLOCK = 256  # Wiener steps drawn per path at a time: a walk holds _CHUNK x _BLOCK values
+_BLOCK = 256  # Wiener steps per Philox block, part of the stream layout: a walk holds _CHUNK x _BLOCK values
 _NODE_COLUMNS = 2**16  # table nodes x columns of a kernel call that spans several steps
 
 
@@ -108,83 +112,55 @@ class PathBatch:
                 fh.write("".join([f"{p},{tk},{yk!r},{xk!r},{sk!r}{tail}" for tk, yk, xk, sk in rows]))
 
 
-class _Streams:
-    """The Philox streams of a chunk's paths, from index ``start`` on, drawn through one bit generator.
-
-    Path ``i`` owns the stream of key (seed, start + i) from counter 0, the one
-    a fresh ``Generator(Philox(key=...))`` gives: the drift's uniform, the
-    normals of its first block of ``first`` steps, then those of its later
-    blocks.  ``load`` re-keys the bit generator through its public ``state``
-    setter, at the stream's start.  A path's position is kept only once it
-    walks past its first block: the first ``resume`` replays the stream from
-    counter 0 through that block, and ``saved[i]`` then holds the position
-    after each later block, so no path is replayed twice.
-    """
-
-    def __init__(self, seed: int, start: int, first: int) -> None:
-        self.bits = np.random.Philox(0)  # re-keyed before every draw
-        self.gen = np.random.Generator(self.bits)
-        self.seed, self.start = seed, start
-        self.replay = np.empty(first)  # scratch row for a replayed first block
-        self.saved: dict[int, dict] = {}
-
-    def load(self, i: int) -> None:
-        self.bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, self.start + i)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,  # an empty buffer
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def resume(self, i: int) -> None:
-        """Load path i's stream where its last drawn block ended."""
-        if i in self.saved:
-            self.bits.state = self.saved[i]
-        else:
-            self.load(i)
-            self.gen.random()
-            self.gen.standard_normal(out=self.replay)
+def _rekey(gen: np.random.Generator, seed: int, path: int, block: int) -> None:
+    """Re-key ``gen``'s Philox bit generator, through its public ``state`` setter,
+    to block ``block`` of path ``path``: key (seed, path) at counter (0, 0, block, 0)."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, block, 0), "key": (seed, path)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # an empty buffer
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _path_streams(
-    table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float
-) -> tuple[np.ndarray, np.ndarray, _Streams]:
-    """Drift draws for paths [start, start+count), their W at steps 0 to ``n_steps``
-    (column k holds W at step k, so column 0 holds W(0) = 0), and their streams.
+    gen: np.random.Generator, table: QuadratureTable, seed: int, start: int, count: int, n_steps: int, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift draws for paths [start, start+count) and their W at steps 0 to
+    ``n_steps`` <= ``_BLOCK`` (column k holds W at step k, so column 0 holds W(0) = 0).
 
-    A path's stream is its Philox key (seed, path index) at counter 0, loaded by
-    re-keying the chunk's one bit generator.  It gives the drift's uniform first
-    and then the normals.  No position is saved: most paths stop within this
-    block, and one that walks on replays it once (``_Streams.resume``).
+    This is each path's block 0, its Philox key (seed, path index) at counter 0,
+    loaded by re-keying ``gen``: the drift's uniform first, then the normals of
+    steps 1 to ``n_steps``.
     """
-    streams = _Streams(seed, start, n_steps)
-    random, normals = streams.gen.random, streams.gen.standard_normal
+    random, normals = gen.random, gen.standard_normal
     u = np.empty(count)
     z = np.zeros((count, n_steps + 1))
-    for i in range(count):
-        streams.load(i)
+    for i, row in enumerate(z[:, 1:]):
+        _rekey(gen, seed, start + i, 0)
         u[i] = random()
-        normals(out=z[i, 1:])
+        normals(out=row)
     drawn = np.minimum(np.searchsorted(np.cumsum(table.weights), u, side="right"), table.n - 1)
-    return table.nodes[drawn], _cumulate(z, 0.0, dt), streams
+    return table.nodes[drawn], _cumulate(z, 0.0, dt)
 
 
-def _wiener_block(streams: _Streams, paths: np.ndarray, w_last: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """The next ``n_steps`` values of W for the chunk's ``paths``, which stand at ``w_last``.
+def _wiener_block(
+    gen: np.random.Generator, seed: int, paths: np.ndarray, block: int, w_last: np.ndarray, n_steps: int, dt: float
+) -> np.ndarray:
+    """The first ``n_steps`` values of W in block ``block`` >= 1, steps ``block * _BLOCK + 1`` on,
+    for the given path indices, which stand at ``w_last``.
 
-    Each path's stream is resumed where its last block ended, replayed from
-    counter 0 the first time it walks past its first block, and its position
-    after these steps is saved for its next block.  Drawing thus stays linear
-    in the steps walked.
+    The block's normals start its own Philox counter (0, 0, block, 0) under the
+    path's key, so one re-key of ``gen`` per path draws them, from no stream
+    position kept since the path's last block.
     """
-    normals = streams.gen.standard_normal
+    normals = gen.standard_normal
     z = np.empty((paths.size, n_steps))
-    for row, i in enumerate(paths.tolist()):
-        streams.resume(i)
-        normals(out=z[row])
-        streams.saved[i] = streams.bits.state
+    for i, row in zip(paths.tolist(), z):
+        _rekey(gen, seed, i, block)
+        normals(out=row)
     return _cumulate(z, w_last, dt)
 
 
@@ -192,9 +168,9 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     """W from standard normal increments ``z`` (one row per path, at least one column)
     continuing from ``w_last``, in place.
 
-    A stream drawn in blocks gives the same normals as in one call, and the sum
-    runs left to right from ``w_last``, so every W(t) has the bits of one
-    cumulative sum over all steps.
+    The sum runs left to right from ``w_last``, so every W(t) has the bits of
+    one cumulative sum over all of the path's steps, however they are split
+    into blocks.
     """
     z *= math.sqrt(dt)
     z[:, 0] += w_last
@@ -279,11 +255,13 @@ def _walk_chunk(
     then stops a path at the first step of the span where its x_hat lies in a
     stopping interval, or at the horizon.  Only the working set, the paths still
     live in some rule, is drawn and filtered: it shrinks as paths stop, and the
-    walk ends when it is empty.
+    walk ends when it is empty.  Every path draws block 0 up front; the working
+    set draws each later block as the walk enters it, by its own counter.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
-    x, w_block, streams = _path_streams(table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
+    gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every block
+    x, w_block = _path_streams(gen, table, sim.seed, sl.start, sl.stop - sl.start, min(_BLOCK, reach), dt)
     k0 = 0  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
@@ -295,7 +273,9 @@ def _walk_chunk(
     k = 0
     while True:
         if k - k0 == w_block.shape[1]:
-            w_block = _wiener_block(streams, paths, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt)
+            w_block = _wiener_block(
+                gen, sim.seed, sl.start + paths, k // _BLOCK, w_block[rows, -1], min(_BLOCK, reach + 1 - k), dt
+            )
             k0, rows = k, np.arange(paths.size)
         span = 1 if k == 0 else min(max(budget // paths.size, 1), k0 + w_block.shape[1] - k)
         t_span, w = times[k : k + span], w_block[:, k - k0 : k - k0 + span]
@@ -347,16 +327,22 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def simulate_paths(table: QuadratureTable, sim: SimConfig) -> PathBatch:
-    """Full monitored trajectories (memory scales with n_paths * n_steps)."""
+    """Full monitored trajectories (memory scales with n_paths * n_steps), drawn
+    block by block from the same per-path streams as ``evaluate_policy``'s walk."""
     n_steps = sim.n_steps
     t = sim.times()
     x_true = np.empty(sim.n_paths)
     y = np.empty((sim.n_paths, n_steps + 1))
     for start in range(0, sim.n_paths, _CHUNK):
-        count = min(_CHUNK, sim.n_paths - start)
-        xt, w_paths, _ = _path_streams(table, sim.seed, start, count, n_steps, sim.dt)
-        x_true[start : start + count] = xt
-        y[start : start + count] = xt[:, None] * t + w_paths
+        rows = slice(start, min(start + _CHUNK, sim.n_paths))
+        gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every block
+        x, w = _path_streams(gen, table, sim.seed, start, rows.stop - start, min(_BLOCK, n_steps), sim.dt)
+        x_true[rows] = x
+        y[rows, : w.shape[1]] = x[:, None] * t[: w.shape[1]] + w
+        paths = np.arange(start, rows.stop)
+        for k0 in range(_BLOCK + 1, n_steps + 1, _BLOCK):  # block k0 // _BLOCK holds steps k0 on
+            w = _wiener_block(gen, sim.seed, paths, k0 // _BLOCK, w[:, -1], min(_BLOCK, n_steps + 1 - k0), sim.dt)
+            y[rows, k0 : k0 + w.shape[1]] = x[:, None] * t[k0 : k0 + w.shape[1]] + w
     x_hat = np.empty_like(y)
     psi = np.empty_like(y)
     for k in range(n_steps + 1):

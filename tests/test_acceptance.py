@@ -8,6 +8,7 @@ the fixture that builds it.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,8 +252,8 @@ def test_criterion_5_structural_theorems(
     lo, hi = default_domain(mixture_table)
     cfg_m = SolverConfig(n_t=80, n_x=81, T_max=5.0, x_lo=lo, x_hi=hi)
     times, xs = cfg_m.solve_times(), cfg_m.x_nodes()
-    g_early = solve_value(psi_grid(mixture_table, times, xs, t_offset=0.0), 0.04, cfg_m)
-    g_late = solve_value(psi_grid(mixture_table, times, xs, t_offset=1.0), 0.04, cfg_m)
+    g_early = solve_value(psi_grid(mixture_table, times, xs), 0.04, cfg_m)
+    g_late = solve_value(replace(psi_grid(mixture_table, times + 1.0, xs), t_nodes=times), 0.04, cfg_m)
     rep = compare_value_ordering(g_early, g_late, tol=1e-8)
     ok = ok and rep.passed
     details.append(f"ordering time-shift ({'ok' if rep.passed else 'BAD'})")

@@ -462,6 +462,15 @@ def test_closed_form_missing_param_exit_2(capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+def test_closed_form_half_normal_without_scipy_exits_2(capsys, monkeypatch):
+    # scipy is an optional extra: without it the half-normal record is an input
+    # error that names scipy, not a traceback, and nothing reaches stdout
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    assert main(["closed-form", "--family", "half_normal", "--sigma2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "scipy" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

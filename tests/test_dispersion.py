@@ -224,12 +224,6 @@ def test_stationary_psi_two_point_is_time_independent(bernoulli_table):
     assert np.max(np.abs(g.stationary - expect)) <= 1e-15
 
 
-def test_psi_grid_time_offset(mixture_table):
-    base = psi_grid(mixture_table, np.array([1.0, 1.5]), np.linspace(-1.0, 1.0, 9))
-    shifted = psi_grid(mixture_table, np.array([0.0, 0.5]), np.linspace(-1.0, 1.0, 9), t_offset=1.0)
-    assert np.allclose(base.values, shifted.values, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # residual diagnostics
 # ---------------------------------------------------------------------------

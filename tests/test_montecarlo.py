@@ -1,7 +1,6 @@
 import collections
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, dt=0.5, horizon=0.1, seed=1)
 
 
-def test_reproducibility_and_chunk_independence(gaussian_table):
+def test_reproducibility_and_chunk_independence(gaussian_table, bernoulli_table, monkeypatch):
     sim = SimConfig(n_paths=300, dt=0.05, horizon=1.0, seed=123)
     a = simulate_paths(gaussian_table, sim)
     b = simulate_paths(gaussian_table, sim)
@@ -43,6 +42,23 @@ def test_reproducibility_and_chunk_independence(gaussian_table):
     # paths are keyed by index: a longer run reproduces the shorter one exactly
     big = simulate_paths(gaussian_table, SimConfig(n_paths=700, dt=0.05, horizon=1.0, seed=123))
     assert np.array_equal(big.y[:300], a.y)
+    # across block edges: 800 steps fill three blocks of 256 and start a fourth.
+    # Chunks of 64 give the paths of one chunk, a horizon of 600 steps, inside
+    # the third block, gives their prefix, and a walk in chunks of 64 that stops
+    # every path at step 790 sees the same observations, all bit for bit (at
+    # q = 2 the kernel's columns do not interact)
+    sim = SimConfig(n_paths=200, dt=0.01, horizon=8.0, seed=123)
+    assert sim.n_steps > 3 * montecarlo._BLOCK
+    whole = simulate_paths(bernoulli_table, sim)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    chunked = simulate_paths(bernoulli_table, sim)
+    short = simulate_paths(bernoulli_table, SimConfig(n_paths=200, dt=0.01, horizon=6.0, seed=123))
+    assert np.array_equal(chunked.y, whole.y) and np.array_equal(chunked.x_true, whole.x_true)
+    assert np.array_equal(short.y, whole.y[:, :601]) and np.array_equal(short.x_hat, whole.x_hat[:, :601])
+    stats = evaluate_policy(bernoulli_table, 0.25, 7.9, sim).paths[0]
+    assert np.all(np.rint(stats.tau / sim.dt) == 790)
+    assert np.array_equal(stats.sq_err, (whole.x_true - whole.x_hat[:, 790]) ** 2)
+    assert np.array_equal(stats.psi_at_stop, whole.psi[:, 790])
 
 
 def test_estimate_starts_at_prior_mean(mixture_table):
@@ -240,7 +256,7 @@ def test_walk_filters_only_paths_some_rule_still_needs(bernoulli_table, monkeypa
     for (start, k, span), (_, columns) in zip(_spans(calls, sim.dt, montecarlo._CHUNK), calls):
         chunk = last_step[start : start + montecarlo._CHUNK]
         assert columns == span * int(np.sum(chunk >= k))
-    assert sum(columns for _, columns in calls) == 633_182
+    assert sum(columns for _, columns in calls) == 633_375
     assert max(np.unique(t).size for t, _ in calls) > 1
 
 
@@ -367,13 +383,15 @@ def test_stop_at_walk_with_time_shifts_matches_reference_walk_bit_for_bit(bernou
 
 
 def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkeypatch):
-    # path i's stream is Generator(Philox(key=[seed, i])) from its start: the
-    # drift from its first uniform, then W from its normals in order.  Chunks of
-    # 64 put the 150 paths in three walks, and blocks of 16 steps make every
-    # path that walks past step 16 resume its stream lazily, a block at a time,
-    # after others have stopped; a call sees the cell (t, y = x t + W) of each
-    # path needed at its first step, on every step it covers, step by step in
-    # path order, whether it covers one step or several
+    # block b of path i is the stream Generator(Philox(key=[seed, i],
+    # counter=[0, 0, b, 0])) from its start: block 0 gives the drift from its
+    # first uniform and then the normals of steps 1 to 16, block b >= 1 the
+    # normals of steps 16b + 1 to 16(b + 1), and W sums them in order.  Chunks
+    # of 64 put the 150 paths in three walks, and blocks of 16 steps make every
+    # path that walks past step 16 draw its later blocks lazily, after others
+    # have stopped; a call sees the cell (t, y = x t + W) of each path needed at
+    # its first step, on every step it covers, step by step in path order,
+    # whether it covers one step or several
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     policy, _ = _bernoulli_rule_and_shifts()
@@ -393,11 +411,15 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
 
     cum_w = np.cumsum(bernoulli_table.weights)
     x = np.empty(sim.n_paths)
-    w = np.empty((sim.n_paths, sim.n_steps))
+    z = np.empty((sim.n_paths, sim.n_steps))
     for i in range(sim.n_paths):
-        gen = np.random.Generator(np.random.Philox(key=np.array([sim.seed, i], dtype=np.uint64)))
-        x[i] = bernoulli_table.nodes[np.searchsorted(cum_w, gen.random(), "right")]
-        w[i] = np.cumsum(gen.standard_normal(sim.n_steps) * math.sqrt(sim.dt))
+        key = np.array([sim.seed, i], dtype=np.uint64)
+        for b in range(-(-sim.n_steps // 16)):
+            gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0]))
+            if b == 0:
+                x[i] = bernoulli_table.nodes[np.searchsorted(cum_w, gen.random(), "right")]
+            gen.standard_normal(out=z[i, 16 * b : 16 * (b + 1)])
+    w = np.cumsum(z * math.sqrt(sim.dt), axis=1)
 
     want = []
     for start, k, span in _spans(calls, sim.dt, 64):
@@ -414,56 +436,58 @@ def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkey
 
 
 def _count_draws(monkeypatch):
-    """Count, per path index, the normals drawn from its stream and the times it
-    is loaded at counter 0 (its first draw, then a replay of its first block)."""
-    normals, starts = collections.Counter(), collections.Counter()
-    streams = montecarlo._Streams
+    """Count the re-keys of each (path index, block) and the normals drawn per path
+    index; every draw follows the re-key of the path it draws for."""
+    rekeys, normals = collections.Counter(), collections.Counter()
+    path = [None]  # the path last re-keyed
+    rekey = montecarlo._rekey
 
-    class Counted(streams):
-        def __init__(self, *args):
-            super().__init__(*args)
-            gen, bits = self.gen, self.bits
+    def counted_rekey(gen, seed, i, block):
+        rekeys[i, block] += 1
+        path[0] = i
+        rekey(gen, seed, i, block)
 
-            def standard_normal(out):
-                normals[int(bits.state["state"]["key"][1])] += out.size
-                return gen.standard_normal(out=out)
+    class Counted:  # the chunk's generator, counting the normals it draws
+        def __init__(self, gen):
+            self.bit_generator, self.random, self.normals = gen.bit_generator, gen.random, gen.standard_normal
 
-            self.gen = SimpleNamespace(random=gen.random, standard_normal=standard_normal)
+        def standard_normal(self, out):
+            normals[path[0]] += out.size
+            return self.normals(out=out)
 
-        def load(self, i):
-            starts[self.start + i] += 1
-            super().load(i)
+    for name in ("_path_streams", "_wiener_block"):
+        draw = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name, lambda gen, *args, draw=draw: draw(Counted(gen), *args))
+    monkeypatch.setattr(montecarlo, "_rekey", counted_rekey)
+    return rekeys, normals
 
-    monkeypatch.setattr(montecarlo, "_Streams", Counted)
-    return normals, starts
 
-
-def test_walk_replays_each_path_first_block_at_most_once(bernoulli_table, monkeypatch):
+def test_walk_draws_each_block_of_each_path_once(bernoulli_table, monkeypatch):
     # threshold 1.5 lies past the atoms +-1, so every path walks to the 3,000-step
-    # horizon: each draws its first block, replays it once when it first walks
-    # past it, and then draws every later step once.  Replaying at every block
-    # would draw nearly seven times the steps walked
-    normals, starts = _count_draws(monkeypatch)
+    # horizon: each re-keys once for every block it walks into and draws every
+    # step once, with no block drawn twice
+    rekeys, normals = _count_draws(monkeypatch)
     sim = SimConfig(n_paths=4096, dt=0.01, horizon=30.0, seed=7)
     est = evaluate_policy(bernoulli_table, 0.25, BoundaryCurve.symmetric_threshold(1.5), sim)
     assert est.cap_fraction == 1.0
-    assert set(starts) == set(normals) == set(range(sim.n_paths))
-    assert set(starts.values()) == {2}
-    assert set(normals.values()) == {sim.n_steps + montecarlo._BLOCK}
+    blocks = -(-sim.n_steps // montecarlo._BLOCK)
+    assert rekeys == {(i, b): 1 for i in range(sim.n_paths) for b in range(blocks)}
+    assert normals == {i: sim.n_steps for i in range(sim.n_paths)}
 
 
 @pytest.mark.parametrize("time, shifts, reach", [(0.5, (-0.3, 0.2), 35), (0.0, (), 0), (6.0, (), 300)])
 def test_stop_at_walk_draws_no_normal_past_its_last_rule_step(bernoulli_table, monkeypatch, time, shifts, reach):
     # deterministic times 0.2, 0.5 and 0.7 stop at steps 10, 25 and 35 of 150,
     # so no path draws past step 35; a time of 0 draws no normal at all, and a
-    # time past the first block replays it once and stops drawing at its step
-    normals, starts = _count_draws(monkeypatch)
+    # time past the first block re-keys once more for the second and stops
+    # drawing at its step
+    rekeys, normals = _count_draws(monkeypatch)
     sim = SimConfig(n_paths=300, dt=0.02, horizon=3.0 if reach < 150 else 8.0, seed=11)
     est = evaluate_policy(bernoulli_table, 0.25, time, sim, shifts)
     assert max(np.rint(stats.tau / sim.dt).max() for stats in est.paths) == reach
-    replays = 1 if reach > montecarlo._BLOCK else 0
-    assert list(starts.values()) == [1 + replays] * sim.n_paths
-    assert list(normals.values()) == [reach + replays * montecarlo._BLOCK] * sim.n_paths
+    blocks = 2 if reach > montecarlo._BLOCK else 1
+    assert rekeys == {(i, b): 1 for i in range(sim.n_paths) for b in range(blocks)}
+    assert list(normals.values()) == [reach] * sim.n_paths
 
 
 def test_time_rules_inverting_nothing_keep_several_steps_per_call(mixture_table, monkeypatch):
@@ -495,11 +519,11 @@ def test_curve_walk_draws_no_normal_past_its_first_all_stop_step(gaussian_table,
     # path stops there and none draws a normal past it
     curve = _solver_boundary(gaussian_table, 0.25, 2.0)
     assert curve.intervals[-1] == [(-math.inf, math.inf)]
-    normals, starts = _count_draws(monkeypatch)
+    rekeys, normals = _count_draws(monkeypatch)
     sim = SimConfig(n_paths=300, dt=0.02, horizon=4.0, seed=13)
     est = evaluate_policy(gaussian_table, 0.25, curve, sim)
     assert np.all(np.rint(est.paths[0].tau / sim.dt) == 50) and est.cap_fraction == 0.0
-    assert list(starts.values()) == [1] * sim.n_paths
+    assert rekeys == {(i, 0): 1 for i in range(sim.n_paths)}
     assert list(normals.values()) == [50] * sim.n_paths
 
 
@@ -523,7 +547,7 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
     # step.  The half-normal boundary is one-sided, the mixture one stops
     # nowhere early and everywhere late, and the end of |x| >= 1 on atoms +-1
     # sits on an extreme node: x_hat reaches it only as floating point rounds
-    # to 1.0 near y = 19, which stops 491 of the 500 paths before the horizon.
+    # to 1.0 near y = 19, which stops 490 of the 500 paths before the horizon.
     # The prior centred at 2000 has logits near 1e6 by t = 6, and so a kernel
     # round-off far above its span's.  At q = 128 a call covers several steps
     # once at most 256 paths are left
@@ -551,7 +575,7 @@ def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, 
     stopped = int(np.sum(~ref["capped"]))
     assert np.unique(ref["tau"][~ref["capped"]]).size > 5
     if case == "atoms_at_extreme_node":
-        assert stopped == 491
+        assert stopped == 490
         for name, want in ref.items():  # q = 2: every field to the last bit
             assert np.array_equal(getattr(est.paths[0], name), want), name
     else:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,8 +446,8 @@ def test_value_ordering_time_shift(mixture_table):
     lo, hi = default_domain(mixture_table)
     cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi)
     times, x = cfg.solve_times(), cfg.x_nodes()
-    g_early = solve_value(psi_grid(mixture_table, times, x, t_offset=0.0), c, cfg)
-    g_late = solve_value(psi_grid(mixture_table, times, x, t_offset=1.0), c, cfg)
+    g_early = solve_value(psi_grid(mixture_table, times, x), c, cfg)
+    g_late = solve_value(replace(psi_grid(mixture_table, times + 1.0, x), t_nodes=times), c, cfg)
     rep = compare_value_ordering(g_early, g_late, tol=1e-8)
     assert rep.passed
 
@@ -467,8 +468,8 @@ def test_value_ordering_rejects_wrong_premise(mixture_table):
     lo, hi = default_domain(mixture_table)
     cfg = SolverConfig(n_t=60, n_x=61, T_max=5.0, x_lo=lo, x_hi=hi)
     times, x = cfg.solve_times(), cfg.x_nodes()
-    g_early = solve_value(psi_grid(mixture_table, times, x, t_offset=0.0), c, cfg)
-    g_late = solve_value(psi_grid(mixture_table, times, x, t_offset=1.0), c, cfg)
+    g_early = solve_value(psi_grid(mixture_table, times, x), c, cfg)
+    g_late = solve_value(replace(psi_grid(mixture_table, times + 1.0, x), t_nodes=times), c, cfg)
     with pytest.raises(ValueError, match="premise"):
         compare_value_ordering(g_late, g_early)
 
