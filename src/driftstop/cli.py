@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -213,9 +213,9 @@ def _resolve(doc: dict, out_dir: str | None, seed_override: int | None):
     sim = SimConfig(**{k: v for k, v in sim_doc.items() if k != "export_paths"})
 
     out = Path(out_dir if out_dir is not None else root["output_dir"])
-    resolved = {**root, "prior": prior.to_dict(), "solver": config.to_dict(), "sim": sim_doc}
+    resolved = {**root, "prior": prior.to_dict(), "solver": asdict(config), "sim": sim_doc}
     resolved.update(horizon_scan_capped=capped, output_dir=str(out))
-    return prior, table, c, config, sim, out, resolved
+    return table, c, config, sim, out, resolved
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -241,7 +241,7 @@ def _prepare_out(out: Path, resolved: dict) -> None:
 
 
 def cmd_psi(args) -> int:
-    prior, table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
+    table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
     _prepare_out(out, resolved)
 
     grid = solver_psi_grid(table, config)
@@ -264,7 +264,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    prior, table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
+    table, c, config, _, out, resolved = _resolve(_load_config(args.config), args.out, None)
     _prepare_out(out, resolved)
 
     grid = solve_value(solver_psi_grid(table, config), c, config)
@@ -274,7 +274,7 @@ def cmd_solve(args) -> int:
 
     grid.to_csv(out / "value_grid.csv")
     boundary.to_csv(out / "boundary.csv")
-    _write_json(out / "monotonicity_report.json", report.to_dict())
+    _write_json(out / "monotonicity_report.json", asdict(report))
     _write_json(
         out / "solver_meta.json",
         {
@@ -318,7 +318,7 @@ def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
 
 
 def cmd_verify(args) -> int:
-    prior, table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
+    table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
 
     policy_doc = resolved["policy"]
     kind = policy_doc.get("kind", CONFIG_KEYS["policy"]["kind"].default)
@@ -442,7 +442,7 @@ def _closed_form_record(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    prior, table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
+    table, c, config, sim, out, resolved = _resolve(_load_config(args.config), args.out, args.seed)
     _prepare_out(out, resolved)
     cap_paths = resolved["sim"]["export_paths"]
     batch = simulate_paths(table, replace(sim, n_paths=cap_paths))

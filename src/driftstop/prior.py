@@ -231,9 +231,7 @@ class PriorSpec:
             return 0.0
         if self.kind == "half_normal":
             return float(math.sqrt(2.0 * self.sigma2 / math.pi))
-        g = np.asarray(self.grid, dtype=float)
-        f = np.asarray(self.density_values, dtype=float)
-        return _tabulated_moment(g, f, 1)
+        raise PriorError("a tabulated_density prior has no analytic mean: use build_quadrature(spec).mean()")
 
     def variance(self) -> float:
         if self.kind == "discrete_atoms":
@@ -245,9 +243,9 @@ class PriorSpec:
             return float(self.sigma**2 + self.m**2)
         if self.kind == "half_normal":
             return float(self.sigma2 * (1.0 - 2.0 / math.pi))
-        g = np.asarray(self.grid, dtype=float)
-        f = np.asarray(self.density_values, dtype=float)
-        return _tabulated_moment(g, f, 2) - _tabulated_moment(g, f, 1) ** 2
+        raise PriorError(
+            "a tabulated_density prior has no analytic variance: use build_quadrature(spec).variance()"
+        )
 
     def support(self) -> tuple[float, float]:
         """(inf, sup) of the support; endpoints may be infinite."""

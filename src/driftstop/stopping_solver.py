@@ -14,7 +14,7 @@ march is second order in t: each row is a BDF2 step from the two rows above
 it, except the first row below T_max, which takes one implicit Euler step
 from v_inf.  The stationary problem and every step are tridiagonal linear
 complementarity problems solved exactly by policy iteration; each iteration
-sets the stopped rows to 0 and solves every run of continuation rows with a
+makes the stopped rows identity rows v = 0 and solves the whole system by one
 Thomas sweep, in Python floats, so no solve needs a linear-algebra library.
 Both lateral boundaries reflect.  Repeating the march on every second row
 estimates the time error, and on every second node the space error.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -104,17 +104,8 @@ class SolverConfig:
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_x)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_t": self.n_t,
-            "n_x": self.n_x,
-            "T_max": self.T_max,
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-        }
-
     def digest(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def default_domain(table: QuadratureTable) -> tuple[float, float]:
@@ -190,53 +181,53 @@ def _step_operator(psi_row: np.ndarray, dt: float, dx: float):
     lower = -mu.copy()  # coefficient of v[j-1] in row j
     upper = -mu.copy()  # coefficient of v[j+1] in row j
     # reflecting ghost node: second difference uses the inner neighbor twice
-    # (lower[0] and upper[-1] fall outside the matrix and are never read)
+    # (lower[0] and upper[-1] fall outside the matrix: the sweep multiplies
+    # them by the 0 of an identity row past the edge)
     upper[0] = -2.0 * mu[0]
     lower[-1] = -2.0 * mu[-1]
     return lower, diag, upper
 
 
-def _sweep_runs(lower: list, diag: list, upper: list, rhs: list, edges: list) -> list:
-    """Solve the rows of every run of continuation rows by a Thomas sweep; other rows read 0.
+def _sweep(lower: list, diag: list, upper: list, rhs: list, stopped: list) -> list:
+    """Solve the masked system by one Thomas sweep over every row; stopped rows read 0.
 
-    ``edges`` alternates each run's first row and the row past its last.  A
-    stopped row reads v = 0, so the coefficients that couple a run to its
-    stopped neighbours drop out and each run is its own tridiagonal system.
-    Elimination does not pivot: every step matrix is strictly diagonally
-    dominant, and the stationary one is an M-matrix, nonsingular on a run
-    with a stopped neighbour.  So a pivot that is not finite, or not above
-    1e-12 x its diagonal, is a singular or broken operator: it raises
+    A stopped row is the identity row v = 0: it resets the elimination to
+    pivot 1, sum 0 and coupling 0, as does a row past each edge, so the
+    coefficients that couple a continuation row to a stopped neighbour
+    multiply 0 and drop out.  Elimination does not pivot: every step matrix
+    is strictly diagonally dominant, and the stationary one is an M-matrix,
+    nonsingular once a row stops.  So a pivot that is not finite, or not
+    above 1e-12 x its diagonal, is a singular or broken operator: it raises
     ``SolverError`` naming its row.
     """
-    v = [0.0] * len(diag)
-    for a, e in zip(edges[::2], edges[1::2]):
-        p, r = diag[a], rhs[a]
-        if not 1e-12 * p < p < math.inf:
-            raise _pivot_error(p, a, p)
-        pivots, sums = [p], [r]
-        for lo, d, up, b in zip(lower[a + 1 : e], diag[a + 1 : e], upper[a : e - 1], rhs[a + 1 : e]):
-            f = lo / p
+    n = len(diag)
+    pivots = [1.0] * n
+    sums = [0.0] * n
+    p, r, up = 1.0, 0.0, 0.0
+    for j in range(n):
+        if stopped[j]:
+            p, r, up = 1.0, 0.0, 0.0
+        else:
+            f = lower[j] / p
+            d = diag[j]
             p = d - f * up
             if not 1e-12 * d < p < math.inf:
-                raise _pivot_error(p, a + len(pivots), d)
-            r = b - f * r
-            pivots.append(p)
-            sums.append(r)
-        x = r / p
-        run = [x]
-        for p, r, up in zip(pivots[-2::-1], sums[-2::-1], reversed(upper[a : e - 1])):
-            x = (r - up * x) / p
-            run.append(x)
-        run.reverse()
-        v[a:e] = run
-    return v
-
-
-def _pivot_error(pivot: float, row: int, diag: float) -> SolverError:
-    return SolverError(
-        f"singular or non-finite step operator in policy iteration: pivot {pivot!r} at row {row} "
-        f"is not a finite number above 1e-12 x its diagonal {diag!r}"
-    )
+                raise SolverError(
+                    f"singular or non-finite step operator in policy iteration: pivot {p!r} at row {j} "
+                    f"is not a finite number above 1e-12 x its diagonal {d!r}"
+                )
+            r = rhs[j] - f * r
+            pivots[j] = p
+            sums[j] = r
+            up = upper[j]
+    x = 0.0
+    for j in range(n - 1, -1, -1):
+        if stopped[j]:
+            x = 0.0
+        else:
+            x = (sums[j] - upper[j] * x) / pivots[j]
+            sums[j] = x
+    return sums
 
 
 def _policy_step(
@@ -249,21 +240,18 @@ def _policy_step(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact LCP solve by policy iteration over the stopped set.
 
-    Each iteration sets v = 0 on the stopped rows and solves the continuation
-    rows exactly, one run of adjacent rows at a time (``_sweep_runs``); the
-    runs are where the stopped set, padded with a stopped row past each edge,
-    changes.  A stopped row stays stopped while its residual is >= 0 and a
-    continuation row stops once v > 0; the iteration ends when the set
-    settles.  The sweep reads the coefficients and rhs as Python floats,
-    converted once per call, not once per iteration.
+    Each iteration solves the masked system, whose stopped rows are identity
+    rows v = 0 and whose continuation rows are the step's own, by one sweep
+    over every row (``_sweep``).  A stopped row stays stopped while its
+    residual is >= 0 and a continuation row stops once v > 0; the iteration
+    ends when the set settles.  The sweep reads the coefficients and rhs as
+    Python floats, converted once per call, and the stopped set as Python
+    bools, converted once per iteration.
     """
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
     rows = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    padded = np.ones(rhs.size + 2, dtype=bool)  # a stopped row beyond each edge closes every run
     for it in range(1, max_iter + 1):
-        padded[1:-1] = stopped
-        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-        v = np.fromiter(_sweep_runs(*rows, edges), float, rhs.size)
+        v = np.array(_sweep(*rows, stopped.tolist()))
         # residual of the *original* rows decides admissibility of stopping; only
         # a stopped row's is read, and there v = 0: rhs less its neighbour terms
         resid = rhs.copy()
@@ -604,15 +592,6 @@ class MonotonicityReport:
     nesting_violations: int
     value_tol: float
     zero_tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_value_violation": self.worst_value_violation,
-            "nesting_violations": self.nesting_violations,
-            "value_tol": self.value_tol,
-            "zero_tol": self.zero_tol,
-        }
 
 
 def monotonicity_report(grid: ValueGrid) -> MonotonicityReport:

@@ -100,7 +100,7 @@ def test_invert_array_unbracketable_point_raises(all_tables, monkeypatch, name, 
 def test_psi_grid_kernel_call_budget(monkeypatch, prior):
     # Newton from the extrapolated warm start, with the returned H: at most
     # 2.5 kernel calls per row on the CLI default lattice
-    _, table, _, config, *_ = _resolve({"prior": prior, "cost_c": 0.25}, None, None)
+    table, _, config, *_ = _resolve({"prior": prior, "cost_c": 0.25}, None, None)
     calls = []
 
     def counting_kernel(tab, t, y):

@@ -81,6 +81,14 @@ def test_tabulated_density_becomes_midpoint_atoms():
     assert abs(table.mean()) <= 1e-12
 
 
+def test_tabulated_density_moments_come_from_its_table():
+    spec = PriorSpec.tabulated_density(np.linspace(-1.0, 1.0, 41), np.ones(41))
+    with pytest.raises(PriorError, match=r"build_quadrature\(spec\)\.mean\(\)"):
+        spec.mean()
+    with pytest.raises(PriorError, match=r"build_quadrature\(spec\)\.variance\(\)"):
+        spec.variance()
+
+
 def test_one_point_priors_rejected():
     with pytest.raises(PriorError):
         PriorSpec.discrete_atoms([(0.5, 1.0)])

@@ -26,7 +26,7 @@ from driftstop import (
     solver_psi_grid,
     stopping_solver,
 )
-from driftstop.stopping_solver import SolverError, _policy_step, _step_operator, _sweep_runs
+from driftstop.stopping_solver import SolverError, _policy_step, _step_operator, _sweep
 
 
 def _solve(table, c, *, n_t=80, n_x=81, T_max=1.0, x_lo=None, x_hi=None):
@@ -590,10 +590,6 @@ def _policy_step_dgtsv(rhs, lower, diag, upper, stopped, max_iter=100):
     raise AssertionError("reference policy iteration did not settle")
 
 
-def _run_edges(stopped):
-    return np.flatnonzero(np.diff(np.concatenate(([True], stopped, [True])))).tolist()
-
-
 def _random_operators(rng, n):
     """Implicit Euler, BDF2 and stationary operators on a random dispersion row."""
     psi = rng.uniform(0.2, 1.5, n)
@@ -631,10 +627,31 @@ def test_run_sweep_matches_lapack_on_the_masked_system(seed):
         for mask_name, stopped in _oracle_masks(rng, n).items():
             if op_name == "stationary" and not stopped.any():
                 continue  # singular: see the test above
-            v = np.array(_sweep_runs(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist(), _run_edges(stopped)))
+            v = np.array(_sweep(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist(), stopped.tolist()))
             ref = _dgtsv_masked(rhs, lower, diag, upper, stopped)
             assert np.all(v[stopped] == 0.0), (op_name, mask_name)
             assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref)), (op_name, mask_name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_ignores_couplings_to_stopped_rows(seed):
+    # a stopped row and the rows past each edge are identity rows v = +0.0, so
+    # the coefficients coupling a row to them must not reach any bit of v
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 90))
+    for op_name, (lower, diag, upper) in _random_operators(rng, n).items():
+        rhs = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)  # no entry is exactly 0
+        for mask_name, stopped in _oracle_masks(rng, n).items():
+            if op_name == "stationary" and not stopped.any():
+                continue  # singular
+            above = np.concatenate(([True], stopped[:-1]))  # row j - 1 stopped, or j = 0
+            below = np.concatenate((stopped[1:], [True]))  # row j + 1 stopped, or j = n - 1
+            other_lower = np.where(above, rng.normal(size=n) * 1e3, lower)
+            other_upper = np.where(below, rng.normal(size=n) * 1e3, upper)
+            v = np.array(_sweep(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist(), stopped.tolist()))
+            w = np.array(_sweep(other_lower.tolist(), diag.tolist(), other_upper.tolist(), rhs.tolist(), stopped.tolist()))
+            assert np.array_equal(v.view(np.int64), w.view(np.int64)), (op_name, mask_name)
+            assert not v[stopped].view(np.int64).any(), (op_name, mask_name)  # +0.0 is all zero bits
 
 
 def test_policy_steps_match_the_lapack_reference(all_tables, monkeypatch):
