@@ -12,7 +12,8 @@ step on, and the last step a rule can reach is read off the curves as the step
 from which every one stops everywhere.  A rule stops a path at the first
 monitored step where the filtered estimate lies in one of its stopping
 intervals, the containment ``BoundaryCurve.contains`` tests, so the kernel's
-estimate decides every stop.
+estimate decides every stop; the steps before any curve has a stopping
+interval are filtered with no rule test.
 
 Randomness is counter-based.  Path i's Wiener steps come in blocks of
 ``_BLOCK``: block b holds steps b * _BLOCK + 1 to (b + 1) * _BLOCK and is the
@@ -184,6 +185,12 @@ def _all_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
     return min(int(goes_on[-1]) + 1, times.size - 1) if goes_on.size else 0
 
 
+def _first_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
+    """The first step at which ``curve`` has a stopping interval, the last step if none."""
+    stops = np.flatnonzero(np.array([bool(segs) for segs in curve.intervals])[curve.slice_index(times)])
+    return int(stops[0]) if stops.size else times.size - 1
+
+
 def _time_curve(time: float, times: np.ndarray) -> BoundaryCurve:
     """A deterministic time as a rule: no stopping interval before the first monitored step at
     or after it, the whole line from that step on; never a stop past the horizon."""
@@ -239,24 +246,27 @@ def _walk_chunk(
     sim: SimConfig,
     sl: slice,
     rules: list[tuple[BoundaryCurve, np.ndarray]],
+    first: int,
     reach: int,
     out: list[PathStats],
 ) -> None:
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
     Each rule is a curve with its intervals padded to one width (slice x
-    interval x [lo, hi]); no rule walks past step ``reach``.  The walk takes a
-    span of whole steps at a time, as many as keep table nodes x working paths
-    x steps within ``_NODE_COLUMNS``, at least one; step 0, where Y = 0, is a
-    span of its own.  One kernel call filters every working path on every step
-    of the span, a step x path block of levels with one time per row, and the
-    path integrals are summed along the span from their carried values (the
-    trapezoid from step 1, the second difference from step 2).  Each live rule
-    then stops a path at the first step of the span where its x_hat lies in a
-    stopping interval, or at the horizon.  Only the working set, the paths still
-    live in some rule, is drawn and filtered: it shrinks as paths stop, and the
-    walk ends when it is empty.  Every path draws block 0 up front; the working
-    set draws each later block as the walk enters it, by its own counter.
+    interval x [lo, hi]); no rule has a stopping interval before step
+    ``first`` or walks past step ``reach``.  The walk takes a span of whole
+    steps at a time, as many as keep table nodes x working paths x steps
+    within ``_NODE_COLUMNS``, at least one; step 0, where Y = 0, is a span of
+    its own.  One kernel call filters every working path on every step of the
+    span, a step x path block of levels with one time per row, and the path
+    integrals are summed along the span from their carried values (the
+    trapezoid from step 1, the second difference from step 2).  On a span
+    that reaches step ``first`` each live rule then stops a path at the first
+    step of the span where its x_hat lies in a stopping interval, or at the
+    horizon.  Only the working set, the paths still live in some rule, is
+    drawn and filtered: it shrinks as paths stop, and the walk ends when it is
+    empty.  Every path draws block 0 up front; the working set draws each
+    later block as the walk enters it, by its own counter.
     """
     n_steps, dt = sim.n_steps, sim.dt
     times = sim.times()
@@ -287,7 +297,11 @@ def _walk_chunk(
         d2 = np.abs(back[2:] - 2.0 * back[1:-1] + back[:-2])
         inc[: max(1 - k, 0)], d2[: max(2 - k, 0)] = 0.0, 0.0  # the trapezoid starts at step 1, d2 at step 2
         integral, second_diff = _running_sum(integral_psi2, inc), _running_sum(second_diff_sum, d2)
-
+        psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
+        psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
+        k += span
+        if k <= first:  # no rule can stop on the span, which ends before the horizon (first <= n_steps)
+            continue
         for (curve, padded), lv, stats in zip(rules, live, out):
             idx = np.flatnonzero(lv)
             ends = padded[curve.slice_index(t_span)]  # step x interval x [lo, hi]
@@ -296,19 +310,16 @@ def _walk_chunk(
             for i in range(ends.shape[1]):
                 inside |= (g_lv >= ends[:, i, 0, None]) & (g_lv <= ends[:, i, 1, None])
             hit = inside.any(axis=0)
-            stop = hit | (k + span - 1 == n_steps)  # force-stop whatever is left at the horizon
+            stop = hit | (k > n_steps)  # force-stop whatever is left at the horizon
             idx, j, capped = idx[stop], np.where(hit, inside.argmax(axis=0), span - 1)[stop], ~hit[stop]
             at = sl.start + paths[idx]
-            stats.tau[at] = times[k + j]
+            stats.tau[at] = t_span[j]
             stats.sq_err[at] = (x[idx] - g[j, idx]) ** 2
             stats.psi_at_stop[at] = h[j, idx]
             stats.integral_psi2[at] = integral[j, idx]
             stats.second_diff_sum[at] = second_diff[j, idx]
             stats.capped[at] = capped
             lv[idx] = False
-        psi2_prev2 = psi2[-2] if span > 1 else psi2_prev
-        psi2_prev, integral_psi2, second_diff_sum = psi2[-1], integral[-1], second_diff[-1]
-        k += span
         needed = live.any(axis=0)
         if not needed.any():
             break
@@ -391,9 +402,10 @@ def evaluate_policy(
     width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
     pad = [(math.inf, -math.inf)] * width  # empty intervals
     rules = [(curve, np.array([[*segs, *pad[len(segs) :]] for segs in curve.intervals])) for curve in curves]
+    first = min(_first_stop_step(curve, times) for curve in curves)
     reach = max(_all_stop_step(curve, times) for curve in curves)
     for start in range(0, n, _CHUNK):
-        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, reach, paths)
+        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, first, reach, paths)
     base = paths[0]
     mean, se = _mean_se(base.sq_err + c * base.tau)
     cap_fraction = float(np.mean(base.capped))

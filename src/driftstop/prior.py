@@ -5,9 +5,11 @@ X a random drift with prior distribution mu.  Conditioning on the observation
 level Y(t) = y reweights mu by exp(u*y - u^2*t/2); every quantity in this
 module is an integral against that exponentially tilted measure, computed on a
 discrete quadrature table with max-shifted (log-sum-exp) exponents so that no
-intermediate overflows.  The kernel keeps the shifted weights unnormalised
-(each column's largest is exactly 1) and divides each column's sums by the
-column's total once, after summing.
+intermediate overflows.  The kernel forms the logits as one matrix product,
+[u, ln w - u^2 t/2] by [y, 1], rounded as u*y and then the sum (the matrix-
+vector product of a one-column call may fuse the two), keeps the shifted
+weights unnormalised (each column's largest is exactly 1) and divides each
+column's sums by the column's total once, after summing.
 
 The classical filtering objects:
 
@@ -34,9 +36,10 @@ A call may also give each row of a 2-d y its own time, an array of shape
 (rows, 1), as the Monte Carlo walk does with its blocks of steps x paths.
 Each row then gives a band from its smallest and its largest y as above, and
 the call's band runs from the first to the last node of these, so it still
-holds every node any column keeps; a column's weights are the ones a call at
-its row's time alone computes, so on the same band it gets the same bits.  A
-scalar time is one time for every row, on the same code path.
+holds every node any column keeps; a column's weights are the ones a call
+at its row's time alone computes (of two columns or more), so on the same
+band it gets the same bits.  A scalar time is one time for every row, on the
+same code path.
 """
 
 from __future__ import annotations
@@ -515,9 +518,10 @@ def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.
     one time for every row or, for a 2-d ``y``, one per row, of shape
     ``(rows, 1)``.  Each row adds the band from the full-table logits of its
     smallest and its largest y alone; the call's band runs from the first to
-    the last node of these (see the module docstring), and each row's tilt
-    ln w - u^2 t / 2 on the band is added to its columns through a node x row
-    x column view.  ``y`` must be non-empty.
+    the last node of these (see the module docstring).  The band's logits are
+    one product of row x node x [u, ln w - u^2 t / 2] by row x [y, 1] x column
+    into a row x node x column view of the weights; [y, 1] lives in the
+    scratch half, so the pair has two nodes at least.  ``y`` must be non-empty.
     """
     y = y.reshape(-1, y.shape[-1])  # row x column
     tilt = _tilt(table, np.array(t, ndmin=2))  # row x node, one row for a scalar time
@@ -533,13 +537,17 @@ def _weight_matrix(table: QuadratureTable, t, y: np.ndarray) -> tuple[slice, np.
     rows = top.shape[1]
     first = int((ends[0] >= cut[0, :, None]).T.argmax()) // rows  # first node kept at a row's smallest y
     past_last = table.n - int((ends[1, :, ::-1] >= cut[1, :, None]).T.argmax()) // rows  # past the last at its largest
-    band = slice(first, past_last)
-    pair = np.empty((2, past_last - first) + y.shape)
-    w = np.multiply.outer(table.nodes[band], y, out=pair[0])  # node x row x column
-    w += tilt[:, band].T[:, :, None]
+    band, width = slice(first, past_last), past_last - first
+    pair = np.empty((2, max(width, 2)) + y.shape)  # two nodes at least: the scratch half holds [y, 1]
+    y1 = pair[1].reshape(-1)[: 2 * y.size].reshape(y.shape[0], 2, -1)  # row x [y, 1] x column
+    y1[:, 0], y1[:, 1] = y, 1.0
+    ut = np.empty((tilt.shape[0], width, 2))  # row x node x [u, tilt]
+    ut[:, :, 0], ut[:, :, 1] = table.nodes[band], tilt[:, band]
+    w = pair[0, :width]  # node x row x column
+    np.matmul(ut, y1, out=w.transpose(1, 0, 2))  # u y + tilt, rounded as u y, then + tilt (see the module docstring)
     w -= w.max(axis=0)  # max shift: each column's largest weight is exactly 1
     np.exp(w, out=w)
-    return band, pair.reshape(2, w.shape[0], -1)
+    return band, pair[:, :width].reshape(2, width, -1)
 
 
 def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.ndarray]:

@@ -382,6 +382,78 @@ def test_stop_at_walk_with_time_shifts_matches_reference_walk_bit_for_bit(bernou
     assert [int(ref["capped"].sum()) for ref in refs] == [0, 0, 0, sim.n_paths]
 
 
+def _late_two_sided_curve():
+    """No stopping interval before t = 0.5, then |x| >= 0.8, narrowing to |x| >= 0.4 from t = 1.2."""
+    inf = math.inf
+    bands = [[], [(-inf, -0.8), (0.8, inf)], [(-inf, -0.4), (0.4, inf)]]
+    return BoundaryCurve(np.array([0.0, 0.5, 1.2]), bands, "general")
+
+
+def _count_lookups(monkeypatch):
+    """The times of every interval lookup a rule makes while a chunk is walked."""
+    lookups, walking = [], [False]
+    slice_index, walk = BoundaryCurve.slice_index, montecarlo._walk_chunk
+
+    def counted(curve, t):
+        if walking[0]:
+            lookups.append(np.asarray(t, dtype=float))
+        return slice_index(curve, t)
+
+    def walked(*args):
+        walking[0] = True
+        try:
+            walk(*args)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(BoundaryCurve, "slice_index", counted)
+    monkeypatch.setattr(montecarlo, "_walk_chunk", walked)
+    return lookups
+
+
+@pytest.mark.parametrize("node_columns", [montecarlo._NODE_COLUMNS, 1])
+def test_walk_looks_up_no_interval_before_a_rule_can_stop(bernoulli_table, monkeypatch, node_columns):
+    # no rule has a stopping interval before step 25 (t = 0.5; the shifts keep
+    # the first slice empty), so each of the three rules looks up the
+    # intervals of every span that reaches it, up to the last stop, and of no
+    # span before it: at one step per call, of steps 25 on exactly.  A time
+    # rule past the 3.0 horizon has no stopping interval at all, so its rules
+    # look up only the horizon's span
+    monkeypatch.setattr(montecarlo, "_NODE_COLUMNS", node_columns)
+    lookups = _count_lookups(monkeypatch)
+    sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=73)
+    est = evaluate_policy(bernoulli_table, 0.25, _late_two_sided_curve(), sim, (-0.05, 0.05))
+    looked_up = np.unique(np.concatenate(lookups))
+    assert sum(t.size for t in lookups) == 3 * looked_up.size
+    assert min(t.max() for t in lookups) >= 0.5
+    if node_columns == 1:
+        last = int(np.rint(max(stats.tau.max() for stats in est.paths) / sim.dt))
+        assert np.array_equal(looked_up, sim.times()[25 : last + 1])
+    lookups.clear()
+    est = evaluate_policy(bernoulli_table, 0.25, 3.2, sim, (0.5,))
+    assert [t.max() for t in lookups] == [3.0, 3.0] and all(stats.capped.all() for stats in est.paths)
+
+
+def test_late_two_sided_walk_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch):
+    # the rules test no span before t = 0.5; from there they stop paths on
+    # both sides, more of them once the stopping set widens at t = 1.2
+    policy = _late_two_sided_curve()
+    sim = SimConfig(n_paths=600, dt=0.02, horizon=3.0, seed=89)
+    refs = _assert_walks_match_reference(bernoulli_table, 0.25, policy, (-0.05, 0.05), sim, monkeypatch)
+    for ref in refs:
+        assert ref["tau"].min() == 0.5 and np.unique(ref["tau"]).size > 20
+        assert (ref["sq_err"] > 0.0).any()
+
+
+def test_time_rule_past_the_horizon_matches_reference_walk_bit_for_bit(bernoulli_table, monkeypatch):
+    # 3.2 and its 0.5 shift both lie past the 3.0 horizon: no rule can stop
+    # before it, and every path is capped there
+    sim = SimConfig(n_paths=300, dt=0.02, horizon=3.0, seed=91)
+    refs = _assert_walks_match_reference(bernoulli_table, 0.25, 3.2, (0.5,), sim, monkeypatch)
+    for ref in refs:
+        assert np.all(ref["tau"] == 3.0) and ref["capped"].all()
+
+
 def test_walk_draws_each_path_from_its_own_philox_stream(bernoulli_table, monkeypatch):
     # block b of path i is the stream Generator(Philox(key=[seed, i],
     # counter=[0, 0, b, 0])) from its start: block 0 gives the drift from its

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,6 +546,89 @@ def test_scalar_time_is_one_run_of_array_times(prior):
         assert np.array_equal(g_rows, g_block) and np.array_equal(h_rows, h_block)
         narrow += band != slice(0, table.n)
     assert narrow >= 80
+
+
+LOGIT_PRIORS = {
+    **BAND_PRIORS,
+    "gaussian": (PriorSpec.gaussian(0.0, 1.0), 128),
+    "three_atoms": (PriorSpec.discrete_atoms([(-1.5, 0.2), (0.0, 0.5), (2.0, 0.3)]), 128),
+}
+
+
+def _elementwise_weights(table, t, y, band):
+    """exp(u y + tilt - column max) on ``band``, a product and a sum per logit, node x (row x column)."""
+    y = y.reshape(-1, y.shape[-1])
+    tilt = _tilt(table, np.array(t, ndmin=2))[:, band]  # row x node
+    logits = np.multiply.outer(table.nodes[band], y) + tilt.T[:, :, None]
+    return np.exp(logits - logits.max(axis=0)).reshape(logits.shape[0], -1)
+
+
+@pytest.mark.parametrize("name", sorted(LOGIT_PRIORS))
+def test_weight_matrix_rounds_each_logit_as_a_product_and_a_sum(name):
+    # the kernel's one matrix product [u, tilt] x [y, 1] gives every logit the
+    # bits of u * y and then + tilt, with one time for every row or one per
+    # row, on calls of two columns or more; the three atoms' band is their
+    # whole table early on.  A call of one column goes to a matrix-vector
+    # product, which may round u * y + tilt once: its weights stay within
+    # the rounding of u * y
+    prior, n = LOGIT_PRIORS[name]
+    table = build_quadrature(prior, n=n)
+    rng = np.random.default_rng(9)
+    whole = 0
+    for t, y in _random_calls(7, 100):
+        rows = int(rng.integers(1, 4))
+        if y.size == 1:
+            y = np.array([y[0], -y[0]])
+        block = y + rng.normal(0.0, 1.0, (rows, y.size))
+        for times, ys in ((t, y), (t, block), (rng.uniform(0.0, 10.0, (rows, 1)), block)):
+            band, (w, _) = _weight_matrix(table, times, ys)
+            assert np.array_equal(w, _elementwise_weights(table, times, ys, band))
+            whole += band == slice(0, table.n)
+        band, (w, _) = _weight_matrix(table, t, y[:1])
+        uy = table.nodes[band] * y[0]
+        scale = 1.0 + np.abs(uy).max() + np.abs(uy + _tilt(table, t)[band]).max()
+        want = _elementwise_weights(table, t, y[:1], band)[:, 0]
+        assert np.all(np.abs(w[:, 0] - want) <= 4.0 * EPS * scale * w[:, 0])
+    if name == "three_atoms":
+        assert whole > 0
+
+
+def test_weight_matrix_of_a_one_node_band():
+    # at t = 40 the atoms +-1 lie 2|y| ~ 80 apart in log weight, past the cut,
+    # so each call keeps one node, its weights all exactly 1; the pair still
+    # has room for the [y, 1] operand in its scratch half
+    table = build_quadrature(PriorSpec.bernoulli(1.0, 0.5))
+    rng = np.random.default_rng(11)
+    for sign in (1.0, -1.0):
+        y = sign * rng.normal(40.0, math.sqrt(40.0), 500)
+        for times, ys in ((40.0, y), (40.0, y.reshape(5, 100)), (np.full((5, 1), 40.0), y.reshape(5, 100))):
+            band, (w, d) = _weight_matrix(table, times, ys)
+            assert band == (slice(1, 2) if sign > 0 else slice(0, 1))
+            assert w.shape == d.shape == (1, y.size) and np.all(w == 1.0)
+            assert np.array_equal(w, _elementwise_weights(table, times, ys, band))
+            g, h = posterior_mean_var(table, times, ys)
+            assert np.all(g == sign) and np.all(h == 0.0)
+
+
+def test_weight_matrix_allocates_no_operand_beside_the_pair():
+    # a 4,096-column call on 128 Gaussian nodes: its [y, 1] operand (64 KiB)
+    # lives in the pair's scratch half, so the call's peak above the pair is
+    # the column maxima (32 KiB), numpy's ufunc buffer for the broadcast max
+    # shift (64 KiB) and a few node-length rows, under a quarter of the
+    # operand that a separate [y, 1] would add
+    table = build_quadrature(PriorSpec.gaussian(0.0, 1.0), n=128)
+    y = np.random.default_rng(13).normal(0.0, 1.5, 4096)
+    operand = 2 * y.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        band, (w, d) = _weight_matrix(table, 1.0, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert band.stop - band.start > 40
+    passes = y.nbytes + 8 * np.getbufsize()  # the column maxima, and the buffer of the broadcast max shift
+    assert w.nbytes + d.nbytes <= peak < w.nbytes + d.nbytes + passes + operand // 4
 
 
 def test_array_times_are_checked(bernoulli_table):
