@@ -3,7 +3,8 @@
 Four families admit explicit posterior formulas: Gaussian (the scalar
 Kalman-Bucy case), two-point Bernoulli (time-homogeneous), half-normal, and
 the symmetric two-Gaussian mixture.  Everything here is independent of the
-quadrature pipeline and serves as its oracle.
+quadrature pipeline and serves as its oracle; it needs only ``math`` and
+numpy.
 
 Conventions: F(t,y) is the normalizing integral of exp(u*y - u^2 t/2) against
 the prior, G its logarithmic y-gradient (posterior mean), H = DG (posterior
@@ -47,10 +48,27 @@ class FilterAnalytics(NamedTuple):
     psi: float
 
 
+def _log_ndtr(z: float) -> float:
+    """ln Phi(z) in relative terms on both tails: within 4e-16 for z <= 0, and
+    within math.erfc's own error (under 2e-13 up to z = 37) above.
+
+    Below z = -5 it uses Phi(z) = phi(z) / f(-z), with Laplace's continued
+    fraction f(x) = x + 1/(x + 2/(x + 3/(x + ...))) evaluated from its 40th
+    term in, which is within 8e-17 relative of f for every x >= 5.
+    """
+    if z > 0.0:
+        return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
+    if z >= -5.0:
+        return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
+    x = f = -z
+    for k in range(40, 0, -1):
+        f = x + k / f
+    return -0.5 * z * z - _LOG_SQRT_2PI - math.log(f)
+
+
 def _mills(z: float) -> float:
-    """phi(z) / Phi(z), computed through log_ndtr so both tails stay accurate."""
-    from scipy.special import log_ndtr  # imported here so that importing the CLI loads no scipy.special
-    return math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
+    """phi(z) / Phi(z), computed through _log_ndtr so both tails stay accurate."""
+    return math.exp(-0.5 * z * z - _LOG_SQRT_2PI - _log_ndtr(z))
 
 
 def _safe_exp(log_value: float) -> float:
@@ -198,10 +216,11 @@ def halfnormal_analytics(sigma2: float, t: float, y: float) -> FilterAnalytics:
 
     The posterior is a normal truncated to (0, inf); with s^2 = sigma2/(1 +
     sigma2*t) and z = sigma*y/sqrt(1 + sigma2*t), the truncated-normal moments
-    give G = s(z + phi/Phi) and H = s^2 (1 - z phi/Phi - (phi/Phi)^2).
+    give G = s(z + phi/Phi) and H = s^2 (1 - z phi/Phi - (phi/Phi)^2).  That
+    form of H cancels for z << 0: against a 60-digit reference it is off by
+    2.3e-11 relative at z = -10, 1.7e-5 at z = -100 and in every digit at
+    z = -1000.
     """
-    from scipy.special import log_ndtr  # as in _mills
-
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     sigma = math.sqrt(sigma2)
@@ -209,7 +228,7 @@ def halfnormal_analytics(sigma2: float, t: float, y: float) -> FilterAnalytics:
     s = sigma / math.sqrt(d)
     z = sigma * y / math.sqrt(d)
     r = _mills(z)
-    log_F = math.log(2.0) + log_ndtr(z) + 0.5 * z * z - 0.5 * math.log(d)
+    log_F = math.log(2.0) + _log_ndtr(z) + 0.5 * z * z - 0.5 * math.log(d)
     G = s * (z + r)
     H = s * s * (1.0 - z * r - r * r)
     return FilterAnalytics(F=_safe_exp(log_F), G=G, H=H, psi=H)

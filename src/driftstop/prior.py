@@ -295,11 +295,11 @@ class PriorSpec:
 
 
 def _numbers(value, name: str, kind: str):
-    """A prior field's value, refused unless a number or a list of them (of lists, for atoms)."""
+    """A prior field's value, refused unless a finite number or a list of them (of lists, for atoms)."""
     if isinstance(value, list):
         return [_numbers(v, name, kind) for v in value]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PriorError(f"prior field {name!r} of kind {kind!r} must hold numbers, got {value!r}")
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and math.isfinite(value)):
+        raise PriorError(f"prior field {name!r} of kind {kind!r} must hold finite numbers, got {value!r}")
     return value
 
 

@@ -80,17 +80,34 @@ _BAD_PRIORS = [
     ({"kind": "discrete_atoms", "atoms": [[-1.0, 0.5], [1.0, "0.5"]]}, "atoms"),
     ({"kind": "tabulated_density", "grid": [0.0, 1.0, "2"], "density_values": [1.0, 1.0, 1.0]}, "grid"),
     ({"kind": "tabulated_density", "grid": [0.0, 1.0, 2.0], "density_values": [1.0, True, 1.0]}, "density_values"),
+    ({"kind": "gaussian", "m": math.nan, "sigma2": 1.0}, "m"),
+    ({"kind": "symmetric_gaussian_mixture", "m": math.nan, "sigma": 1.0}, "m"),
+    ({"kind": "half_normal", "sigma2": math.inf}, "sigma2"),
+    ({"kind": "discrete_atoms", "atoms": [[-math.inf, 0.5], [1.0, 0.5]]}, "atoms"),
 ]
 
 
 @pytest.mark.parametrize(
     "prior, field",
     _BAD_PRIORS,
-    ids=["missing-sigma2", "string-m", "boolean-sigma2", "string-atom-weight", "string-grid", "boolean-density"],
+    ids=[
+        "missing-sigma2",
+        "string-m",
+        "boolean-sigma2",
+        "string-atom-weight",
+        "string-grid",
+        "boolean-density",
+        "nan-m",
+        "nan-mixture-m",
+        "infinite-sigma2",
+        "infinite-atom",
+    ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_prior_field_exit_2(tmp_path, capsys, prior, field):
-    # a missing field, or a boolean or a numeric string where a number belongs
-    # (float() would read true as 1 and "0" as 0), names the field
+    # a missing field, or a boolean, a numeric string or a NaN or Infinity
+    # literal where a finite number belongs (float() would read true as 1 and
+    # "0" as 0), names the field
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"prior": prior, "cost_c": 0.25, "output_dir": str(tmp_path / "out")}))
     assert main(["solve", "--config", str(cfg)]) == 2
@@ -462,13 +479,16 @@ def test_closed_form_missing_param_exit_2(capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
-def test_closed_form_half_normal_without_scipy_exits_2(capsys, monkeypatch):
-    # scipy is an optional extra: without it the half-normal record is an input
-    # error that names scipy, not a traceback, and nothing reaches stdout
+def test_closed_form_half_normal_without_scipy_prints_the_record(capsys, monkeypatch):
+    # the half-normal closed forms need only the standard library: at z = 0,
+    # Phi = 1/2 gives F = 1, G = sqrt(2/pi) and H = 1 - 2/pi
     monkeypatch.setitem(sys.modules, "scipy.special", None)
-    assert main(["closed-form", "--family", "half_normal", "--sigma2", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "scipy" in err
+    assert main(["closed-form", "--family", "half_normal", "--sigma2", "1"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["F"] == pytest.approx(1.0, rel=1e-15)
+    assert rec["G"] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
+    assert rec["H"] == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-15)
+    assert rec["H_limit_large_y"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -813,13 +833,24 @@ def test_python_dash_m_runs_the_cli():
     assert "verify" in proc.stdout
 
 
-@pytest.mark.parametrize("prior", [{"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, {"kind": "half_normal", "sigma2": 1.0}])
-def test_solve_then_verify_loads_no_scipy(tmp_path, prior):
+_CLOSED_FORMS = [
+    ["--family", "gaussian", "--sigma2", "1", "--c", "0.25", "--t", "0.5", "--y", "1"],
+    ["--family", "bernoulli", "--beta", "1", "--c", "0.25"],
+    ["--family", "half_normal", "--sigma2", "1", "--t", "0.5", "--y", "-1"],
+    ["--family", "mixture", "--m", "1", "--sigma", "1", "--c", "0.04", "--t", "0.5", "--y", "1"],
+]
+
+
+_PRIORS = [{"kind": "gaussian", "m": 0.0, "sigma2": 1.0}, {"kind": "half_normal", "sigma2": 1.0}]
+
+
+def _scipy_modules_after(tmp_path, prior, calls):
+    """The scipy modules a fresh interpreter holds after running ``calls``, each a ``main`` argv, in order."""
     cfg = {
         "prior": prior,
         "cost_c": 0.25,
         "solver": {"n_t": 20, "n_x": 41},
-        "sim": {"n_paths": 300, "dt": 0.02, "horizon": 3.0},
+        "sim": {"n_paths": 300, "dt": 0.02, "horizon": 3.0, "export_paths": 10},
     }
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     src = str(Path(driftstop.__file__).resolve().parents[1])
@@ -827,10 +858,25 @@ def test_solve_then_verify_loads_no_scipy(tmp_path, prior):
     code = (
         "import sys\n"
         "from driftstop.cli import main\n"
-        "for sub in ('solve', 'verify'):\n"
-        "    assert main([sub, '--config', 'config.json', '--out', 'out']) == 0, sub\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("prior", _PRIORS)
+def test_solve_then_verify_loads_no_scipy(tmp_path, prior):
+    calls = [[sub, "--config", "config.json", "--out", "out"] for sub in ("solve", "verify")]
+    assert _scipy_modules_after(tmp_path, prior, calls) == "[]"
+
+
+@pytest.mark.parametrize("prior", _PRIORS, ids=["gaussian", "half_normal"])
+def test_no_command_loads_scipy(tmp_path, prior):
+    # scipy is a test-only oracle: no command, and no closed-form family,
+    # loads scipy or any scipy.* module in a fresh interpreter
+    calls = [[sub, "--config", "config.json", "--out", "out"] for sub in ("psi", "solve", "verify", "simulate")]
+    calls += [["closed-form", *argv] for argv in _CLOSED_FORMS]
+    assert _scipy_modules_after(tmp_path, prior, calls) == "[]"

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 import driftstop
 from driftstop import (
     bernoulli_analytics,
     bernoulli_psi,
     bernoulli_solve,
+    closed_form,
     gaussian_analytics,
     gaussian_tau_star,
     gaussian_value,
@@ -173,8 +175,8 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_cli_import_leaves_out_scipy_special():
-    # the half-normal closed forms import log_ndtr where they call it, and the
-    # half-normal quadrature's tail cut is a constant
+    # the half-normal closed forms compute ln Phi with the standard library,
+    # and the half-normal quadrature's tail cut is a constant
     assert not _cli_import_loads("scipy.special")
 
 
@@ -220,6 +222,41 @@ def test_halfnormal_monotone_check():
     # f(0) = 4/pi
     res0 = halfnormal_monotone_check(1.0, 0.0, np.array([-1e-6, 0.0, 1e-6]))
     assert res0.min_f == pytest.approx(4.0 / math.pi, abs=1e-6)
+
+
+def test_log_ndtr_matches_scipy():
+    # both sides of the branch points at z = -5 and z = 0, out to where scipy
+    # itself is 2.3e-13 off near z = 37
+    below, above = np.nextafter(-5.0, -np.inf), np.nextafter(-5.0, 0.0)
+    z_grid = np.concatenate(
+        [
+            -np.geomspace(1000.0, 5.5, 60),
+            np.linspace(-5.5, 0.5, 121),
+            [below, above, -1e-300, -5e-324, 5e-324, 1e-300],
+            np.geomspace(0.6, 37.0, 60),
+        ]
+    )
+    for z in z_grid:
+        want = float(log_ndtr(z))
+        assert abs(closed_form._log_ndtr(float(z)) - want) <= 5e-13 * abs(want), z
+
+
+def test_halfnormal_records_match_scipy_formulas(monkeypatch):
+    grid = [
+        (sigma2, t, y)
+        for sigma2 in (0.05, 0.5, 1.0, 4.0, 25.0)
+        for t in (0.0, 0.3, 1.0, 4.0, 20.0)
+        for y in np.linspace(-8.0, 40.0, 97)
+    ]
+    # z = sigma y / sqrt(1 + sigma2 t) >= -1, where H does not cancel
+    grid = [(s2, t, y) for s2, t, y in grid if math.sqrt(s2) * y / math.sqrt(1.0 + s2 * t) >= -1.0]
+    assert len(grid) > 1000
+    records = [halfnormal_analytics(*point) for point in grid]
+    monkeypatch.setattr(closed_form, "_log_ndtr", lambda z: float(log_ndtr(z)))
+    for point, rec in zip(grid, records):
+        want = halfnormal_analytics(*point)
+        for got_v, want_v in zip(rec[:3], want[:3]):
+            assert abs(got_v - want_v) <= 1e-13 * abs(want_v) or got_v == want_v == math.inf, point
 
 
 def test_halfnormal_f_limits():
