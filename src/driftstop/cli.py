@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_form
-from .csvio import format_row
+from .csvio import format_row, read_table_csv
 from .dispersion import InversionError, clamp_to_interior, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
 from .prior import MAX_NODES, PosteriorError, PriorSpec, build_quadrature
@@ -268,7 +268,7 @@ def cmd_solve(args) -> int:
     _prepare_out(out, resolved)
 
     grid = solve_value(solver_psi_grid(table, config), c, config)
-    boundary = extract_regions(grid)
+    boundary = extract_regions(grid.values, config)
     report = monotonicity_report(grid)
     good = locally_good_check(grid)
 
@@ -293,12 +293,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
-    """The boundary ``solve`` wrote to ``out``, refused unless it solves this config's problem."""
-    path = out / "boundary.csv"
+def _solver_boundary(out: Path, config: SolverConfig, resolved: dict) -> BoundaryCurve:
+    """The rule of the value grid ``solve`` wrote to ``out``, refused unless it solves this config's problem.
+
+    The grid must hold finite values on this config's lattice, bit for bit;
+    the rule is then extracted from it as ``solve`` extracts it.
+    """
+    path = out / "value_grid.csv"
     if not path.exists():
-        raise ConfigError(f"boundary file not found: {path}; run the solve command first")
-    policy = BoundaryCurve.from_csv(path)
+        raise ConfigError(f"value grid not found: {path}; run the solve command first")
     meta_path = out / "solver_meta.json"
     try:
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
@@ -314,7 +317,13 @@ def _solver_boundary(out: Path, resolved: dict) -> BoundaryCurve:
             f"{have or f'unknown (no problem_hash in {meta_path})'}, not for this config's {want}; "
             "run the solve command with this config first"
         )
-    return policy
+    t, x, values = read_table_csv(path)
+    for name, got, lattice in (("t column", t, config.solve_times()), ("x header", x, config.x_nodes())):
+        if got.tobytes() != lattice.tobytes():
+            raise ConfigError(f"the {name} of {path} is not this config's solver lattice; run the solve command again")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path} holds a value that is not finite; run the solve command again")
+    return extract_regions(values, config)
 
 
 def cmd_verify(args) -> int:
@@ -323,7 +332,7 @@ def cmd_verify(args) -> int:
     policy_doc = resolved["policy"]
     kind = policy_doc.get("kind", CONFIG_KEYS["policy"]["kind"].default)
     if kind == "solver_boundary":
-        policy = _solver_boundary(out, resolved)
+        policy = _solver_boundary(out, config, resolved)
     elif kind == "stop_at":
         policy = float(policy_doc["time"])
     else:

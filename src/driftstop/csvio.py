@@ -1,14 +1,15 @@
 """Text format of the CSV artifacts.
 
 Floats are written with the shortest decimal that round-trips to the same
-float64, so identical inputs produce byte-identical files.
+float64, so identical inputs produce byte-identical files, and a table read
+back holds the bits that were written.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_float", "format_row", "write_table_csv"]
+__all__ = ["format_float", "format_row", "read_table_csv", "write_table_csv"]
 
 
 def format_float(x: float) -> str:
@@ -27,3 +28,27 @@ def write_table_csv(path, t_nodes, x_nodes, values) -> None:
         fh.write("t," + format_row(x_nodes) + "\n")
         for ti, row in zip(t_nodes, values):
             fh.write(format_float(ti) + "," + format_row(row) + "\n")
+
+
+def read_table_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``write_table_csv`` writes, as ``(t_nodes, x_nodes, values)``.
+
+    A file whose header is not ``t`` and one or more x, a row whose field
+    count is not the header's, or a field that is not a number is refused
+    with a ``ValueError`` naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    if len(header) < 2 or header[0] != "t":
+        raise ValueError(f"{path} must start with the header t,x_0,x_1,...")
+    rows = [line.split(",") for line in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"line {i + 2} of {path} has {len(row)} fields, not the header's {len(header)}")
+    try:
+        x = np.array(list(map(float, header[1:])))
+        table = np.array([list(map(float, row)) for row in rows]).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ValueError(f"{path} holds a field that is not a number: {exc}") from None
+    return table[:, 0], x, table[:, 1:]

@@ -533,16 +533,19 @@ class BoundaryCurve:
         return cls(t_nodes, intervals, shape)
 
 
-def extract_regions(grid: ValueGrid) -> BoundaryCurve:
+def extract_regions(values: np.ndarray, config: SolverConfig) -> BoundaryCurve:
     """Stopping set per time slice, merged into maximal intervals and classified.
 
-    A finite end lies where v, interpolated linearly between a stop node and
-    its continue neighbour, crosses the classification level; a run of stop
-    nodes that reaches the truncation edge stops past it, so that end is
-    infinite.
+    ``values`` is v on ``config``'s lattice: one row per ``solve_times()``
+    and one column per ``x_nodes()``.  A finite end lies where v,
+    interpolated linearly between a stop node and its continue neighbour,
+    crosses the classification level; a run of stop nodes that reaches the
+    truncation edge stops past it, so that end is infinite.
     """
-    ztol = grid.config.zero_tol
-    x, v = grid.x_nodes, grid.values
+    t, x, v = config.solve_times(), config.x_nodes(), values
+    if v.shape != (t.size, x.size):
+        raise ValueError(f"values of shape {v.shape} are not on the solver lattice ({t.size} x {x.size})")
+    ztol = config.zero_tol
     mask = v >= -ztol
     # runs of stop nodes: +1 steps open them, -1 steps close them, row by row
     steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
@@ -550,10 +553,10 @@ def extract_regions(grid: ValueGrid) -> BoundaryCurve:
     last = np.nonzero(steps == -1)[1] - 1
     lo = np.where(first == 0, -math.inf, _crossings(x, v, rows, first, first - 1, ztol))
     hi = np.where(last == x.size - 1, math.inf, _crossings(x, v, rows, last, last + 1, ztol))
-    intervals: list[list[tuple[float, float]]] = [[] for _ in grid.t_nodes]
+    intervals: list[list[tuple[float, float]]] = [[] for _ in t]
     for i, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
         intervals[i].append((a, b))
-    return BoundaryCurve(grid.t_nodes.copy(), intervals, _classify(intervals, float(np.max(np.diff(x)))))
+    return BoundaryCurve(t, intervals, _classify(intervals, float(np.max(np.diff(x)))))
 
 
 def _crossings(x, v, rows, j_stop, j_cont, ztol) -> np.ndarray:

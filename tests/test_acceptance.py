@@ -55,7 +55,7 @@ def _pipeline(table, c, **kw):
     cfg = SolverConfig(**kw)
     start = time.perf_counter()
     grid = solve_value(solver_psi_grid(table, cfg), c, cfg)
-    boundary = extract_regions(grid)
+    boundary = extract_regions(grid.values, grid.config)
     elapsed = time.perf_counter() - start
     return grid, boundary, cfg, elapsed
 

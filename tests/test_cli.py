@@ -13,7 +13,7 @@ import pytest
 import driftstop
 from driftstop import BoundaryCurve, cli, montecarlo
 from driftstop.cli import CONFIG_KEYS, DERIVED, REQUIRED, _load_config, _resolve, main
-from driftstop.csvio import format_float, format_row
+from driftstop.csvio import format_float, format_row, read_table_csv, write_table_csv
 
 
 @pytest.fixture()
@@ -42,6 +42,15 @@ def test_format_float_round_trips():
 def test_format_row_matches_per_float_join():
     row = np.array([-0.0, 5e-324, 1e16, np.inf, np.nan, -np.inf, 0.1, 4.854101966249684])
     assert format_row(row) == ",".join(format_float(v) for v in row)
+
+
+def test_table_csv_reads_back_the_bits_written(tmp_path):
+    t = np.array([0.0, 5e-324, 0.1, 1e16])
+    x = np.array([-0.0, 4.854101966249684, math.pi])
+    values = np.array([[-0.0, -1e-300, -2.5], [0.1, 1e16, -math.inf], [math.nan, 0.0, 1.0], [3.0, -3.0, 7e-17]])
+    write_table_csv(tmp_path / "table.csv", t, x, values)
+    for got, want in zip(read_table_csv(tmp_path / "table.csv"), (t, x, values)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_path_batch_csv_rows_match_format_row(tmp_path):
@@ -198,29 +207,100 @@ def test_space_error_below_time_error_at_defaults(tmp_path, prior, c):
 
 
 def test_boundary_csv_round_trip(bern_config):
+    # verify's rule, rebuilt from value_grid.csv, writes solve's boundary.csv byte for byte
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    curve = BoundaryCurve.from_csv(out / "boundary.csv")
+    curve = _solved_rule(out)
     assert curve.shape == "two_sided_symmetric"
     # threshold near the known boundary
     assert np.nanmax(np.abs(curve.b - 0.917)) <= 0.03
     assert curve.contains(0.5, np.array([0.99]))[0]
     assert not curve.contains(0.5, np.array([0.0]))[0]
+    curve.to_csv(out / "rebuilt.csv")
+    assert (out / "rebuilt.csv").read_bytes() == (out / "boundary.csv").read_bytes()
 
 
-def test_verify_needs_boundary_file(bern_config, capsys):
-    cfg_path, out, _ = bern_config
-    assert main(["verify", "--config", str(cfg_path)]) == 2
-    assert "boundary" in capsys.readouterr().err
+def _solved_rule(out):
+    """The rule verify rebuilds from the value grid that solve wrote to ``out``."""
+    _, _, config, _, _, resolved = _resolve(_load_config(str(out / "resolved_config.json")), str(out), None)
+    return cli._solver_boundary(out, config, resolved)
 
 
-@pytest.mark.parametrize("rows", ["", "0.0,two_sided_symmetric\n"])
-def test_verify_refuses_boundary_without_full_rows(bern_config, capsys, rows):
+_ATOMS = {"kind": "discrete_atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+_GAUSSIAN = {"kind": "gaussian", "m": 0.0, "sigma2": 1.0}
+_HALF_NORMAL = {"kind": "half_normal", "sigma2": 1.0}
+# the benchmark's solve configs, then the solver_boundary configs the tests verify
+_SOLVED = {
+    "bench_gaussian": {"prior": _GAUSSIAN, "cost_c": 0.25},
+    "bench_half_normal": {"prior": _HALF_NORMAL, "cost_c": 0.25},
+    "bench_mixture": {"prior": {"kind": "symmetric_gaussian_mixture", "m": 1.0, "sigma": 1.0}, "cost_c": 0.04},
+    "bench_two_point": {"prior": _ATOMS, "cost_c": 0.25, "solver": {"n_t": 200, "n_x": 201}},
+    "two_point": {"prior": _ATOMS, "cost_c": 0.25, "solver": {"n_t": 60, "n_x": 81, "T_max": 1.0}},
+    "gaussian_window": {"prior": _GAUSSIAN, "cost_c": 0.25, "solver": {"x_lo": -1.5, "x_hi": 1.5, "T_max": 1.5}},
+    "gaussian_coarse": {"prior": _GAUSSIAN, "cost_c": 0.25, "solver": {"n_t": 20, "n_x": 41}},
+    "half_normal_coarse": {"prior": _HALF_NORMAL, "cost_c": 0.25, "solver": {"n_t": 20, "n_x": 41}},
+}
+
+
+@pytest.mark.parametrize("name", _SOLVED)
+def test_verify_rebuilds_the_rule_solve_wrote(tmp_path, name):
+    # the rule verify extracts from value_grid.csv writes boundary.csv byte for byte
+    out = tmp_path / "out"
+    (tmp_path / "config.json").write_text(json.dumps(_SOLVED[name]))
+    assert main(["solve", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    rule = _solved_rule(out)
+    read = BoundaryCurve.from_csv(out / "boundary.csv")
+    assert rule.shape == read.shape
+    assert rule.t_nodes.tobytes() == read.t_nodes.tobytes()
+    assert [len(segs) for segs in rule.intervals] == [len(segs) for segs in read.intervals]
+    ends = [np.array(segs, dtype=float).tobytes() for segs in rule.intervals]
+    assert ends == [np.array(segs, dtype=float).tobytes() for segs in read.intervals]
+    rule.to_csv(tmp_path / "rebuilt.csv")
+    assert (tmp_path / "rebuilt.csv").read_bytes() == (out / "boundary.csv").read_bytes()
+
+
+def _one_ulp_up(field: str) -> str:
+    return repr(math.nextafter(float(field), math.inf))
+
+
+# each case's edit of a solved value_grid.csv's lines (header t,x_0,..., then t_i,v_i0,... per time;
+# None deletes the file) and a phrase of the refusal it draws
+_BAD_GRIDS = {
+    "missing": (None, "not found"),
+    "bad_header": (lambda lines: ["time" + lines[0][1:], *lines[1:]], "header"),
+    "ragged_row": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]], "fields"),
+    "non_numeric": (lambda lines: [*lines[:3], lines[3].replace(",", ",x", 1), *lines[4:]], "not a number"),
+    "nan_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",nan", *lines[4:]], "not finite"),
+    "inf_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",-inf", *lines[4:]], "not finite"),
+    "rows_missing": (lambda lines: lines[:-1], "t column"),
+    "t_one_ulp_off": (
+        lambda lines: [*lines[:3], _one_ulp_up(lines[3].split(",", 1)[0]) + lines[3][lines[3].index(","):], *lines[4:]],
+        "t column",
+    ),
+    "x_one_ulp_off": (
+        lambda lines: [",".join(f if i != 5 else _one_ulp_up(f) for i, f in enumerate(lines[0].split(","))), *lines[1:]],
+        "x header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_GRIDS)
+def test_verify_refuses_malformed_value_grid(bern_config, capsys, case):
+    # exit 2, naming the file, before anything is written
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
+    path = out / "value_grid.csv"
+    edit, phrase = _BAD_GRIDS[case]
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
     assert main(["verify", "--config", str(cfg_path)]) == 2
-    assert str(out / "boundary.csv") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and phrase in err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 
 def test_verify_stops_paths_past_the_solved_window(tmp_path):
@@ -256,7 +336,7 @@ def test_verify_skips_gaps_of_a_rule_without_finite_ends(tmp_path):
     cfg_path = tmp_path / "gaussian.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    curve = BoundaryCurve.from_csv(tmp_path / "out" / "boundary.csv")
+    curve = _solved_rule(tmp_path / "out")
     assert curve.shape == "two_sided_symmetric"
     assert not any(math.isfinite(end) for segs in curve.intervals for seg in segs for end in seg)
     assert main(["verify", "--config", str(cfg_path), "--seed", "1"]) == 0
@@ -342,18 +422,6 @@ def test_verify_refuses_boundary_without_solver_meta(bern_config, capsys):
     assert not (out / "verify.json").exists()
 
 
-def test_verify_refuses_malformed_boundary_before_writing(bern_config, capsys):
-    cfg_path, out, _ = bern_config
-    assert main(["solve", "--config", str(cfg_path)]) == 0
-    resolved = (out / "resolved_config.json").read_bytes()
-    rows = "0,two_sided_symmetric,1,-inf:-1;1:inf\n0.5,two_sided_symmetric,1,2:1\n"  # lo > hi
-    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
-    assert main(["verify", "--config", str(cfg_path)]) == 2
-    assert str(out / "boundary.csv") in capsys.readouterr().err
-    assert (out / "resolved_config.json").read_bytes() == resolved
-    assert not (out / "verify.json").exists()
-
-
 def test_verify_refuses_solver_meta_that_is_not_an_object(bern_config, capsys):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
@@ -370,18 +438,6 @@ def test_verify_refuses_solver_meta_that_is_not_json(bern_config, capsys):
     assert main(["verify", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert str(out / "solver_meta.json") in err and "JSON object" in err
-    assert not (out / "verify.json").exists()
-
-
-def test_verify_refuses_boundary_rows_that_disagree_on_shape(bern_config, capsys):
-    # read with the first row's shape, this rule would pick the one-sided gap pass
-    cfg_path, out, _ = bern_config
-    assert main(["solve", "--config", str(cfg_path)]) == 0
-    rows = "0,one_sided_lower,-1,-inf:-1\n0.5,one_sided_upper,1,1:inf\n"
-    (out / "boundary.csv").write_text("t,shape,b,intervals\n" + rows)
-    assert main(["verify", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert str(out / "boundary.csv") in err and "shape" in err
     assert not (out / "verify.json").exists()
 
 

@@ -582,7 +582,7 @@ def test_time_rules_inverting_nothing_keep_several_steps_per_call(mixture_table,
 def _solver_boundary(table, c, t_max):
     lo, hi = default_domain(table)
     cfg = SolverConfig(n_t=60, n_x=101, T_max=t_max, x_lo=lo, x_hi=hi)
-    return extract_regions(solve_value(solver_psi_grid(table, cfg), c, cfg))
+    return extract_regions(solve_value(solver_psi_grid(table, cfg), c, cfg).values, cfg)
 
 
 def test_curve_walk_draws_no_normal_past_its_first_all_stop_step(gaussian_table, monkeypatch):

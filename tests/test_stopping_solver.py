@@ -260,7 +260,7 @@ def bern_grid(bernoulli_table):
 
 def test_extract_bernoulli_boundary(bern_grid):
     sol = bernoulli_solve(1.0, 0.25)
-    bnd = extract_regions(bern_grid)
+    bnd = extract_regions(bern_grid.values, bern_grid.config)
     assert bnd.shape == "two_sided_symmetric"
     dx = bern_grid.x_nodes[1] - bern_grid.x_nodes[0]
     assert np.max(np.abs(bnd.b - sol.boundary_a)) <= dx
@@ -268,7 +268,7 @@ def test_extract_bernoulli_boundary(bern_grid):
 
 def test_extract_gaussian_all_stop(gaussian_table):
     grid, _ = _solve(gaussian_table, 1.0, n_t=40, n_x=41, T_max=1.0)
-    bnd = extract_regions(grid)
+    bnd = extract_regions(grid.values, grid.config)
     assert bnd.shape == "all_stop"
 
 
@@ -332,7 +332,7 @@ def test_reflected_half_normal_stops_above_a_mirrored_boundary(halfnormal_table)
     grid, _ = _solve(halfnormal_table, 0.25, n_t=40, n_x=81, T_max=3.0)
     grid_r, _ = _solve(reflected, 0.25, n_t=40, n_x=81, T_max=3.0)
     assert np.max(np.abs(grid_r.values - grid.values[:, ::-1])) <= 1e-14
-    rule, rule_r = extract_regions(grid), extract_regions(grid_r)
+    rule, rule_r = extract_regions(grid.values, grid.config), extract_regions(grid_r.values, grid_r.config)
     assert (rule.shape, rule_r.shape) == ("one_sided_lower", "one_sided_upper")
     finite = np.isfinite(rule.b)
     assert finite.any() and np.array_equal(np.isfinite(rule_r.b), finite)
@@ -344,7 +344,7 @@ def example_rules(all_tables):
     rules = {}
     for name, (c, t_max, _) in _EXAMPLE_RULES.items():
         grid, _ = _solve(all_tables[name], c, n_t=40, n_x=81, T_max=t_max)
-        rules[name] = extract_regions(grid)
+        rules[name] = extract_regions(grid.values, grid.config)
     rules["symmetric_threshold"] = BoundaryCurve.symmetric_threshold(0.9)
     rules["stop_below"] = BoundaryCurve.stop_below(0.3)
     return rules
