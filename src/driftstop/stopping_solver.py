@@ -500,38 +500,6 @@ class BoundaryCurve:
                 ivals = ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in segs)
                 fh.write(f"{format_float(ti)},{self.shape},{format_float(bi)},{ivals}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "BoundaryCurve":
-        """Read what ``to_csv`` writes; the b column is not read, since b is read off the intervals."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != _CSV_HEADER:
-            raise ValueError(f"unrecognized boundary file header in {path}")
-        rows = [line.split(",", 3) for line in lines[1:]]
-        if not rows or any(len(row) != 4 for row in rows):
-            raise ValueError(f"{path} needs one or more rows of four fields {_CSV_HEADER}")
-        shapes = {row[1] for row in rows}
-        if len(shapes) > 1:
-            raise ValueError(f"the rows of {path} disagree on the shape: {sorted(shapes)}")
-        shape = rows[0][1]
-        if shape not in _B_EMPTY_FULL:
-            raise ValueError(f"unknown boundary shape {shape!r} in {path}")
-        try:
-            t_nodes = np.array([float(row[0]) for row in rows])
-            intervals = []
-            for row in rows:
-                pairs = [seg.split(":") for seg in row[3].split(";") if seg]
-                intervals.append([(float(lo), float(hi)) for lo, hi in pairs])
-        except ValueError as exc:
-            raise ValueError(f"malformed row in {path}: {exc}") from exc
-        if not (np.all(np.isfinite(t_nodes)) and np.all(np.diff(t_nodes) > 0.0)):
-            raise ValueError(f"the t column of {path} must be finite and strictly increasing")
-        for t, segs in zip(t_nodes, intervals):
-            ends = [end for seg in segs for end in seg]
-            if not all(a <= b for a, b in zip(ends, ends[1:])):  # no end is nan either
-                raise ValueError(f"the intervals at t = {t!r} in {path} must each have lo <= hi and be in order")
-        return cls(t_nodes, intervals, shape)
-
 
 def extract_regions(values: np.ndarray, config: SolverConfig) -> BoundaryCurve:
     """Stopping set per time slice, merged into maximal intervals and classified.
