@@ -53,17 +53,23 @@ def _log_ndtr(z: float) -> float:
     within math.erfc's own error (under 2e-13 up to z = 37) above.
 
     Below z = -5 it uses Phi(z) = phi(z) / f(-z), with Laplace's continued
-    fraction f(x) = x + 1/(x + 2/(x + 3/(x + ...))) evaluated from its 40th
-    term in, which is within 8e-17 relative of f for every x >= 5.
+    fraction f(x) = x + 1/T2, T2 = x + 2/T3, T3 = x + 3/(x + 4/(x + ...))
+    (``_tail_fractions``), which is within 8e-17 relative of f for every x >= 5.
     """
     if z > 0.0:
         return math.log1p(-0.5 * math.erfc(z / math.sqrt(2.0)))
     if z >= -5.0:
         return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
-    x = f = -z
-    for k in range(40, 0, -1):
-        f = x + k / f
-    return -0.5 * z * z - _LOG_SQRT_2PI - math.log(f)
+    t2, _ = _tail_fractions(-z)
+    return -0.5 * z * z - _LOG_SQRT_2PI - math.log(-z + 1.0 / t2)
+
+
+def _tail_fractions(x: float) -> tuple[float, float]:
+    """The tails T2 and T3 of Laplace's continued fraction at x, evaluated from its 40th term in."""
+    t = x
+    for k in range(40, 2, -1):
+        t = x + k / t
+    return x + 2.0 / t, t
 
 
 def _mills(z: float) -> float:
@@ -216,10 +222,10 @@ def halfnormal_analytics(sigma2: float, t: float, y: float) -> FilterAnalytics:
 
     The posterior is a normal truncated to (0, inf); with s^2 = sigma2/(1 +
     sigma2*t) and z = sigma*y/sqrt(1 + sigma2*t), the truncated-normal moments
-    give G = s(z + phi/Phi) and H = s^2 (1 - z phi/Phi - (phi/Phi)^2).  That
-    form of H cancels for z << 0: against a 60-digit reference it is off by
-    2.3e-11 relative at z = -10, 1.7e-5 at z = -100 and in every digit at
-    z = -1000.
+    give G = s(z + phi/Phi) and H = s^2 (1 - z phi/Phi - (phi/Phi)^2).  Below
+    z = -5 both cancel, so there phi/Phi = x + 1/T2 with x = -z and the tails
+    of ``_tail_fractions``: with g = 1/T2 and h = 2/T3, G = s g and
+    H = s^2 g (h - g), which subtract no near-equal terms.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
@@ -227,10 +233,14 @@ def halfnormal_analytics(sigma2: float, t: float, y: float) -> FilterAnalytics:
     d = 1.0 + sigma2 * t
     s = sigma / math.sqrt(d)
     z = sigma * y / math.sqrt(d)
-    r = _mills(z)
     log_F = math.log(2.0) + _log_ndtr(z) + 0.5 * z * z - 0.5 * math.log(d)
-    G = s * (z + r)
-    H = s * s * (1.0 - z * r - r * r)
+    if z < -5.0:
+        t2, t3 = _tail_fractions(-z)
+        g, h = 1.0 / t2, 2.0 / t3
+        G, H = s * g, s * s * g * (h - g)
+    else:
+        r = _mills(z)
+        G, H = s * (z + r), s * s * (1.0 - z * r - r * r)
     return FilterAnalytics(F=_safe_exp(log_F), G=G, H=H, psi=H)
 
 

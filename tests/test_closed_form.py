@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -257,6 +258,21 @@ def test_halfnormal_records_match_scipy_formulas(monkeypatch):
         want = halfnormal_analytics(*point)
         for got_v, want_v in zip(rec[:3], want[:3]):
             assert abs(got_v - want_v) <= 1e-13 * abs(want_v) or got_v == want_v == math.inf, point
+
+
+def test_halfnormal_moments_below_minus_5_match_mpmath():
+    # below z = -5, G = s g and H = s^2 g (h - g) from the continued fraction's
+    # tails subtract no near-equal terms; s^2 (1 - z phi/Phi - (phi/Phi)^2)
+    # was off by 1.7e-5 relative at z = -100 and negative at z = -1000
+    mpmath.mp.dps = 60
+    u = 2.0**-53  # unit round-off
+    below = np.nextafter(-5.0, -np.inf)
+    for z in [below, -5.5, -10.0, -100.0, -1000.0, -1e5, *-np.geomspace(5.5, 1e5, 60)]:
+        rec = halfnormal_analytics(1.0, 0.0, float(z))  # sigma2 = 1, t = 0: s = 1 and z = y
+        zm = mpmath.mpf(float(z))
+        r = mpmath.npdf(zm) / mpmath.ncdf(zm)
+        assert abs(rec.G / (zm + r) - 1) <= 2.0 * u, z
+        assert abs(rec.H / (1 - zm * r - r * r) - 1) <= 4.0 * u, z
 
 
 def test_halfnormal_f_limits():
