@@ -6,10 +6,9 @@ level Y(t) = y reweights mu by exp(u*y - u^2*t/2); every quantity in this
 module is an integral against that exponentially tilted measure, computed on a
 discrete quadrature table with max-shifted (log-sum-exp) exponents so that no
 intermediate overflows.  The kernel forms the logits as one matrix product,
-[u, ln w - u^2 t/2] by [y, 1], rounded as u*y and then the sum (the matrix-
-vector product of a one-column call may fuse the two), keeps the shifted
-weights unnormalised (each column's largest is exactly 1) and divides each
-column's sums by the column's total once, after summing.
+[u, ln w - u^2 t/2] by [y, 1], rounded as u*y and then the sum, keeps the
+shifted weights unnormalised (each column's largest is exactly 1) and divides
+each column's sums by the column's total once, after summing.
 
 The classical filtering objects:
 
@@ -37,9 +36,8 @@ A call may also give each row of a 2-d y its own time, an array of shape
 Each row then gives a band from its smallest and its largest y as above, and
 the call's band runs from the first to the last node of these, so it still
 holds every node any column keeps; a column's weights are the ones a call
-at its row's time alone computes (of two columns or more), so on the same
-band it gets the same bits.  A scalar time is one time for every row, on the
-same code path.
+at its row's time alone computes, so on the same band it gets the same
+bits.  A scalar time is one time for every row, on the same code path.
 """
 
 from __future__ import annotations
@@ -556,12 +554,18 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     ``t`` is one time for every y, or one time per row of a 2-d ``y``, of
     shape ``(rows, 1)``.  With the band's max-shifted weights w of a column
     and their sum S0, G = sum(w u) / S0 and H = sum(w (u - G)^2) / S0: the
-    weights are never normalised one by one.
+    weights are never normalised one by one.  A one-column ``y`` is evaluated
+    as two equal columns, so that it gets the bits a wider call gives it:
+    numpy would send a one-column product to a matrix-vector routine, which
+    may round u y + tilt once, and sum it on other paths.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)
     if y_arr.size == 0:
         return np.empty(y_arr.shape), np.empty(y_arr.shape)
+    cols = y_arr.shape[-1]
+    if cols == 1:
+        y_arr = y_arr.repeat(2, axis=-1)
     band, (w, d) = _weight_matrix(table, t, y_arr)
     u = table.nodes[band]
     s0 = w.sum(axis=0)
@@ -572,7 +576,7 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     np.subtract(u[:, None], g, out=d)
     h = np.einsum("ij,ij,ij->j", w, d, d)
     h /= s0
-    return g.reshape(y_arr.shape), h.reshape(y_arr.shape)
+    return g.reshape(y_arr.shape)[..., :cols], h.reshape(y_arr.shape)[..., :cols]
 
 
 def widder_F(table: QuadratureTable, t: float, y: float) -> WidderValue:

@@ -505,13 +505,12 @@ def test_array_time_band_holds_every_node_a_column_keeps(name):
 def test_array_times_match_scalar_calls_bit_for_bit(prior):
     # where every call's band is the whole table, a call with one time per row
     # gives each row the bits that a call at its time gives it, as the walk's
-    # calls over several steps must (a call of one column takes other
-    # summation paths, so every row here has several)
+    # calls over several steps must, down to rows of one column
     table = build_quadrature(prior)
     rng = np.random.default_rng(5)
     for _ in range(100):
         times = rng.uniform(0.0, 8.0, (int(rng.integers(1, 6)), 1))
-        y = rng.uniform(-4.0, 4.0, (times.size, int(rng.integers(2, 60))))
+        y = rng.uniform(-4.0, 4.0, (times.size, int(rng.integers(1, 60))))
         assert _weight_matrix(table, times, y)[0] == slice(0, table.n)
         g, h = posterior_mean_var(table, times, y)
         assert g.shape == h.shape == y.shape
@@ -567,10 +566,8 @@ def _elementwise_weights(table, t, y, band):
 def test_weight_matrix_rounds_each_logit_as_a_product_and_a_sum(name):
     # the kernel's one matrix product [u, tilt] x [y, 1] gives every logit the
     # bits of u * y and then + tilt, with one time for every row or one per
-    # row, on calls of two columns or more; the three atoms' band is their
-    # whole table early on.  A call of one column goes to a matrix-vector
-    # product, which may round u * y + tilt once: its weights stay within
-    # the rounding of u * y
+    # row; the three atoms' band is their whole table early on.  A kernel
+    # call of one column gets them too: it is one of two equal columns
     prior, n = LOGIT_PRIORS[name]
     table = build_quadrature(prior, n=n)
     rng = np.random.default_rng(9)
@@ -584,11 +581,11 @@ def test_weight_matrix_rounds_each_logit_as_a_product_and_a_sum(name):
             band, (w, _) = _weight_matrix(table, times, ys)
             assert np.array_equal(w, _elementwise_weights(table, times, ys, band))
             whole += band == slice(0, table.n)
-        band, (w, _) = _weight_matrix(table, t, y[:1])
-        uy = table.nodes[band] * y[0]
-        scale = 1.0 + np.abs(uy).max() + np.abs(uy + _tilt(table, t)[band]).max()
-        want = _elementwise_weights(table, t, y[:1], band)[:, 0]
-        assert np.all(np.abs(w[:, 0] - want) <= 4.0 * EPS * scale * w[:, 0])
+        band, (w, _) = _weight_matrix(table, t, y[[0, 0]])
+        assert np.array_equal(w, _elementwise_weights(table, t, y[[0, 0]], band))
+        g, h = posterior_mean_var(table, t, y[:1])
+        g2, h2 = posterior_mean_var(table, t, y[[0, 0]])
+        assert g[0] == g2[0] and h[0] == h2[0]
     if name == "three_atoms":
         assert whole > 0
 
