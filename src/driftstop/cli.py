@@ -294,11 +294,8 @@ def cmd_solve(args) -> int:
 
 
 def _solver_boundary(out: Path, config: SolverConfig, resolved: dict) -> BoundaryCurve:
-    """The rule of the value grid ``solve`` wrote to ``out``, refused unless it solves this config's problem.
-
-    The grid must hold finite values on this config's lattice, bit for bit;
-    the rule is then extracted from it as ``solve`` extracts it.
-    """
+    """The rule ``solve`` extracts from the value grid it wrote to ``out``, refused unless
+    the grid solves this config's problem, on its lattice, with finite values."""
     path = out / "value_grid.csv"
     if not path.exists():
         raise ConfigError(f"value grid not found: {path}; run the solve command first")
@@ -318,9 +315,7 @@ def _solver_boundary(out: Path, config: SolverConfig, resolved: dict) -> Boundar
             "run the solve command with this config first"
         )
     t, x, values = read_table_csv(path)
-    for name, got, lattice in (("t column", t, config.solve_times()), ("x header", x, config.x_nodes())):
-        if got.tobytes() != lattice.tobytes():
-            raise ConfigError(f"the {name} of {path} is not this config's solver lattice; run the solve command again")
+    config.check_lattice(t, x, path)
     if not np.isfinite(values).all():
         raise ConfigError(f"{path} holds a value that is not finite; run the solve command again")
     return extract_regions(values, config)

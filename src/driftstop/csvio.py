@@ -31,21 +31,15 @@ def write_table_csv(path, t_nodes, x_nodes, values) -> None:
 
 
 def read_table_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``write_table_csv`` writes, as ``(t_nodes, x_nodes, values)``.
-
-    A file whose header is not ``t`` and one or more x, a row whose field
-    count is not the header's, or a field that is not a number is refused
-    with a ``ValueError`` naming the file.
-    """
+    """What ``write_table_csv`` writes, as ``(t_nodes, x_nodes, values)``; a bad header, a
+    ragged row or a field that is not a number raises a ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",") if lines else []
+        header, *rows = [line.split(",") for line in fh.read().splitlines()] or [[]]
     if len(header) < 2 or header[0] != "t":
         raise ValueError(f"{path} must start with the header t,x_0,x_1,...")
-    rows = [line.split(",") for line in lines[1:]]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, 2):
         if len(row) != len(header):
-            raise ValueError(f"line {i + 2} of {path} has {len(row)} fields, not the header's {len(header)}")
+            raise ValueError(f"line {i} of {path} has {len(row)} fields, not the header's {len(header)}")
     try:
         x = np.array(list(map(float, header[1:])))
         table = np.array([list(map(float, row)) for row in rows]).reshape(len(rows), len(header))

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -103,6 +104,12 @@ class SolverConfig:
 
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_x)
+
+    def check_lattice(self, t_nodes: np.ndarray, x_nodes: np.ndarray, source) -> None:
+        """Refuse t and x nodes that are not ``solve_times()`` and ``x_nodes()`` bit for bit, naming ``source``."""
+        for name, got, want in (("t", t_nodes, self.solve_times()), ("x", x_nodes, self.x_nodes())):
+            if got.tobytes() != want.tobytes():
+                raise ValueError(f"the {name} nodes of {source} are not the solver lattice ({self.n_t + 1} x {self.n_x})")
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
@@ -235,37 +242,38 @@ def _policy_step(
     lower: np.ndarray,
     diag: np.ndarray,
     upper: np.ndarray,
-    stopped: np.ndarray,
+    stopped: list[bool],
     max_iter: int = 100,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact LCP solve by policy iteration over the stopped set.
+) -> tuple[np.ndarray, list[bool], int]:
+    """Exact LCP solve by policy iteration over the stopped set, one bool per row.
 
     Each iteration solves the masked system, whose stopped rows are identity
     rows v = 0 and whose continuation rows are the step's own, by one sweep
     over every row (``_sweep``).  A stopped row stays stopped while its
     residual is >= 0 and a continuation row stops once v > 0; the iteration
-    ends when the set settles.  The sweep reads the coefficients and rhs as
-    Python floats, converted once per call, and the stopped set as Python
-    bools, converted once per iteration.
+    ends when the set settles.  The sweep and these tests run on Python
+    floats and bools: the rows are converted once per call, and the stopped
+    set stays a list from call to call.
     """
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
-    rows = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    lo, di, up, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    stop = list(stopped)
     for it in range(1, max_iter + 1):
-        v = np.array(_sweep(*rows, stopped.tolist()))
-        # residual of the *original* rows decides admissibility of stopping; only
-        # a stopped row's is read, and there v = 0: rhs less its neighbour terms
-        resid = rhs.copy()
-        resid[1:] -= lower[1:] * v[:-1]
-        resid[:-1] -= upper[:-1] * v[1:]
-        new_stopped = np.where(stopped, resid >= -slack, v > slack)
-        if (new_stopped == stopped).all():
-            return np.minimum(v, 0.0), stopped, it
-        stopped = new_stopped
+        v = _sweep(lo, di, up, b, stop)
+        new_stop = [x > slack for x in v]
+        # a stopped row (v = 0) is admissible while the residual of its *original*
+        # row is: rhs less its neighbour terms, of which none lies past an edge
+        vp = [0.0, *v, 0.0]
+        for j in compress(range(len(v)), stop):
+            new_stop[j] = b[j] - lo[j] * vp[j] - up[j] * vp[j + 2] >= -slack
+        if new_stop == stop:
+            return np.minimum(v, 0.0), stop, it
+        stop = new_stop
     raise SolverError(f"policy iteration did not settle in {max_iter} iterations")
 
 
 def _march(
-    psi_down: np.ndarray, v_inf: np.ndarray, stopped: np.ndarray, c: float, dt: float, dx: float
+    psi_down: np.ndarray, v_inf: np.ndarray, stopped: list[bool], c: float, dt: float, dx: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step backward from v_inf over the rows of ``psi_down`` (row 0 at T_max).
 
@@ -290,7 +298,7 @@ def _march(
 
 def _stationary_value(
     psi_inf: np.ndarray, c: float, dx: float, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, list[bool], int]:
     """The stationary value v_inf on nodes spaced ``dx``, its stopped set and LCP iterations."""
     rhs = c - psi_inf**2
     # w = trapezoid weight / Psi_inf^2 annihilates A from the left, so
@@ -306,7 +314,7 @@ def _stationary_value(
             )
     lower, diag, upper = _step_operator(psi_inf, 1.0, dx)
     # policy iteration only grows the continuation set here: <= n + 1 passes
-    return _policy_step(rhs, lower, diag - 1.0, upper, rhs >= 0.0, max_iter=rhs.size + 1)
+    return _policy_step(rhs, lower, diag - 1.0, upper, (rhs >= 0.0).tolist(), max_iter=rhs.size + 1)
 
 
 def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
@@ -340,7 +348,8 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     x = config.x_nodes()
     dx = float(x[1] - x[0])
 
-    psi_mat = _align_psi(grid, t_solve, x)
+    config.check_lattice(grid.t_nodes, grid.x_nodes, "the psi grid (build it with solver_psi_grid)")
+    psi_mat = grid.values.copy()
     v_inf, stopped, n_stationary = _stationary_value(grid.stationary, c, dx, config)
     psi_down = psi_mat[::-1]  # row 0 at T_max
     down, steps = _march(psi_down, v_inf, stopped, c, config.dt, dx)
@@ -377,21 +386,6 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     )
 
 
-def _align_psi(grid: PsiGrid, t_solve: np.ndarray, x: np.ndarray) -> np.ndarray:
-    same_t = grid.t_nodes.size == t_solve.size and np.allclose(
-        grid.t_nodes, t_solve, rtol=0.0, atol=1e-12 * max(1.0, float(t_solve[-1]))
-    )
-    same_x = grid.x_nodes.size == x.size and np.allclose(
-        grid.x_nodes, x, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(x))))
-    )
-    if not (same_t and same_x):
-        raise ValueError(
-            f"psi grid lattice ({grid.t_nodes.size} x {grid.x_nodes.size}) is not the solver "
-            f"lattice ({t_solve.size} x {x.size}); build it with solver_psi_grid"
-        )
-    return grid.values.copy()
-
-
 # ---------------------------------------------------------------------------
 # region extraction and structural checks
 # ---------------------------------------------------------------------------
@@ -405,8 +399,6 @@ _B_EMPTY_FULL = {
     "two_sided_symmetric": (math.inf, 0.0),
     "general": (math.nan, math.nan),
 }
-
-_CSV_HEADER = "t,shape,b,intervals"
 
 
 def _slice_kind(segs: list[tuple[float, float]]) -> tuple[str, float]:
@@ -495,7 +487,7 @@ class BoundaryCurve:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
+            fh.write("t,shape,b,intervals\n")
             for ti, bi, segs in zip(self.t_nodes, self.b, self.intervals):
                 ivals = ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in segs)
                 fh.write(f"{format_float(ti)},{self.shape},{format_float(bi)},{ivals}\n")
@@ -511,8 +503,6 @@ def extract_regions(values: np.ndarray, config: SolverConfig) -> BoundaryCurve:
     truncation edge stops past it, so that end is infinite.
     """
     t, x, v = config.solve_times(), config.x_nodes(), values
-    if v.shape != (t.size, x.size):
-        raise ValueError(f"values of shape {v.shape} are not on the solver lattice ({t.size} x {x.size})")
     ztol = config.zero_tol
     mask = v >= -ztol
     # runs of stop nodes: +1 steps open them, -1 steps close them, row by row
