@@ -112,7 +112,6 @@ _BAD_PRIORS = [
         "infinite-atom",
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_prior_field_exit_2(tmp_path, capsys, prior, field):
     # a missing field, or a boolean, a numeric string or a NaN or Infinity
     # literal where a finite number belongs (float() would read true as 1 and
@@ -267,14 +266,14 @@ _BAD_GRIDS = {
     "non_numeric": (lambda lines: [*lines[:3], lines[3].replace(",", ",x", 1), *lines[4:]], "not a number"),
     "nan_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",nan", *lines[4:]], "not finite"),
     "inf_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",-inf", *lines[4:]], "not finite"),
-    "rows_missing": (lambda lines: lines[:-1], "t column"),
+    "rows_missing": (lambda lines: lines[:-1], "t nodes"),
     "t_one_ulp_off": (
         lambda lines: [*lines[:3], _one_ulp_up(lines[3].split(",", 1)[0]) + lines[3][lines[3].index(","):], *lines[4:]],
-        "t column",
+        "t nodes",
     ),
     "x_one_ulp_off": (
         lambda lines: [",".join(f if i != 5 else _one_ulp_up(f) for i, f in enumerate(lines[0].split(","))), *lines[1:]],
-        "x header",
+        "x nodes",
     ),
 }
 
