@@ -34,15 +34,19 @@ def read_table_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``write_table_csv`` writes, as ``(t_nodes, x_nodes, values)``; a bad header, a
     ragged row or a field that is not a number raises a ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header, *rows = [line.split(",") for line in fh.read().splitlines()] or [[]]
-    if len(header) < 2 or header[0] != "t":
-        raise ValueError(f"{path} must start with the header t,x_0,x_1,...")
-    for i, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            raise ValueError(f"line {i} of {path} has {len(row)} fields, not the header's {len(header)}")
+        header = fh.readline().rstrip("\n").split(",")
+        if len(header) < 2 or header[0] != "t":
+            raise ValueError(f"{path} must start with the header t,x_0,x_1,...")
+        # parsed a line at a time: the text of a table takes several times the memory of its floats
+        rows = [_floats(line.rstrip("\n").split(","), len(header), path) for line in fh]
+    table = np.array(rows).reshape(len(rows), len(header))
+    return table[:, 0], _floats(header[1:], len(header) - 1, path), table[:, 1:]
+
+
+def _floats(fields: list[str], count: int, path) -> np.ndarray:
+    if len(fields) != count:
+        raise ValueError(f"{path} has a row of {len(fields)} fields, not the header's {count}")
     try:
-        x = np.array(list(map(float, header[1:])))
-        table = np.array([list(map(float, row)) for row in rows]).reshape(len(rows), len(header))
+        return np.array(list(map(float, fields)))
     except ValueError as exc:
         raise ValueError(f"{path} holds a field that is not a number: {exc}") from None
-    return table[:, 0], x, table[:, 1:]

@@ -555,9 +555,8 @@ def posterior_mean_var(table: QuadratureTable, t, y) -> tuple[np.ndarray, np.nda
     shape ``(rows, 1)``.  With the band's max-shifted weights w of a column
     and their sum S0, G = sum(w u) / S0 and H = sum(w (u - G)^2) / S0: the
     weights are never normalised one by one.  A one-column ``y`` is evaluated
-    as two equal columns, so that it gets the bits a wider call gives it:
-    numpy would send a one-column product to a matrix-vector routine, which
-    may round u y + tilt once, and sum it on other paths.
+    as two equal columns, and gets the bits a wider call gives it: numpy would
+    send it to a matrix-vector routine, which may round u y + tilt once.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     t = _check_time(t) if np.ndim(t) == 0 else _check_times(t, y_arr.shape)

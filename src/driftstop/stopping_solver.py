@@ -109,7 +109,7 @@ class SolverConfig:
         """Refuse t and x nodes that are not ``solve_times()`` and ``x_nodes()`` bit for bit, naming ``source``."""
         for name, got, want in (("t", t_nodes, self.solve_times()), ("x", x_nodes, self.x_nodes())):
             if got.tobytes() != want.tobytes():
-                raise ValueError(f"the {name} nodes of {source} are not the solver lattice ({self.n_t + 1} x {self.n_x})")
+                raise ValueError(f"the {name} nodes of {source} are off the {self.n_t + 1} x {self.n_x} solver lattice")
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]

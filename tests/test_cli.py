@@ -260,7 +260,7 @@ def _one_ulp_up(field: str) -> str:
 # each case's edit of a solved value_grid.csv's lines (header t,x_0,..., then t_i,v_i0,... per time;
 # None deletes the file) and a phrase of the refusal it draws
 _BAD_GRIDS = {
-    "missing": (None, "not found"),
+    "missing": (None, "No such file"),
     "bad_header": (lambda lines: ["time" + lines[0][1:], *lines[1:]], "header"),
     "ragged_row": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]], "fields"),
     "non_numeric": (lambda lines: [*lines[:3], lines[3].replace(",", ",x", 1), *lines[4:]], "not a number"),
