@@ -95,6 +95,9 @@ CONFIG_KEYS = {
 POLICY_KINDS = {"solver_boundary": (), "stop_at": ("time",), "symmetric_threshold": ("a",)}
 
 CLOSED_FORM_FLAGS = ("m", "sigma2", "sigma", "beta", "c", "t", "y")
+# the flags each closed-form family requires
+CLOSED_FORM_FAMILIES = {"gaussian": ("sigma2",), "bernoulli": ("beta", "c"), "half_normal": ("sigma2",),
+                        "mixture": ("m", "sigma")}
 
 _TYPES = {int: "an integer", float: "a finite number", list: "a list of finite numbers", str: "a string",
           bool: "a boolean", dict: "a JSON object"}
@@ -396,12 +399,13 @@ def cmd_closed_form(args) -> int:
 
 def _closed_form_record(args) -> dict:
     family = args.family
+    required = CLOSED_FORM_FAMILIES[family]
+    if any(getattr(args, flag) is None for flag in required):
+        raise ConfigError(f"{family} requires {' and '.join(f'--{flag}' for flag in required)}")
     rec: dict = {"family": family}
     t = args.t if args.t is not None else 0.0
     y = args.y if args.y is not None else 0.0
     if family == "gaussian":
-        if args.sigma2 is None:
-            raise ConfigError("gaussian requires --sigma2")
         m = args.m if args.m is not None else 0.0
         fa = closed_form.gaussian_analytics(m, args.sigma2, t, y)
         rec.update(t=t, y=y, F=fa.F, G=fa.G, H=fa.H, psi=fa.psi)
@@ -409,8 +413,6 @@ def _closed_form_record(args) -> dict:
             rec["tau_star"] = closed_form.gaussian_tau_star(args.sigma2, args.c)
             rec["value_at_t"] = closed_form.gaussian_value(args.sigma2, args.c, t)
     elif family == "bernoulli":
-        if args.beta is None or args.c is None:
-            raise ConfigError("bernoulli requires --beta and --c")
         sol = closed_form.bernoulli_solve(args.beta, args.c)
         rec.update(
             gamma=sol.gamma,
@@ -419,14 +421,10 @@ def _closed_form_record(args) -> dict:
             value_at_zero=sol.u(0.0) if sol.boundary_a is not None else 0.0,
         )
     elif family == "half_normal":
-        if args.sigma2 is None:
-            raise ConfigError("half_normal requires --sigma2")
         fa = closed_form.halfnormal_analytics(args.sigma2, t, y)
         rec.update(t=t, y=y, F=fa.F, G=fa.G, H=fa.H)
         rec["H_limit_large_y"] = args.sigma2 / (1.0 + args.sigma2 * t)
     elif family == "mixture":
-        if args.m is None or args.sigma is None:
-            raise ConfigError("mixture requires --m and --sigma")
         fa = closed_form.mixture_analytics(args.m, args.sigma, t, y)
         rec.update(t=t, y=y, F=fa.F, G=fa.G, H=fa.H)
         if args.c is not None:
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_cf = sub.add_parser("closed-form", help="closed-form records for the tractable families")
-    p_cf.add_argument("--family", required=True, choices=["gaussian", "bernoulli", "half_normal", "mixture"])
+    p_cf.add_argument("--family", required=True, choices=list(CLOSED_FORM_FAMILIES))
     for name in CLOSED_FORM_FLAGS:
         p_cf.add_argument(f"--{name}", type=float, default=None)
     p_cf.set_defaults(func=cmd_closed_form)

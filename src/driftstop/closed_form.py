@@ -258,7 +258,9 @@ def halfnormal_monotone_check(sigma2: float, t: float, y_nodes, tol: float = 1e-
     """Verify DH >= 0 across y_nodes and f(z) = (z + 2 phi/Phi)(z + phi/Phi) >= 1.
 
     The product form f >= 1 is what makes the half-normal dispersion
-    non-decreasing, hence a one-sided stopping region.
+    non-decreasing, hence a one-sided stopping region.  Below z = -5 both
+    factors cancel, so there, as in ``halfnormal_analytics``, z + phi/Phi = g
+    = 1/T2 with x = -z and f = g (x + 2 g).
     """
     y_arr = np.asarray(y_nodes, dtype=float)
     if y_arr.size < 3:
@@ -271,9 +273,13 @@ def halfnormal_monotone_check(sigma2: float, t: float, y_nodes, tol: float = 1e-
     d = 1.0 + sigma2 * t
     z_arr = sigma * y_arr / math.sqrt(d)
     f_vals = []
-    for z in z_arr:
-        r = _mills(z)
-        f_vals.append((z + 2.0 * r) * (z + r))
+    for z in z_arr.tolist():
+        if z < -5.0:
+            g = 1.0 / _tail_fractions(-z)[0]
+            f_vals.append(g * (2.0 * g - z))
+        else:
+            r = _mills(z)
+            f_vals.append((z + 2.0 * r) * (z + r))
     min_f = float(min(f_vals))
     passed = worst_dh >= -tol and min_f >= 1.0 - tol
     return MonotoneCheck(passed=passed, min_f=min_f, worst_dh=worst_dh)

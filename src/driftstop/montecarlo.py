@@ -74,6 +74,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("dt", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not (self.dt > 0.0):

@@ -126,6 +126,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILIES:
             raise PriorError(f"unknown prior kind {self.kind!r}; expected one of {_FAMILIES}")
+        for name in _FIELDS[self.kind]:
+            if getattr(self, name) is None:
+                raise PriorError(f"prior of kind {self.kind!r} is missing field {name!r}")
+            _numbers(getattr(self, name), name, self.kind)
         getattr(self, f"_validate_{self.kind}")()
 
     # ---- constructors -------------------------------------------------
@@ -166,34 +170,26 @@ class PriorSpec:
             raise PriorError("discrete_atoms requires a nonempty atom list")
         pts = [u for u, _ in self.atoms]
         wts = [w for _, w in self.atoms]
-        if any(not math.isfinite(u) for u in pts):
-            raise PriorError("atom points must be finite")
-        if any(w <= 0.0 or not math.isfinite(w) for w in wts):
-            raise PriorError("atom weights must be positive and finite")
+        if any(w <= 0.0 for w in wts):
+            raise PriorError("atom weights must be positive")
         if abs(sum(wts) - 1.0) > 1e-12:
             raise PriorError(f"atom weights must sum to 1 within 1e-12, got {sum(wts)!r}")
         if len(set(pts)) < 2:
             raise PriorError("one-point priors are rejected: need at least two distinct atoms")
 
     def _validate_gaussian(self) -> None:
-        if self.m is None or self.sigma2 is None:
-            raise PriorError("gaussian prior requires fields m and sigma2")
-        if not (self.sigma2 > 0.0) or not math.isfinite(self.sigma2):
-            raise PriorError("gaussian sigma2 must be a positive real")
+        if not self.sigma2 > 0.0:
+            raise PriorError("gaussian sigma2 must be positive")
 
     def _validate_symmetric_gaussian_mixture(self) -> None:
-        if self.m is None or self.sigma is None:
-            raise PriorError("symmetric_gaussian_mixture requires fields m and sigma")
-        if not (self.m > 0.0) or not (self.sigma > 0.0):
+        if not (self.m > 0.0 and self.sigma > 0.0):
             raise PriorError("mixture requires m > 0 and sigma > 0")
 
     def _validate_half_normal(self) -> None:
-        if self.sigma2 is None or not (self.sigma2 > 0.0):
+        if not self.sigma2 > 0.0:
             raise PriorError("half_normal requires sigma2 > 0")
 
     def _validate_tabulated_density(self) -> None:
-        if self.grid is None or self.density_values is None:
-            raise PriorError("tabulated_density requires fields grid and density_values")
         g = np.asarray(self.grid, dtype=float)
         f = np.asarray(self.density_values, dtype=float)
         if g.size < 3:
@@ -202,8 +198,8 @@ class PriorSpec:
             raise PriorError("grid and density_values must have the same length")
         if not np.all(np.diff(g) > 0.0):
             raise PriorError("tabulated grid must be strictly increasing")
-        if np.any(f < 0.0) or not np.all(np.isfinite(f)):
-            raise PriorError("density values must be nonnegative and finite")
+        if np.any(f < 0.0):
+            raise PriorError("density values must be nonnegative")
         masses = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
         if masses.sum() <= 0.0:
             raise PriorError("tabulated density carries no mass")
@@ -278,23 +274,14 @@ class PriorSpec:
             raise PriorError(f"malformed prior of kind {kind!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.kind == "discrete_atoms":
-            doc["atoms"] = [[u, w] for u, w in self.atoms]
-        elif self.kind == "gaussian":
-            doc.update(m=self.m, sigma2=self.sigma2)
-        elif self.kind == "symmetric_gaussian_mixture":
-            doc.update(m=self.m, sigma=self.sigma)
-        elif self.kind == "half_normal":
-            doc.update(sigma2=self.sigma2)
-        else:
-            doc.update(grid=list(self.grid), density_values=list(self.density_values))
-        return doc
+        fields = _FIELDS[self.kind]
+        return {"kind": self.kind} | {name: _numbers(getattr(self, name), name, self.kind) for name in fields}
 
 
 def _numbers(value, name: str, kind: str):
-    """A prior field's value, refused unless a finite number or a list of them (of lists, for atoms)."""
-    if isinstance(value, list):
+    """A prior field's value with every sequence, at every depth, as a list; refused
+    unless a finite number or a sequence of them (of pairs, for atoms)."""
+    if isinstance(value, (list, tuple)):
         return [_numbers(v, name, kind) for v in value]
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and math.isfinite(value)):
         raise PriorError(f"prior field {name!r} of kind {kind!r} must hold finite numbers, got {value!r}")
@@ -390,53 +377,46 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
     Node placement: Gauss-Hermite transformed to the family's location/scale
     for gaussian and mixture priors (moment-exact); Gauss-Legendre weighted by
     the density on a tail-truncated interval for the half-normal; midpoint
-    atoms with trapezoid masses for tabulated densities.
+    atoms with trapezoid masses for tabulated densities.  Every family's
+    nodes are then sorted, copies of one node merged (summed in the order
+    given: the sort is stable) and the weights normalised.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= MAX_NODES:
         raise PriorError(f"node count n must be an integer from 2 to {MAX_NODES}, got {n!r}")
 
     if prior.kind == "discrete_atoms":
-        pts = np.array([u for u, _ in prior.atoms], dtype=float)
-        wts = np.array([w for _, w in prior.atoms], dtype=float)
-        order = np.argsort(pts)
-        pts, wts = pts[order], wts[order]
-        pts, wts = _merge_duplicate_nodes(pts, wts)
-        wts = wts / wts.sum()
-        table = QuadratureTable(pts, wts, prior.support())
+        nodes = np.array([u for u, _ in prior.atoms], dtype=float)
+        weights = np.array([w for _, w in prior.atoms], dtype=float)
 
     elif prior.kind == "gaussian":
         x, w = hermgauss(n)
         nodes = prior.m + math.sqrt(2.0 * prior.sigma2) * x
         weights = w / math.sqrt(math.pi)
-        table = QuadratureTable(nodes, weights / weights.sum(), prior.support())
 
     elif prior.kind == "symmetric_gaussian_mixture":
-        half = max(2, (n + 1) // 2)
-        x, w = hermgauss(half)
+        x, w = hermgauss(max(2, (n + 1) // 2))
         scale = math.sqrt(2.0) * prior.sigma
         nodes = np.concatenate([-prior.m + scale * x, prior.m + scale * x])
         weights = np.concatenate([w, w]) / (2.0 * math.sqrt(math.pi))
-        order = np.argsort(nodes)
-        nodes, weights = _merge_duplicate_nodes(nodes[order], weights[order])
-        table = QuadratureTable(nodes, weights / weights.sum(), prior.support())
 
     elif prior.kind == "half_normal":
-        sigma = math.sqrt(prior.sigma2)
-        u_max = sigma * math.sqrt(2.0) * _TAIL_Z
+        u_max = math.sqrt(prior.sigma2) * math.sqrt(2.0) * _TAIL_Z
         x, w = leggauss(n)
         nodes = 0.5 * (x + 1.0) * u_max
         dens = math.sqrt(2.0 / (math.pi * prior.sigma2)) * np.exp(-(nodes**2) / (2.0 * prior.sigma2))
         weights = 0.5 * u_max * w * dens
-        table = QuadratureTable(nodes, weights / weights.sum(), prior.support())
 
-    else:  # tabulated_density
+    else:  # tabulated_density: the midpoints of the cells that carry mass
         g, f = _refine_to_cells(
             np.asarray(prior.grid, dtype=float), np.asarray(prior.density_values, dtype=float), n
         )
         masses = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
-        nodes = 0.5 * (g[1:] + g[:-1])
         keep = masses > 0.0
-        table = QuadratureTable(nodes[keep], masses[keep] / masses[keep].sum(), prior.support())
+        nodes, weights = 0.5 * (g[1:] + g[:-1])[keep], masses[keep]
+
+    order = np.argsort(nodes, kind="stable")
+    nodes, weights = _merge_duplicate_nodes(nodes[order], weights[order])
+    table = QuadratureTable(nodes, weights / weights.sum(), prior.support())
 
     if prior.kind != "tabulated_density":
         scale = max(abs(prior.mean()), math.sqrt(prior.variance()))

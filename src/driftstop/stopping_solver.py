@@ -83,6 +83,9 @@ class SolverConfig:
     x_hi: float
 
     def __post_init__(self) -> None:
+        for name in ("T_max", "x_lo", "x_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_t < 8 or self.n_x < 8:
             raise ValueError("need n_t >= 8 and n_x >= 8")
         if not (self.T_max > 0.0):
@@ -243,7 +246,6 @@ def _policy_step(
     diag: np.ndarray,
     upper: np.ndarray,
     stopped: list[bool],
-    max_iter: int = 100,
 ) -> tuple[np.ndarray, list[bool], int]:
     """Exact LCP solve by policy iteration over the stopped set, one bool per row.
 
@@ -251,14 +253,16 @@ def _policy_step(
     rows v = 0 and whose continuation rows are the step's own, by one sweep
     over every row (``_sweep``).  A stopped row stays stopped while its
     residual is >= 0 and a continuation row stops once v > 0; the iteration
-    ends when the set settles.  The sweep and these tests run on Python
-    floats and bools: the rows are converted once per call, and the stopped
-    set stays a list from call to call.
+    ends when the set settles, and fails past n + 1 iterations on n rows,
+    the bound of Howard's algorithm (Bokanowski, Maroso & Zidani 2009).  The
+    sweep and these tests run on Python floats and bools: the rows are
+    converted once per call, and the stopped set stays a list from call to
+    call.
     """
     slack = 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
     lo, di, up, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     stop = list(stopped)
-    for it in range(1, max_iter + 1):
+    for it in range(1, len(b) + 2):
         v = _sweep(lo, di, up, b, stop)
         new_stop = [x > slack for x in v]
         # a stopped row (v = 0) is admissible while the residual of its *original*
@@ -269,7 +273,7 @@ def _policy_step(
         if new_stop == stop:
             return np.minimum(v, 0.0), stop, it
         stop = new_stop
-    raise SolverError(f"policy iteration did not settle in {max_iter} iterations")
+    raise SolverError(f"policy iteration did not settle in {len(b) + 1} iterations")
 
 
 def _march(
@@ -313,8 +317,7 @@ def _stationary_value(
                 "region; widen it"
             )
     lower, diag, upper = _step_operator(psi_inf, 1.0, dx)
-    # policy iteration only grows the continuation set here: <= n + 1 passes
-    return _policy_step(rhs, lower, diag - 1.0, upper, (rhs >= 0.0).tolist(), max_iter=rhs.size + 1)
+    return _policy_step(rhs, lower, diag - 1.0, upper, (rhs >= 0.0).tolist())
 
 
 def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:

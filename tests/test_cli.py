@@ -68,11 +68,19 @@ def test_path_batch_csv_rows_match_format_row(tmp_path):
     assert lines[1:] == expect
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, words",
+    [("{not json", "config is not valid JSON"), (None, "config file not found"),
+     ("[1, 2]", "config root must be a JSON object")],
+    ids=["not-json", "missing-file", "array-root"],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, text, words):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    if text is not None:
+        bad.write_text(text)
     assert main(["solve", "--config", str(bad)]) == 2
-    assert "JSON" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert words in err and not out
 
 
 def test_missing_keys_exit_2(tmp_path, capsys):
@@ -524,9 +532,20 @@ def test_closed_form_mixture_thresholds(capsys):
     assert rec["t_zero"] == pytest.approx(4.8541, abs=1e-4)
 
 
-def test_closed_form_missing_param_exit_2(capsys):
-    assert main(["closed-form", "--family", "gaussian"]) == 2
-    assert "sigma2" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["--family", "gaussian", "--m", "1"], "gaussian requires --sigma2"),
+        (["--family", "bernoulli", "--beta", "1"], "bernoulli requires --beta and --c"),
+        (["--family", "half_normal", "--y", "1"], "half_normal requires --sigma2"),
+        (["--family", "mixture", "--m", "1"], "mixture requires --m and --sigma"),
+    ],
+    ids=["gaussian", "bernoulli", "half_normal", "mixture"],
+)
+def test_closed_form_missing_param_exit_2(capsys, argv, words):
+    assert main(["closed-form", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert words in err and not out
 
 
 def test_closed_form_half_normal_without_scipy_prints_the_record(capsys, monkeypatch):

@@ -275,6 +275,22 @@ def test_halfnormal_moments_below_minus_5_match_mpmath():
         assert abs(rec.H / (1 - zm * r - r * r) - 1) <= 4.0 * u, z
 
 
+def test_halfnormal_monotone_check_far_tail_matches_mpmath():
+    # below z = -5, f = g (x + 2 g) with x = -z and g = 1/T2 subtracts no
+    # near-equal terms; (z + 2 phi/Phi)(z + phi/Phi) read 1.0000102 at z = -1000
+    mpmath.mp.dps = 60
+    u = 2.0**-53  # unit round-off
+    for z in [-5.5, -10.0, -100.0, -1000.0, -1e5, *-np.geomspace(5.5, 1e5, 40)]:
+        y = np.array([1.001 * z, z, 0.999 * z])  # sigma2 = 1, t = 0: z = y
+        want = []
+        for zm in map(mpmath.mpf, y.tolist()):
+            r = mpmath.npdf(zm) / mpmath.ncdf(zm)
+            want.append((zm + 2 * r) * (zm + r))
+        res = halfnormal_monotone_check(1.0, 0.0, y)
+        assert abs(res.min_f / min(want) - 1) <= 4.0 * u, z
+        assert res.passed, z
+
+
 def test_halfnormal_f_limits():
     from driftstop.closed_form import _mills
 

@@ -34,6 +34,15 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, dt=0.5, horizon=0.1, seed=1)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["dt", "horizon"])
+def test_sim_config_refuses_a_non_finite_field_by_name(field, value):
+    # an infinite horizon used to reach n_steps as an OverflowError
+    doc = {"n_paths": 1, "dt": 0.01, "horizon": 1.0, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        SimConfig(**doc)
+
+
 def test_reproducibility_and_chunk_independence(gaussian_table, bernoulli_table, monkeypatch):
     sim = SimConfig(n_paths=300, dt=0.05, horizon=1.0, seed=123)
     a = simulate_paths(gaussian_table, sim)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -163,6 +164,65 @@ def test_from_dict_names_missing_field():
         PriorSpec.from_dict({"kind": "gaussian", "m": 0.0})
     with pytest.raises(PriorError, match="kind"):
         PriorSpec.from_dict({"m": 0.0})
+
+
+_PRIOR_FIELDS = {
+    "discrete_atoms": {"atoms": ((-1.0, 0.5), (1.0, 0.5))},
+    "gaussian": {"m": 0.0, "sigma2": 1.0},
+    "symmetric_gaussian_mixture": {"m": 1.0, "sigma": 1.0},
+    "half_normal": {"sigma2": 1.0},
+    "tabulated_density": {"grid": (0.0, 1.0, 2.0), "density_values": (1.0, 1.0, 1.0)},
+}
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+_BAD_FIELDS = [
+    *[
+        (kind, name, value)
+        for kind, fields in _PRIOR_FIELDS.items()
+        for name, good in fields.items()
+        if isinstance(good, float)
+        for value in _NON_FINITE
+    ],
+    *[("discrete_atoms", "atoms", ((-1.0, 0.5), (value, 0.5))) for value in _NON_FINITE],
+    *[("discrete_atoms", "atoms", ((-1.0, value), (1.0, 0.5))) for value in _NON_FINITE],
+    *[("tabulated_density", "grid", (0.0, 1.0, value)) for value in _NON_FINITE],
+    *[("tabulated_density", "density_values", (1.0, value, 1.0)) for value in _NON_FINITE],
+]
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, fields in _PRIOR_FIELDS.items() for name in fields])
+def test_constructor_names_a_missing_field(kind, name):
+    fields = {k: v for k, v in _PRIOR_FIELDS[kind].items() if k != name}
+    with pytest.raises(PriorError, match=f"^prior of kind {kind!r} is missing field {name!r}$"):
+        PriorSpec(kind=kind, **fields)
+
+
+@pytest.mark.parametrize("kind, name, bad", _BAD_FIELDS)
+def test_constructor_names_a_non_finite_field(kind, name, bad):
+    # without the check, half_normal(inf) or an infinite grid point ended in a
+    # numpy RuntimeWarning or a misleading message from the table or its moments
+    fields = _PRIOR_FIELDS[kind] | {name: bad}
+    with pytest.raises(PriorError, match=f"^prior field {name!r} of kind {kind!r} must hold finite numbers"):
+        getattr(PriorSpec, kind)(**fields)
+    PriorSpec(kind=kind, **_PRIOR_FIELDS[kind])  # the good fields pass
+
+
+def test_copies_of_an_atom_merge_in_the_order_given():
+    # the nodes are sorted stably, so three copies of 0.5 sum as 0.1 + (0.15 + 0.2),
+    # whatever the machine's unstable sort would order them by
+    atoms = [(0.5, 0.1), (-1.0, 0.2), (0.5, 0.15), (2.0, 0.05), (0.5, 0.2), (-1.0, 0.3)]
+    table = build_quadrature(PriorSpec.discrete_atoms(atoms))
+    merged = [0.2 + 0.3, 0.1 + (0.15 + 0.2), 0.05]
+    assert merged[1] != 0.15 + (0.1 + 0.2)  # an order that would show
+    assert table.nodes.tolist() == [-1.0, 0.5, 2.0]
+    assert table.weights.tolist() == (np.array(merged) / np.sum(merged)).tolist()
+
+
+def test_to_dict_lists_every_field_of_its_kind():
+    for kind, fields in _PRIOR_FIELDS.items():
+        doc = PriorSpec(kind=kind, **fields).to_dict()
+        assert doc == {"kind": kind, **json.loads(json.dumps(fields))}
+        assert list(doc) == ["kind", *fields]
+        assert PriorSpec.from_dict(doc) == PriorSpec(kind=kind, **fields)
 
 
 def test_table_refuses_nonfinite_nodes_or_weights():

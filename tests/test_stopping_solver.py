@@ -55,6 +55,15 @@ def test_config_validation():
         SolverConfig(n_t=80, n_x=81, T_max=1.0, x_lo=1.0, x_hi=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["T_max", "x_lo", "x_hi"])
+def test_config_refuses_a_non_finite_field_by_name(field, value):
+    # an infinite T_max used to reach solve_times() as a numpy RuntimeWarning
+    doc = {"n_t": 8, "n_x": 9, "T_max": 1.0, "x_lo": -1.0, "x_hi": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        SolverConfig(**doc)
+
+
 def _sup_psi2(table, x_nodes, tol=1e-10, calls=None):
     """sup_x Psi(t, .)^2 over ``x_nodes``, one single-row grid per call; ``calls`` records each t."""
 
@@ -629,9 +638,9 @@ def test_policy_steps_match_the_lapack_reference(all_tables, monkeypatch):
     seen = []
     policy_step = stopping_solver._policy_step
 
-    def compared(rhs, lower, diag, upper, stopped, max_iter=100):
-        out = policy_step(rhs, lower, diag, upper, stopped, max_iter)
-        ref = _policy_step_dgtsv(rhs, lower, diag, upper, stopped, max_iter)
+    def compared(rhs, lower, diag, upper, stopped):
+        out = policy_step(rhs, lower, diag, upper, stopped)
+        ref = _policy_step_dgtsv(rhs, lower, diag, upper, stopped)
         assert out[2] == ref[2] and np.array_equal(out[1], ref[1])
         assert np.max(np.abs(out[0] - ref[0])) <= 1e-13 * max(1.0, float(np.max(np.abs(ref[0]))))
         seen.append(out[2])
