@@ -335,8 +335,7 @@ def cmd_verify(args) -> int:
     _prepare_out(out, resolved)
 
     # a shift moves only finite interval ends, so a rule without one has no gap to measure
-    shapes = ("two_sided_symmetric", "one_sided_lower")
-    with_gaps = isinstance(policy, BoundaryCurve) and policy.shape in shapes and policy.has_finite_end
+    with_gaps = isinstance(policy, BoundaryCurve) and policy.has_finite_end
     shifts = resolved["perturbations"] if with_gaps else ()
     cost = evaluate_policy(table, c, policy, sim, shifts)
     identity = verify_variance_identity(table, cost)

@@ -254,8 +254,8 @@ class MonotoneCheck(NamedTuple):
     worst_dh: float
 
 
-def halfnormal_monotone_check(sigma2: float, t: float, y_nodes, tol: float = 1e-9) -> MonotoneCheck:
-    """Verify DH >= 0 across y_nodes and f(z) = (z + 2 phi/Phi)(z + phi/Phi) >= 1.
+def halfnormal_monotone_check(sigma2: float, t: float, y_nodes) -> MonotoneCheck:
+    """Verify DH >= 0 across y_nodes and f(z) = (z + 2 phi/Phi)(z + phi/Phi) >= 1, both to 1e-9.
 
     The product form f >= 1 is what makes the half-normal dispersion
     non-decreasing, hence a one-sided stopping region.  Below z = -5 both
@@ -281,7 +281,7 @@ def halfnormal_monotone_check(sigma2: float, t: float, y_nodes, tol: float = 1e-
             r = _mills(z)
             f_vals.append((z + 2.0 * r) * (z + r))
     min_f = float(min(f_vals))
-    passed = worst_dh >= -tol and min_f >= 1.0 - tol
+    passed = worst_dh >= -1e-9 and min_f >= 1.0 - 1e-9
     return MonotoneCheck(passed=passed, min_f=min_f, worst_dh=worst_dh)
 
 

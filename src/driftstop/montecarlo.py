@@ -6,12 +6,12 @@ posterior mean at every monitored time from the pair (t, Y(t)) directly; there
 is no Euler scheme on the estimate dynamics, so discretization enters only
 through the stopping-time grid and the trapezoid rule on path integrals.
 
-Every rule is a BoundaryCurve: a deterministic time is the curve with no
-stopping interval before its first monitored step and the whole line from that
-step on, and the last step a rule can reach is read off the curves as the step
-from which every one stops everywhere.  A rule stops a path at the first
-monitored step where the filtered estimate lies in one of its stopping
-intervals, the containment ``BoundaryCurve.contains`` tests, so the kernel's
+Every rule is a BoundaryCurve, and the walk asks the curve every question
+about it: a deterministic time is ``BoundaryCurve.stop_at``, the first step a
+rule can stop and the last it can reach come from ``BoundaryCurve.stop_steps``,
+and ``BoundaryCurve.contains``, with one time per step of a span, is the
+walk's stop test.  A rule stops a path at the first monitored step where the
+filtered estimate lies in one of its stopping intervals, so the kernel's
 estimate decides every stop; the steps before any curve has a stopping
 interval are filtered with no rule test.
 
@@ -181,29 +181,6 @@ def _cumulate(z: np.ndarray, w_last: float | np.ndarray, dt: float) -> np.ndarra
     return np.cumsum(z, axis=1, out=z)
 
 
-def _all_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
-    """The first step from which ``curve`` stops everywhere, the last step if none."""
-    everywhere = np.array([segs == [(-math.inf, math.inf)] for segs in curve.intervals])
-    goes_on = np.flatnonzero(~everywhere[curve.slice_index(times)])  # steps where some x does not stop
-    return min(int(goes_on[-1]) + 1, times.size - 1) if goes_on.size else 0
-
-
-def _first_stop_step(curve: BoundaryCurve, times: np.ndarray) -> int:
-    """The first step at which ``curve`` has a stopping interval, the last step if none."""
-    stops = np.flatnonzero(np.array([bool(segs) for segs in curve.intervals])[curve.slice_index(times)])
-    return int(stops[0]) if stops.size else times.size - 1
-
-
-def _time_curve(time: float, times: np.ndarray) -> BoundaryCurve:
-    """A deterministic time as a rule: no stopping interval before the first monitored step at
-    or after it, the whole line from that step on; never a stop past the horizon."""
-    hit = np.flatnonzero(times >= time - 1e-12)
-    start = float(times[hit[0]]) if hit.size else math.inf
-    if start == 0.0:
-        return BoundaryCurve(np.zeros(1), [[(-math.inf, math.inf)]], "all_stop")
-    return BoundaryCurve(np.array([0.0, start]), [[], [(-math.inf, math.inf)]], "general")
-
-
 @dataclass(frozen=True)
 class PathStats:
     """Per-path results of walking one policy: one entry per simulated path."""
@@ -248,25 +225,24 @@ def _walk_chunk(
     table: QuadratureTable,
     sim: SimConfig,
     sl: slice,
-    rules: list[tuple[BoundaryCurve, np.ndarray]],
+    curves: list[BoundaryCurve],
     first: int,
     reach: int,
     out: list[PathStats],
 ) -> None:
     """Simulate the paths of one chunk and walk every rule on them, writing ``out[r][sl]``.
 
-    Each rule is a curve with its intervals padded to one width (slice x
-    interval x [lo, hi]); no rule has a stopping interval before step
-    ``first`` or walks past step ``reach``.  The walk takes a span of whole
-    steps at a time, as many as keep table nodes x working paths x steps
-    within ``_NODE_COLUMNS``, at least one; step 0, where Y = 0, is a span of
-    its own.  One kernel call filters every working path on every step of the
-    span, a step x path block of levels with one time per row, and the path
-    integrals are summed along the span from their carried values (the
-    trapezoid from step 1, the second difference from step 2).  On a span
-    that reaches step ``first`` each live rule then stops a path at the first
-    step of the span where its x_hat lies in a stopping interval, or at the
-    horizon.  Only the working set, the paths still live in some rule, is
+    No rule has a stopping interval before step ``first`` or walks past step
+    ``reach``.  The walk takes a span of whole steps at a time, as many as
+    keep table nodes x working paths x steps within ``_NODE_COLUMNS``, at
+    least one; step 0, where Y = 0, is a span of its own.  One kernel call
+    filters every working path on every step of the span, a step x path
+    block of levels with one time per row, and the path integrals are summed
+    along the span from their carried values (the trapezoid from step 1, the
+    second difference from step 2).  On a span that reaches step ``first``
+    each live rule then stops a path at the first step of the span where its
+    x_hat lies in a stopping interval, as ``BoundaryCurve.contains`` tells
+    on the block, or at the horizon.  Only the working set, the paths still live in some rule, is
     drawn and filtered: it shrinks as paths stop, and the walk ends when it is
     empty.  Every path draws block 0 up front; the working set draws each
     later block as the walk enters it, by its own counter.
@@ -278,7 +254,7 @@ def _walk_chunk(
     k0 = 0  # w_block[:, k - k0] holds W at step k
     rows = np.arange(x.size)  # row of w_block for each working path
     paths = np.arange(x.size)  # chunk index of each working path
-    live = np.ones((len(rules), x.size), dtype=bool)
+    live = np.ones((len(curves), x.size), dtype=bool)
     integral_psi2 = np.zeros(x.size)
     second_diff_sum = np.zeros(x.size)
     psi2_prev2 = psi2_prev = np.zeros(x.size)  # Psi^2 two steps and one step back
@@ -305,13 +281,9 @@ def _walk_chunk(
         k += span
         if k <= first:  # no rule can stop on the span, which ends before the horizon (first <= n_steps)
             continue
-        for (curve, padded), lv, stats in zip(rules, live, out):
+        for curve, lv, stats in zip(curves, live, out):
             idx = np.flatnonzero(lv)
-            ends = padded[curve.slice_index(t_span)]  # step x interval x [lo, hi]
-            g_lv = g[:, idx]
-            inside = np.zeros(g_lv.shape, dtype=bool)
-            for i in range(ends.shape[1]):
-                inside |= (g_lv >= ends[:, i, 0, None]) & (g_lv <= ends[:, i, 1, None])
+            inside = curve.contains(t_span, g[:, idx])  # step x path
             hit = inside.any(axis=0)
             stop = hit | (k > n_steps)  # force-stop whatever is left at the horizon
             idx, j, capped = idx[stop], np.where(hit, inside.argmax(axis=0), span - 1)[stop], ~hit[stop]
@@ -378,9 +350,8 @@ def evaluate_policy(
     its stopping intervals, capped at the horizon with a cap-fraction
     diagnostic; a warning is attached above 1% capping.  Each shift moves a
     BoundaryCurve outward by ``shift`` (negative pulls it inward); for a
-    deterministic-time rule the stopping time itself is shifted.  The curves'
-    intervals are padded to one width for the walk, and the draws end at the
-    step from which every curve stops everywhere.
+    deterministic-time rule the stopping time itself is shifted.  The draws
+    end at the step from which every curve stops everywhere.
     """
     if c <= 0.0:
         raise ValueError("cost rate c must be positive")
@@ -389,7 +360,8 @@ def evaluate_policy(
     if isinstance(policy, BoundaryCurve):
         curves = [policy, *(policy.shifted(s) for s in shifts)]
     else:
-        curves = [_time_curve(t, times) for t in (float(policy), *(max(float(policy) + s, 0.0) for s in shifts))]
+        stop_times = (float(policy), *(max(float(policy) + s, 0.0) for s in shifts))
+        curves = [BoundaryCurve.stop_at(t, times) for t in stop_times]
     n = sim.n_paths
     paths = [
         PathStats(
@@ -402,13 +374,9 @@ def evaluate_policy(
         )
         for _ in curves
     ]
-    width = max(1, max((len(segs) for curve in curves for segs in curve.intervals), default=1))
-    pad = [(math.inf, -math.inf)] * width  # empty intervals
-    rules = [(curve, np.array([[*segs, *pad[len(segs) :]] for segs in curve.intervals])) for curve in curves]
-    first = min(_first_stop_step(curve, times) for curve in curves)
-    reach = max(_all_stop_step(curve, times) for curve in curves)
+    first, reach = zip(*(curve.stop_steps(times) for curve in curves))
     for start in range(0, n, _CHUNK):
-        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), rules, first, reach, paths)
+        _walk_chunk(table, sim, slice(start, min(start + _CHUNK, n)), curves, min(first), max(reach), paths)
     base = paths[0]
     mean, se = _mean_se(base.sq_err + c * base.tau)
     cap_fraction = float(np.mean(base.capped))

@@ -209,51 +209,14 @@ class PriorSpec:
         # resolution (coarse declared grids are refined before quadrature)
         g1, f1 = _refine_to_cells(g, f, 128)
         g2, f2 = _refine_tabulated(g1, f1)
-        m2, m2r = _tabulated_moment(g1, f1, 2), _tabulated_moment(g2, f2, 2)
-        if not (math.isfinite(m2) and math.isfinite(m2r)) or abs(m2r - m2) > 0.01 * max(
-            abs(m2), 1e-300
-        ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2, m2r = _second_moment(g1, f1), _second_moment(g2, f2)
+        if not (math.isfinite(m2) and math.isfinite(m2r)):
+            raise PriorError("prior field 'grid' of kind 'tabulated_density': its second moment overflows a float")
+        if abs(m2r - m2) > 0.01 * max(abs(m2), 1e-300):
             raise PriorError(
                 f"tabulated second moment not stable under refinement ({m2!r} vs {m2r!r})"
             )
-
-    # ---- analytic facts -------------------------------------------------
-
-    def mean(self) -> float:
-        if self.kind == "discrete_atoms":
-            return float(sum(u * w for u, w in self.atoms))
-        if self.kind == "gaussian":
-            return float(self.m)
-        if self.kind == "symmetric_gaussian_mixture":
-            return 0.0
-        if self.kind == "half_normal":
-            return float(math.sqrt(2.0 * self.sigma2 / math.pi))
-        raise PriorError("a tabulated_density prior has no analytic mean: use build_quadrature(spec).mean()")
-
-    def variance(self) -> float:
-        if self.kind == "discrete_atoms":
-            m = self.mean()
-            return float(sum(w * (u - m) ** 2 for u, w in self.atoms))
-        if self.kind == "gaussian":
-            return float(self.sigma2)
-        if self.kind == "symmetric_gaussian_mixture":
-            return float(self.sigma**2 + self.m**2)
-        if self.kind == "half_normal":
-            return float(self.sigma2 * (1.0 - 2.0 / math.pi))
-        raise PriorError(
-            "a tabulated_density prior has no analytic variance: use build_quadrature(spec).variance()"
-        )
-
-    def support(self) -> tuple[float, float]:
-        """(inf, sup) of the support; endpoints may be infinite."""
-        if self.kind == "discrete_atoms":
-            pts = [u for u, _ in self.atoms]
-            return (min(pts), max(pts))
-        if self.kind in ("gaussian", "symmetric_gaussian_mixture"):
-            return (-math.inf, math.inf)
-        if self.kind == "half_normal":
-            return (0.0, math.inf)
-        return (self.grid[0], self.grid[-1])
 
     # ---- (de)serialization ----------------------------------------------
 
@@ -288,9 +251,9 @@ def _numbers(value, name: str, kind: str):
     return value
 
 
-def _tabulated_moment(g: np.ndarray, f: np.ndarray, k: int) -> float:
+def _second_moment(g: np.ndarray, f: np.ndarray) -> float:
     mass = np.trapezoid(f, g)
-    return float(np.trapezoid(f * g**k, g) / mass)
+    return float(np.trapezoid(f * g**2, g) / mass)
 
 
 def _refine_tabulated(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +342,10 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
     the density on a tail-truncated interval for the half-normal; midpoint
     atoms with trapezoid masses for tabulated densities.  Every family's
     nodes are then sorted, copies of one node merged (summed in the order
-    given: the sort is stable) and the weights normalised.
+    given: the sort is stable) and the weights normalised; non-finite raw
+    weights, or nodes that all round onto one float, are refused by the
+    prior's fields.  A parametric family's table must match the family's
+    exact mean and variance.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= MAX_NODES:
         raise PriorError(f"node count n must be an integer from 2 to {MAX_NODES}, got {n!r}")
@@ -387,17 +353,22 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
     if prior.kind == "discrete_atoms":
         nodes = np.array([u for u, _ in prior.atoms], dtype=float)
         weights = np.array([w for _, w in prior.atoms], dtype=float)
+        mean = float(sum(u * w for u, w in prior.atoms))
+        moments = (mean, float(sum(w * (u - mean) ** 2 for u, w in prior.atoms)))
+        support = (float(nodes.min()), float(nodes.max()))
 
     elif prior.kind == "gaussian":
         x, w = hermgauss(n)
         nodes = prior.m + math.sqrt(2.0 * prior.sigma2) * x
         weights = w / math.sqrt(math.pi)
+        moments, support = (float(prior.m), float(prior.sigma2)), (-math.inf, math.inf)
 
     elif prior.kind == "symmetric_gaussian_mixture":
         x, w = hermgauss(max(2, (n + 1) // 2))
         scale = math.sqrt(2.0) * prior.sigma
         nodes = np.concatenate([-prior.m + scale * x, prior.m + scale * x])
         weights = np.concatenate([w, w]) / (2.0 * math.sqrt(math.pi))
+        moments, support = (0.0, float(prior.sigma**2 + prior.m**2)), (-math.inf, math.inf)
 
     elif prior.kind == "half_normal":
         u_max = math.sqrt(prior.sigma2) * math.sqrt(2.0) * _TAIL_Z
@@ -405,30 +376,36 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
         nodes = 0.5 * (x + 1.0) * u_max
         dens = math.sqrt(2.0 / (math.pi * prior.sigma2)) * np.exp(-(nodes**2) / (2.0 * prior.sigma2))
         weights = 0.5 * u_max * w * dens
+        moments = (math.sqrt(2.0 * prior.sigma2 / math.pi), float(prior.sigma2 * (1.0 - 2.0 / math.pi)))
+        support = (0.0, math.inf)
 
-    else:  # tabulated_density: the midpoints of the cells that carry mass
-        g, f = _refine_to_cells(
-            np.asarray(prior.grid, dtype=float), np.asarray(prior.density_values, dtype=float), n
-        )
+    else:  # tabulated_density: the midpoints of the cells that carry mass; moments from the table alone
+        g, f = _refine_to_cells(np.asarray(prior.grid, dtype=float), np.asarray(prior.density_values, dtype=float), n)
         masses = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
         keep = masses > 0.0
         nodes, weights = 0.5 * (g[1:] + g[:-1])[keep], masses[keep]
+        moments, support = None, (prior.grid[0], prior.grid[-1])
 
+    bad = np.count_nonzero(~np.isfinite(weights))
+    if bad:
+        raise PriorError(f"the {nodes.size}-node quadrature of prior {prior.to_dict()} has {bad} non-finite weights")
     order = np.argsort(nodes, kind="stable")
-    nodes, weights = _merge_duplicate_nodes(nodes[order], weights[order])
-    table = QuadratureTable(nodes, weights / weights.sum(), prior.support())
+    merged, weights = _merge_duplicate_nodes(nodes[order], weights[order])
+    if merged.size < 2:
+        raise PriorError(f"the {nodes.size} quadrature nodes of prior {prior.to_dict()} round onto one float")
+    table = QuadratureTable(merged, weights / weights.sum(), support)
 
-    if prior.kind != "tabulated_density":
-        scale = max(abs(prior.mean()), math.sqrt(prior.variance()))
-        if abs(table.mean() - prior.mean()) > _MOMENT_RTOL * scale:
+    if moments is not None:
+        mean, var = moments
+        scale = max(abs(mean), math.sqrt(var))
+        if abs(table.mean() - mean) > _MOMENT_RTOL * scale:
             raise PriorError(
-                f"table mean {table.mean()!r} misses analytic mean {prior.mean()!r} "
-                f"beyond relative tolerance {_MOMENT_RTOL}"
+                f"table mean {table.mean()!r} misses analytic mean {mean!r} beyond relative tolerance {_MOMENT_RTOL}"
             )
-        if abs(table.variance() - prior.variance()) > _MOMENT_RTOL * max(prior.variance(), scale**2):
+        if abs(table.variance() - var) > _MOMENT_RTOL * max(var, scale**2):
             raise PriorError(
-                f"table variance {table.variance()!r} misses analytic variance "
-                f"{prior.variance()!r} beyond relative tolerance {_MOMENT_RTOL}"
+                f"table variance {table.variance()!r} misses analytic variance {var!r} "
+                f"beyond relative tolerance {_MOMENT_RTOL}"
             )
     return table
 

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Callable, ClassVar, NamedTuple
 
@@ -445,6 +446,16 @@ class BoundaryCurve:
         """Constant-in-time rule: stop as soon as x <= b."""
         return cls(np.array([0.0]), [[(-math.inf, float(b))]], "one_sided_lower")
 
+    @classmethod
+    def stop_at(cls, time: float, times: np.ndarray) -> "BoundaryCurve":
+        """A deterministic time as a rule on the monitored ``times``: no stopping interval before
+        the first step at or after it, the whole line from that step on; no stop past the last step."""
+        hit = np.flatnonzero(times >= time - 1e-12)
+        start = float(times[hit[0]]) if hit.size else math.inf
+        if start == 0.0:
+            return cls(np.zeros(1), [[(-math.inf, math.inf)]], "all_stop")
+        return cls(np.array([0.0, start]), [[], [(-math.inf, math.inf)]], "general")
+
     @property
     def b(self) -> np.ndarray:
         """The boundary per slice, read off the intervals in the convention of ``shape``.
@@ -461,6 +472,13 @@ class BoundaryCurve:
         nowhere or everywhere at each time, whatever x is, and a shift leaves it as it is."""
         return any(math.isfinite(end) for segs in self.intervals for seg in segs for end in seg)
 
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """Slice x interval x [lo, hi], each slice's intervals followed by empty ones (inf, -inf),
+        built on first use so that ``contains`` indexes one array at every step of a walk."""
+        pad = [(math.inf, -math.inf)] * max(1, *map(len, self.intervals))
+        return np.array([[*segs, *pad[len(segs) :]] for segs in self.intervals])
+
     def slice_index(self, t):
         """The slice in force at time t, or at each of an array of times: the last one
         starting at or before t + 1e-15, and the first one before it starts."""
@@ -468,14 +486,25 @@ class BoundaryCurve:
         i = np.clip(i, 0, self.t_nodes.size - 1)
         return int(i) if i.ndim == 0 else i
 
-    def contains(self, t: float, x) -> np.ndarray:
-        """Is (t, x) in the stopping set?  Piecewise constant to the right in t."""
-        segs = self.intervals[self.slice_index(t)]
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x_arr.shape, dtype=bool)
-        for lo, hi in segs:
-            out |= (x_arr >= lo) & (x_arr <= hi)
+    def contains(self, t, x) -> np.ndarray:
+        """Is (t, x) in the stopping set?  Piecewise constant to the right in t; ``t`` is one
+        time for every x or, for a 2-d x, one time per row."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.ndim(t) and (x.ndim != 2 or np.shape(t) != x.shape[:1]):
+            raise ValueError(f"times of shape {np.shape(t)} do not match x of shape {x.shape}: need one per row")
+        ends = self._ends[self.slice_index(t)][..., None, :]  # [row x] interval x 1 x [lo, hi]
+        out = np.zeros(x.shape, dtype=bool)
+        for i in range(ends.shape[-3]):
+            out |= (x >= ends[..., i, :, 0]) & (x <= ends[..., i, :, 1])
         return out
+
+    def stop_steps(self, times: np.ndarray) -> tuple[int, int]:
+        """On the monitored ``times``: the first step with a stopping interval, and the first step
+        from which the rule stops everywhere; the last step for either if there is none."""
+        kinds = np.array([_slice_kind(segs)[0] for segs in self.intervals])[self.slice_index(times)]
+        stops, goes_on = np.flatnonzero(kinds != "empty"), np.flatnonzero(kinds != "full")
+        first = int(stops[0]) if stops.size else times.size - 1
+        return first, min(int(goes_on[-1]) + 1, times.size - 1) if goes_on.size else 0
 
     def shifted(self, delta: float) -> "BoundaryCurve":
         """Move every finite end outward by ``delta`` (delta > 0 enlarges continuation).
@@ -595,13 +624,11 @@ def _common_indices(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarra
     return np.array(ia, dtype=int), np.array(ib, dtype=int)
 
 
-def compare_value_ordering(
-    grid1: ValueGrid, grid2: ValueGrid, tol: float = 1e-8, psi_tol: float = 1e-8
-) -> OrderingReport:
+def compare_value_ordering(grid1: ValueGrid, grid2: ValueGrid, tol: float = 1e-8) -> OrderingReport:
     """Check v1 <= v2 on common nodes, given the dispersion ordering Psi1 >= Psi2.
 
-    The dispersion premise is verified first on the common lattice and a
-    violation is rejected with its location; the value comparison then runs
+    The dispersion premise is verified first on the common lattice, to 1e-8,
+    and a violation is rejected with its location; the value comparison then runs
     pointwise.  Grids must overlap on at least a 2 x 2 sub-lattice.
     """
     t_tol = 1e-9 * max(1.0, float(grid1.t_nodes[-1]), float(grid2.t_nodes[-1]))
@@ -613,7 +640,7 @@ def compare_value_ordering(
     p1 = grid1.psi_values[np.ix_(it1, ix1)]
     p2 = grid2.psi_values[np.ix_(it2, ix2)]
     gap = p2 - p1
-    if np.max(gap) > psi_tol:
+    if np.max(gap) > 1e-8:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValueError(
             "dispersion ordering premise fails at "

@@ -347,6 +347,29 @@ def test_verify_skips_gaps_of_a_rule_without_finite_ends(tmp_path):
     assert report["passed"] is True
 
 
+def test_verify_measures_gaps_of_a_rule_that_stops_above(tmp_path):
+    # the mirror of the half-normal stops at and above b(t): a rule with
+    # finite ends, so each perturbation moves them and gets its gap
+    grid = np.linspace(-8.0, 0.0, 33)
+    density = np.exp(-0.5 * grid**2)
+    cfg = {
+        "prior": {"kind": "tabulated_density", "grid": grid.tolist(), "density_values": density.tolist()},
+        "cost_c": 0.25,
+        "solver": {"n_t": 100, "n_x": 101},
+        "sim": {"n_paths": 4000},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "mirrored.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    curve = _solved_rule(tmp_path / "out")
+    assert curve.shape == "one_sided_upper" and curve.has_finite_end
+    assert main(["verify", "--config", str(cfg_path), "--seed", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert [gap["shift"] for gap in report["optimality_gap"]] == [0.0, -0.1, 0.1]
+    assert report["passed"] is True
+
+
 def test_nonfinite_observation_in_walk_exits_3(bern_config, capsys, monkeypatch):
     # a non-finite level reaching the kernel is a numerical failure, not bad input
     cfg_path, out, cfg = bern_config
@@ -473,6 +496,20 @@ def test_core_modules_never_import_the_cli():
             if any(name in (".cli", "driftstop.cli") for name in named):
                 importers.add(path.name)
     assert importers == {"__main__.py"}
+
+
+def test_montecarlo_leaves_the_rule_geometry_to_boundary_curve():
+    # the walk asks BoundaryCurve every question about a stopping rule, so
+    # montecarlo reads no curve's intervals and builds no curve of its own
+    path = Path(driftstop.__file__).parent / "montecarlo.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    reads = [node.lineno for node in nodes if isinstance(node, ast.Attribute) and node.attr == "intervals"]
+    builds = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "BoundaryCurve"
+    ]
+    assert (reads, builds) == ([], [])
 
 
 def test_psi_outputs_are_deterministic(bern_config, tmp_path):

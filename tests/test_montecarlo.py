@@ -308,12 +308,19 @@ def test_walk_memory_at_128_nodes_does_not_grow_with_the_horizon(halfnormal_tabl
 
 def _reference_walk(table, policy, sim):
     """Every path walked to its stop over full simulate_paths trajectories; a
-    number is a deterministic time, met by the first step at or after it."""
+    number is a deterministic time, met by the first step at or after it.  A
+    curve's stops are read off its intervals here, not through the
+    ``BoundaryCurve.contains`` the walk runs."""
 
     def stops(t, x_hat):
-        if isinstance(policy, BoundaryCurve):
-            return policy.contains(t, x_hat)
-        return np.full(x_hat.shape, t >= policy - 1e-12)
+        if not isinstance(policy, BoundaryCurve):
+            return np.full(x_hat.shape, t >= policy - 1e-12)
+        # the slice in force: the last one starting at or before t, the first before any starts
+        i = max([j for j, start in enumerate(policy.t_nodes.tolist()) if start <= t + 1e-15], default=0)
+        inside = np.zeros(x_hat.shape, dtype=bool)
+        for lo, hi in policy.intervals[i]:
+            inside |= (lo <= x_hat) & (x_hat <= hi)
+        return inside
 
     batch = simulate_paths(table, sim)
     psi2 = batch.psi * batch.psi
@@ -624,8 +631,8 @@ def _offset_boundary():
 )
 def test_walk_stops_match_reference_walk(case, halfnormal_table, mixture_table, bernoulli_table):
     # the walk decides each span's stops on the x_hat of one kernel call over
-    # its steps; the reference applies BoundaryCurve.contains to x_hat at every
-    # step.  The half-normal boundary is one-sided, the mixture one stops
+    # its steps; the reference tests x_hat against the rule's intervals at
+    # every step.  The half-normal boundary is one-sided, the mixture one stops
     # nowhere early and everywhere late, and the end of |x| >= 1 on atoms +-1
     # sits on an extreme node: x_hat reaches it only as floating point rounds
     # to 1.0 near y = 19, which stops 490 of the 500 paths before the horizon.

@@ -83,12 +83,53 @@ def test_tabulated_density_becomes_midpoint_atoms():
     assert abs(table.mean()) <= 1e-12
 
 
-def test_tabulated_density_moments_come_from_its_table():
-    spec = PriorSpec.tabulated_density(np.linspace(-1.0, 1.0, 41), np.ones(41))
-    with pytest.raises(PriorError, match=r"build_quadrature\(spec\)\.mean\(\)"):
-        spec.mean()
-    with pytest.raises(PriorError, match=r"build_quadrature\(spec\)\.variance\(\)"):
-        spec.variance()
+def test_each_family_states_its_support_and_exact_moments():
+    # a parametric family's table must match the family's exact mean and
+    # variance; a tabulated density's moments are its table's own
+    want = {
+        "discrete_atoms": (-1.0, 1.0),
+        "gaussian": (-math.inf, math.inf),
+        "symmetric_gaussian_mixture": (-math.inf, math.inf),
+        "half_normal": (0.0, math.inf),
+        "tabulated_density": (0.0, 2.0),
+    }
+    for kind, fields in _PRIOR_FIELDS.items():
+        assert build_quadrature(PriorSpec(kind=kind, **fields)).support_bounds == want[kind]
+    with pytest.raises(PriorError, match=r"^table mean 0\.79623\d+ misses analytic mean 0\.7978845608028654 "):
+        build_quadrature(PriorSpec.half_normal(1.0), n=8)
+
+
+@pytest.mark.parametrize(
+    "spec, words",
+    [
+        (
+            lambda: PriorSpec.tabulated_density([0.0, 1e200, 2e200], [1.0, 1.0, 1.0]),
+            r"^prior field 'grid' of kind 'tabulated_density': its second moment overflows a float$",
+        ),
+        (
+            lambda: build_quadrature(PriorSpec.half_normal(1e-320)),
+            r"^the 128-node quadrature of prior \{'kind': 'half_normal', 'sigma2': 1e-320\} has 128 non-finite weights$",
+        ),
+        (
+            lambda: build_quadrature(PriorSpec.gaussian(1e20, 1.0)),
+            r"^the 128 quadrature nodes of prior \{'kind': 'gaussian', 'm': 1e\+20, 'sigma2': 1\.0\} round onto one float$",
+        ),
+    ],
+    ids=["grid-second-moment", "half-normal-density-scale", "gaussian-nodes-on-one-float"],
+)
+def test_prior_a_float_table_cannot_hold_is_refused_by_name(spec, words):
+    # these used to end in numpy's "overflow encountered in square", in its
+    # "invalid value encountered in divide" as the tail divided inf by inf, and
+    # in a table's "needs at least two nodes", which named no field
+    with pytest.raises(PriorError, match=words):
+        spec()
+
+
+def test_nodes_that_merge_onto_two_floats_are_kept():
+    # at an offset of 1e20 every node of a mixture component rounds onto +-1e20:
+    # two nodes of weight 1/2 each, the exact law to float precision
+    table = build_quadrature(PriorSpec.symmetric_gaussian_mixture(1e20, 1.0))
+    assert table.nodes.tolist() == [-1e20, 1e20] and table.weights.tolist() == [0.5, 0.5]
 
 
 def test_one_point_priors_rejected():

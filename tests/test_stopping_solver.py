@@ -367,6 +367,27 @@ def test_rule_is_its_intervals(example_rules, name):
     assert curve.shifted(0.0).intervals == curve.intervals
 
 
+@pytest.mark.parametrize("name", [*_EXAMPLE_RULES, "symmetric_threshold", "stop_below", "stop_at"])
+def test_contains_with_one_time_per_row_matches_each_row(example_rules, name):
+    # the Monte Carlo walk tests a span of steps at once, one time per row of
+    # x_hat: each row must get what a call at its own time alone gives, on
+    # every slice start and on every finite interval end
+    if name == "stop_at":
+        curve = BoundaryCurve.stop_at(0.7, np.arange(101) * 0.02)
+    else:
+        curve = example_rules[name]
+    times = np.sort(np.concatenate([curve.t_nodes, np.linspace(0.0, 1.1 * curve.t_nodes[-1] + 0.5, 40)]))
+    ends = [e for segs in curve.intervals for seg in segs for e in seg if math.isfinite(e)]
+    x = np.tile(np.concatenate([np.linspace(-4.0, 4.0, 81), ends]), (times.size, 1))
+    x[1::2] += 0.01  # no two neighbouring rows alike
+    inside = curve.contains(times, x)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(inside, [curve.contains(t, row) for t, row in zip(times, x)])
+    for t, xs in [(times[:-1], x), (times, x[0]), (times[:, None], x)]:
+        with pytest.raises(ValueError, match="need one per row"):
+            curve.contains(t, xs)
+
+
 def test_stop_runs_at_the_window_edge_are_unbounded(example_rules, halfnormal_table):
     # the Gaussian rule stops nowhere before tau* = 1 and everywhere after it,
     # on the whole line rather than on the solved window only
