@@ -4,7 +4,9 @@ Subcommands: ``psi``, ``solve``, ``verify``, ``closed-form``, ``simulate``.
 A single JSON config document drives a run; every artifact can be regenerated
 from the resolved config that each command writes next to its outputs.  Floats
 are formatted with the shortest round-trip representation (``csvio``) so
-identical configs produce byte-identical CSV/JSON artifacts.
+identical configs produce byte-identical CSV/JSON artifacts.  ``solve`` also
+saves the value surface as ``value_grid.npy``, from which ``verify`` rebuilds
+the solved stopping rule; this module alone writes and reads that file.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 """
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_form
-from .csvio import format_row, read_table_csv
+from .csvio import format_row
 from .dispersion import InversionError, clamp_to_interior, pde_residuals, psi_grid
 from .montecarlo import SimConfig, evaluate_policy, policy_optimality_gap, simulate_paths, verify_variance_identity
 from .prior import MAX_NODES, PosteriorError, PriorSpec, build_quadrature
@@ -276,6 +278,7 @@ def cmd_solve(args) -> int:
     good = locally_good_check(grid)
 
     grid.to_csv(out / "value_grid.csv")
+    np.save(out / "value_grid.npy", grid.values)
     boundary.to_csv(out / "boundary.csv")
     _write_json(out / "monotonicity_report.json", asdict(report))
     _write_json(
@@ -297,8 +300,8 @@ def cmd_solve(args) -> int:
 
 
 def _solver_boundary(out: Path, config: SolverConfig, resolved: dict) -> BoundaryCurve:
-    """The rule ``solve`` extracts from the value grid it wrote to ``out``, refused unless the grid fits this config."""
-    path = out / "value_grid.csv"
+    """The rule ``solve`` extracts from the value grid it saved to ``out``, refused unless the grid fits this config."""
+    path = out / "value_grid.npy"
     meta_path = out / "solver_meta.json"
     try:
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
@@ -314,11 +317,30 @@ def _solver_boundary(out: Path, config: SolverConfig, resolved: dict) -> Boundar
             f"{have or f'unknown (no problem_hash in {meta_path})'}, not for this config's {want}; "
             "run the solve command with this config first"
         )
-    t, x, values = read_table_csv(path)
-    config.check_lattice(t, x, path)
-    if not np.isfinite(values).all():
-        raise ConfigError(f"{path} holds a value that is not finite; run the solve command again")
-    return extract_regions(values, config)
+    return extract_regions(_read_value_grid(path, (config.n_t + 1, config.n_x)), config)
+
+
+def _read_value_grid(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The array ``cmd_solve`` saved to ``path``: native float64 of ``shape`` by its header, checked before
+    any data is read, then whole and finite.  It holds no lattice: the problem hash covers the config's."""
+    fmt, size = np.lib.format, 8 * shape[0] * shape[1]
+    try:
+        with open(path, "rb") as fh:
+            if fmt.read_magic(fh) != (1, 0):
+                raise ValueError("its .npy format version is not 1.0")
+            have, fortran, dtype = fmt.read_array_header_1_0(fh)
+            if (have, fortran, dtype) != (shape, False, np.dtype(float)):
+                order = "Fortran-order " if fortran else ""
+                raise ValueError(f"its header says {order}{dtype} of shape {have}, not float64 of shape {shape}")
+            data = fh.read(size)
+        if len(data) < size:
+            raise ValueError(f"it is truncated, with {len(data)} of its {size} data bytes")
+        values = np.frombuffer(data).reshape(shape)
+        if not np.isfinite(values).all():
+            raise ValueError("it holds a value that is not finite")
+    except ValueError as exc:
+        raise ConfigError(f"{path} is refused: {exc}; run the solve command with this config again") from None
+    return values
 
 
 def cmd_verify(args) -> int:

@@ -169,17 +169,15 @@ def stationary_psi(table: QuadratureTable, x) -> np.ndarray:
 
 @dataclass
 class PsiGrid:
-    """Tabulated dispersion surface with the inverted observation levels.
+    """Tabulated dispersion surface.
 
-    ``values[i, j] = Psi(t_nodes[i], x_nodes[j])`` and ``y_nodes[i, j]`` is the
-    observation level mapped to x_nodes[j] at time t_nodes[i];
-    ``stationary[j]`` is the t -> infinity limit at x_nodes[j].
+    ``values[i, j] = Psi(t_nodes[i], x_nodes[j])`` and ``stationary[j]`` is the
+    t -> infinity limit at x_nodes[j].
     """
 
     t_nodes: np.ndarray
     x_nodes: np.ndarray
     values: np.ndarray
-    y_nodes: np.ndarray
     stationary: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -187,12 +185,9 @@ class PsiGrid:
         self.t_nodes = np.asarray(self.t_nodes, dtype=float)
         self.x_nodes = np.asarray(self.x_nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        self.y_nodes = np.asarray(self.y_nodes, dtype=float)
         self.stationary = np.asarray(self.stationary, dtype=float)
         if self.values.shape != (self.t_nodes.size, self.x_nodes.size):
             raise ValueError("values shape must be (len(t_nodes), len(x_nodes))")
-        if self.y_nodes.shape != self.values.shape:
-            raise ValueError("y_nodes shape must match values")
         if self.stationary.shape != self.x_nodes.shape:
             raise ValueError("stationary shape must match x_nodes")
 
@@ -232,16 +227,15 @@ def psi_grid(
         clamped += int(moved)
 
     values = np.empty((t_arr.size, x_arr.size))
-    y_nodes = np.empty_like(values)
-    y_start: np.ndarray | None = None
+    y_prev = y_start = None
     for i, ti in enumerate(t_arr):
-        y_nodes[i], values[i] = _invert_array(table, float(ti), x_eval, tol, y0=y_start)
-        y_start = y_nodes[i] if i == 0 else 2.0 * y_nodes[i] - y_nodes[i - 1]
+        y, values[i] = _invert_array(table, float(ti), x_eval, tol, y0=y_start)
+        y_start = y if y_prev is None else 2.0 * y - y_prev
+        y_prev = y
     return PsiGrid(
         t_nodes=t_arr,
         x_nodes=x_arr,
         values=values,
-        y_nodes=y_nodes,
         stationary=stationary_psi(table, x_eval),
         meta={"tol": tol, "clamped_points": clamped},
     )

@@ -200,6 +200,7 @@ class PriorSpec:
             raise PriorError("tabulated grid must be strictly increasing")
         if np.any(f < 0.0):
             raise PriorError("density values must be nonnegative")
+        f = _unit_scaled(f)  # only the shape counts, and no cell mass or moment of a scaled one overflows
         masses = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
         if masses.sum() <= 0.0:
             raise PriorError("tabulated density carries no mass")
@@ -249,6 +250,11 @@ def _numbers(value, name: str, kind: str):
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and math.isfinite(value)):
         raise PriorError(f"prior field {name!r} of kind {kind!r} must hold finite numbers, got {value!r}")
     return value
+
+
+def _unit_scaled(f: np.ndarray) -> np.ndarray:
+    """A density times the power of two that brings its largest value into [0.5, 1): its shape, exactly."""
+    return np.ldexp(f, -np.frexp(f.max())[1])
 
 
 def _second_moment(g: np.ndarray, f: np.ndarray) -> float:
@@ -380,7 +386,8 @@ def build_quadrature(prior: PriorSpec, n: int = 128) -> QuadratureTable:
         support = (0.0, math.inf)
 
     else:  # tabulated_density: the midpoints of the cells that carry mass; moments from the table alone
-        g, f = _refine_to_cells(np.asarray(prior.grid, dtype=float), np.asarray(prior.density_values, dtype=float), n)
+        f = _unit_scaled(np.asarray(prior.density_values, dtype=float))
+        g, f = _refine_to_cells(np.asarray(prior.grid, dtype=float), f, n)
         masses = 0.5 * (f[1:] + f[:-1]) * np.diff(g)
         keep = masses > 0.0
         nodes, weights = 0.5 * (g[1:] + g[:-1])[keep], masses[keep]

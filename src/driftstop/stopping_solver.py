@@ -109,12 +109,6 @@ class SolverConfig:
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_x)
 
-    def check_lattice(self, t_nodes: np.ndarray, x_nodes: np.ndarray, source) -> None:
-        """Refuse t and x nodes that are not ``solve_times()`` and ``x_nodes()`` bit for bit, naming ``source``."""
-        for name, got, want in (("t", t_nodes, self.solve_times()), ("x", x_nodes, self.x_nodes())):
-            if got.tobytes() != want.tobytes():
-                raise ValueError(f"the {name} nodes of {source} are off the {self.n_t + 1} x {self.n_x} solver lattice")
-
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
 
@@ -352,7 +346,9 @@ def solve_value(grid: PsiGrid, c: float, config: SolverConfig) -> ValueGrid:
     x = config.x_nodes()
     dx = float(x[1] - x[0])
 
-    config.check_lattice(grid.t_nodes, grid.x_nodes, "the psi grid (build it with solver_psi_grid)")
+    if grid.t_nodes.tobytes() != t_solve.tobytes() or grid.x_nodes.tobytes() != x.tobytes():
+        raise ValueError(f"the psi grid is off the {config.n_t + 1} x {config.n_x} solver lattice; build it with "
+                         "solver_psi_grid")
     psi_mat = grid.values.copy()
     v_inf, stopped, n_stationary = _stationary_value(grid.stationary, c, dx, config)
     psi_down = psi_mat[::-1]  # row 0 at T_max
@@ -440,11 +436,6 @@ class BoundaryCurve:
         """Constant-in-time rule: stop as soon as |x| >= a."""
         a = float(a)
         return cls(np.array([0.0]), [[(-math.inf, -a), (a, math.inf)]], "two_sided_symmetric")
-
-    @classmethod
-    def stop_below(cls, b: float) -> "BoundaryCurve":
-        """Constant-in-time rule: stop as soon as x <= b."""
-        return cls(np.array([0.0]), [[(-math.inf, float(b))]], "one_sided_lower")
 
     @classmethod
     def stop_at(cls, time: float, times: np.ndarray) -> "BoundaryCurve":

@@ -13,7 +13,7 @@ import pytest
 import driftstop
 from driftstop import cli, montecarlo
 from driftstop.cli import CONFIG_KEYS, DERIVED, REQUIRED, _load_config, _resolve, main
-from driftstop.csvio import format_float, format_row, read_table_csv, write_table_csv
+from driftstop.csvio import format_float, format_row, write_table_csv
 
 
 @pytest.fixture()
@@ -44,12 +44,20 @@ def test_format_row_matches_per_float_join():
     assert format_row(row) == ",".join(format_float(v) for v in row)
 
 
+def _read_table_csv(path):
+    """``(t_nodes, x_nodes, values)`` of a ``write_table_csv`` file, each field parsed with ``float``."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    assert header[0] == "t" and all(len(row) == len(header) for row in rows)
+    table = np.array([[float(f) for f in row] for row in rows])
+    return table[:, 0], np.array([float(f) for f in header[1:]]), table[:, 1:]
+
+
 def test_table_csv_reads_back_the_bits_written(tmp_path):
     t = np.array([0.0, 5e-324, 0.1, 1e16])
     x = np.array([-0.0, 4.854101966249684, math.pi])
     values = np.array([[-0.0, -1e-300, -2.5], [0.1, 1e16, -math.inf], [math.nan, 0.0, 1.0], [3.0, -3.0, 7e-17]])
     write_table_csv(tmp_path / "table.csv", t, x, values)
-    for got, want in zip(read_table_csv(tmp_path / "table.csv"), (t, x, values)):
+    for got, want in zip(_read_table_csv(tmp_path / "table.csv"), (t, x, values)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -163,7 +171,8 @@ def test_huge_quadrature_n_exits_2_before_any_table_is_built(tmp_path, capsys, m
 def test_solve_writes_artifacts(bern_config):
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    for name in ["value_grid.csv", "boundary.csv", "monotonicity_report.json", "solver_meta.json", "resolved_config.json"]:
+    for name in ["value_grid.csv", "value_grid.npy", "boundary.csv", "monotonicity_report.json", "solver_meta.json",
+                 "resolved_config.json"]:
         assert (out / name).exists()
     report = json.loads((out / "monotonicity_report.json").read_text())
     assert report["passed"] is True
@@ -214,7 +223,7 @@ def test_space_error_below_time_error_at_defaults(tmp_path, prior, c):
 
 
 def test_boundary_csv_round_trip(bern_config):
-    # the rule verify rebuilds from value_grid.csv writes solve's boundary.csv
+    # the rule verify rebuilds from value_grid.npy writes solve's boundary.csv
     # byte for byte, and stops where the two-point closed form does
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
@@ -250,39 +259,56 @@ _SOLVED = {
 }
 
 
-@pytest.mark.parametrize("name", _SOLVED)
-def test_verify_rebuilds_the_rule_solve_wrote(tmp_path, name):
-    # the rule verify extracts from value_grid.csv writes boundary.csv byte for byte
-    out = tmp_path / "out"
-    (tmp_path / "config.json").write_text(json.dumps(_SOLVED[name]))
-    assert main(["solve", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
-    rule = _solved_rule(out)
-    rule.to_csv(tmp_path / "rebuilt.csv")
-    assert (tmp_path / "rebuilt.csv").read_bytes() == (out / "boundary.csv").read_bytes()
+@pytest.fixture(scope="module", params=_SOLVED)
+def solved(request, tmp_path_factory):
+    """The output directory of a solve of one ``_SOLVED`` config."""
+    root = tmp_path_factory.mktemp(request.param)
+    (root / "config.json").write_text(json.dumps(_SOLVED[request.param]))
+    assert main(["solve", "--config", str(root / "config.json"), "--out", str(root / "out")]) == 0
+    return root / "out"
 
 
-def _one_ulp_up(field: str) -> str:
-    return repr(math.nextafter(float(field), math.inf))
+def test_verify_rebuilds_the_rule_solve_wrote(solved, tmp_path):
+    # the rule verify extracts from value_grid.npy writes boundary.csv byte for byte
+    _solved_rule(solved).to_csv(tmp_path / "rebuilt.csv")
+    assert (tmp_path / "rebuilt.csv").read_bytes() == (solved / "boundary.csv").read_bytes()
 
 
-# each case's edit of a solved value_grid.csv's lines (header t,x_0,..., then t_i,v_i0,... per time;
-# None deletes the file) and a phrase of the refusal it draws
+def test_value_grid_npy_holds_the_csv_values(solved):
+    # the grid verify reads is the one readers get, bit for bit
+    saved = np.load(solved / "value_grid.npy", allow_pickle=False)
+    _, _, written = _read_table_csv(solved / "value_grid.csv")
+    assert saved.dtype == np.float64 and saved.shape == written.shape and saved.tobytes() == written.tobytes()
+
+
+def _forged_header(path, values):
+    # a header that claims 10^9 x 10^9 floats over the real data
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**9)})
+        fh.write(values.tobytes())
+
+
+def _with_entry(value):
+    def save(path, values):
+        values = values.copy()
+        values[3, 5] = value
+        np.save(path, values)
+
+    return save
+
+
+# each case's rewrite of a solved value_grid.npy from its values (None deletes the file)
+# and a phrase of the refusal it draws
 _BAD_GRIDS = {
     "missing": (None, "No such file"),
-    "bad_header": (lambda lines: ["time" + lines[0][1:], *lines[1:]], "header"),
-    "ragged_row": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]], "fields"),
-    "non_numeric": (lambda lines: [*lines[:3], lines[3].replace(",", ",x", 1), *lines[4:]], "not a number"),
-    "nan_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",nan", *lines[4:]], "not finite"),
-    "inf_entry": (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",-inf", *lines[4:]], "not finite"),
-    "rows_missing": (lambda lines: lines[:-1], "t nodes"),
-    "t_one_ulp_off": (
-        lambda lines: [*lines[:3], _one_ulp_up(lines[3].split(",", 1)[0]) + lines[3][lines[3].index(","):], *lines[4:]],
-        "t nodes",
-    ),
-    "x_one_ulp_off": (
-        lambda lines: [",".join(f if i != 5 else _one_ulp_up(f) for i, f in enumerate(lines[0].split(","))), *lines[1:]],
-        "x nodes",
-    ),
+    "empty": (lambda path, values: path.write_bytes(b""), "is refused"),
+    "truncated": (lambda path, values: path.write_bytes(path.read_bytes()[:-8]), "truncated"),
+    "forged_shape_header": (_forged_header, "(1000000000, 1000000000)"),
+    "rows_missing": (lambda path, values: np.save(path, values[:-1]), "of shape (60, 81)"),
+    "float32": (lambda path, values: np.save(path, values.astype(np.float32)), "float32"),
+    "pickled_objects": (lambda path, values: np.save(path, values.astype(object), allow_pickle=True), "object"),
+    "nan_entry": (_with_entry(math.nan), "not finite"),
+    "inf_entry": (_with_entry(-math.inf), "not finite"),
 }
 
 
@@ -291,12 +317,12 @@ def test_verify_refuses_malformed_value_grid(bern_config, capsys, case):
     # exit 2, naming the file, before anything is written
     cfg_path, out, _ = bern_config
     assert main(["solve", "--config", str(cfg_path)]) == 0
-    path = out / "value_grid.csv"
+    path = out / "value_grid.npy"
     edit, phrase = _BAD_GRIDS[case]
     if edit is None:
         path.unlink()
     else:
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        edit(path, np.load(path))
     before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
     capsys.readouterr()
     assert main(["verify", "--config", str(cfg_path)]) == 2
@@ -847,6 +873,7 @@ def test_value_grid_is_deterministic(bern_config, tmp_path):
     assert main(["solve", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["solve", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert (out1 / "value_grid.csv").read_bytes() == (out2 / "value_grid.csv").read_bytes()
+    assert (out1 / "value_grid.npy").read_bytes() == (out2 / "value_grid.npy").read_bytes()
     assert (out1 / "boundary.csv").read_bytes() == (out2 / "boundary.csv").read_bytes()
 
 

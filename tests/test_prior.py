@@ -83,6 +83,25 @@ def test_tabulated_density_becomes_midpoint_atoms():
     assert abs(table.mean()) <= 1e-12
 
 
+def test_tabulated_density_scale_does_not_matter():
+    # only a density's shape counts: it is scaled by a power of two before any cell mass, so
+    # 1e308 everywhere builds the uniform table, and 1e200 on a wide grid keeps a finite second moment
+    uniform = build_quadrature(PriorSpec.tabulated_density([0.0, 1.0, 2.0], [1.0] * 3))
+    huge = build_quadrature(PriorSpec.tabulated_density([0.0, 1.0, 2.0], [1e308] * 3))
+    assert np.array_equal(huge.nodes, uniform.nodes)
+    np.testing.assert_allclose(huge.weights, uniform.weights, rtol=1e-15, atol=0.0)
+    wide = build_quadrature(PriorSpec.tabulated_density([0.0, 1e60, 2e60], [1e200] * 3))
+    assert wide.mean() == pytest.approx(1e60, rel=1e-12)
+    assert wide.variance() == pytest.approx(1e120 / 3.0, rel=1e-3)
+    # the scale is exact: a power of two times the density leaves every bit of the table
+    grid = np.linspace(-1.0, 1.0, 41)
+    dens = 1.0 - 0.5 * np.abs(grid) + 0.1 * grid
+    base = build_quadrature(PriorSpec.tabulated_density(grid, dens), n=64)
+    for k in (-900, 3, 900):
+        moved = build_quadrature(PriorSpec.tabulated_density(grid, np.ldexp(dens, k)), n=64)
+        assert moved.nodes.tobytes() == base.nodes.tobytes() and moved.weights.tobytes() == base.weights.tobytes()
+
+
 def test_each_family_states_its_support_and_exact_moments():
     # a parametric family's table must match the family's exact mean and
     # variance; a tabulated density's moments are its table's own

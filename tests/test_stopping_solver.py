@@ -287,7 +287,7 @@ def test_boundary_contains_and_shift():
     assert not curve.contains(0.5, np.array([0.0, 0.5])).any()
     wider = curve.shifted(0.05)
     assert not wider.contains(0.0, np.array([0.92]))[0]
-    lower = BoundaryCurve.stop_below(0.3)
+    lower = BoundaryCurve(np.array([0.0]), [[(-math.inf, 0.3)]], "one_sided_lower")
     assert lower.contains(1.0, np.array([0.2]))[0]
     assert not lower.contains(1.0, np.array([0.4]))[0]
 
@@ -355,7 +355,7 @@ def example_rules(all_tables):
         grid, _ = _solve(all_tables[name], c, n_t=40, n_x=81, T_max=t_max)
         rules[name] = extract_regions(grid.values, grid.config)
     rules["symmetric_threshold"] = BoundaryCurve.symmetric_threshold(0.9)
-    rules["stop_below"] = BoundaryCurve.stop_below(0.3)
+    rules["stop_below"] = BoundaryCurve(np.array([0.0]), [[(-math.inf, 0.3)]], "one_sided_lower")
     return rules
 
 
